@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-fo bench-query bench-cluster bench-restart bench-ingest bench-modes bench-modes-smoke bench-longitudinal bench-longitudinal-smoke bench-megadomain bench-megadomain-smoke bench-smoke chaos-cluster chaos-archive chaos-failover chaos-idle chaos-longitudinal
+.PHONY: build test check bench-module bench bench-fo bench-query bench-cluster bench-restart bench-ingest bench-modes bench-modes-smoke bench-longitudinal bench-longitudinal-smoke bench-megadomain bench-megadomain-smoke bench-smoke chaos-cluster chaos-archive chaos-failover chaos-idle chaos-longitudinal
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+
+# The pipeline benchmark (bench/) is its own Go module, so ./... above never
+# compiles it: vet it and run its smoke test, so an API change that breaks the
+# benchmark fails here.
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # Aggregation-kernel benchmark: fold kernel vs sequential baseline, plus an
 # end-to-end round, written to BENCH_PR2.json.

@@ -10,6 +10,8 @@ package felip
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"felip/internal/core"
@@ -222,31 +224,47 @@ func BenchmarkAnswer4D(b *testing.B) {
 	}
 }
 
-// BenchmarkResponseMatrixFit measures Algorithm 3 on a 128×128 value matrix
-// with 1-D and 2-D constraints.
+// BenchmarkResponseMatrixFit measures Algorithm 3 on a num×num pair shaped
+// like a production one: a 256×256 value matrix, a coarse 8×8 2-D grid and
+// 49-cell 1-D grids on both axes, with noisy targets whose 2-D and 1-D
+// marginals disagree — as independently perturbed grids do — so the fit runs
+// all 50 sweeps at the 1/n threshold (n = 100k) instead of converging early.
 func BenchmarkResponseMatrixFit(b *testing.B) {
+	const d, l2, l1, n = 256, 8, 49, 100_000
+	rng := rand.New(rand.NewSource(7))
+	noisy := func(mean float64) float64 { return math.Max(mean*(1+0.3*rng.NormFloat64()), 0) }
+	bump := func(c, cells int, center float64) float64 {
+		z := (float64(c)+0.5)/float64(cells) - center
+		return math.Exp(-z * z / 0.08)
+	}
 	var cons []estimate.Constraint
-	for cx := 0; cx < 8; cx++ {
-		for cy := 0; cy < 8; cy++ {
+	for cx := 0; cx < l2; cx++ {
+		for cy := 0; cy < l2; cy++ {
 			cons = append(cons, estimate.Constraint{
-				R:      estimate.Rect{XLo: cx * 16, XHi: (cx + 1) * 16, YLo: cy * 16, YHi: (cy + 1) * 16},
-				Target: 1.0 / 64,
+				R:      estimate.Rect{XLo: cx * d / l2, XHi: (cx + 1) * d / l2, YLo: cy * d / l2, YHi: (cy + 1) * d / l2},
+				Target: noisy(bump(cx, l2, 0.4) * bump(cy, l2, 0.6) / 16),
 			})
 		}
 	}
-	for c := 0; c < 16; c++ {
+	for c := 0; c < l1; c++ {
 		cons = append(cons, estimate.Constraint{
-			R:      estimate.Rect{XLo: c * 8, XHi: (c + 1) * 8, YLo: 0, YHi: 128},
-			Target: 1.0 / 16,
+			R:      estimate.Rect{XLo: c * d / l1, XHi: (c + 1) * d / l1, YLo: 0, YHi: d},
+			Target: noisy(bump(c, l1, 0.45) / 24),
+		})
+	}
+	for c := 0; c < l1; c++ {
+		cons = append(cons, estimate.Constraint{
+			R:      estimate.Rect{XLo: 0, XHi: d, YLo: c * d / l1, YHi: (c + 1) * d / l1},
+			Target: noisy(bump(c, l1, 0.55) / 24),
 		})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := estimate.NewMatrix(128, 128)
+		m, err := estimate.NewMatrix(d, d)
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.Fit(cons, 1e-6, 50)
+		m.Fit(cons, 1.0/n, 50)
 	}
 }
 

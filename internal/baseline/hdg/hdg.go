@@ -448,33 +448,7 @@ func (a *Aggregator) responseMatrix(i, j int) (*estimate.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cons []estimate.Constraint
-	lx, ly := g2.X.Cells(), g2.Y.Cells()
-	for cx := 0; cx < lx; cx++ {
-		xLo, xHi := g2.X.CellRange(cx)
-		for cy := 0; cy < ly; cy++ {
-			yLo, yHi := g2.Y.CellRange(cy)
-			cons = append(cons, estimate.Constraint{
-				R:      estimate.Rect{XLo: xLo, XHi: xHi, YLo: yLo, YHi: yHi},
-				Target: g2.At(cx, cy),
-			})
-		}
-	}
-	for c := 0; c < a.grids1[i].L(); c++ {
-		lo, hi := a.grids1[i].Axis.CellRange(c)
-		cons = append(cons, estimate.Constraint{
-			R:      estimate.Rect{XLo: lo, XHi: hi, YLo: 0, YHi: dj},
-			Target: a.grids1[i].Freq[c],
-		})
-	}
-	for c := 0; c < a.grids1[j].L(); c++ {
-		lo, hi := a.grids1[j].Axis.CellRange(c)
-		cons = append(cons, estimate.Constraint{
-			R:      estimate.Rect{XLo: 0, XHi: di, YLo: lo, YHi: hi},
-			Target: a.grids1[j].Freq[c],
-		})
-	}
-	m.Fit(cons, 1/float64(a.n), a.opts.MatrixMaxIter)
+	m.Fit(estimate.GridConstraints(g2, a.grids1[i], a.grids1[j]), 1/float64(a.n), a.opts.MatrixMaxIter)
 	a.matrices[key] = m
 	return m, nil
 }

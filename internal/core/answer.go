@@ -227,63 +227,26 @@ func (a *Aggregator) NeedsMatrix(i, j int) bool {
 	return okI || okJ
 }
 
-// PairConstraints assembles the Algorithm-3 constraint set of pair (i < j):
-// every 2-D grid cell binds its value rectangle δ(c) to the cell's estimated
-// frequency, and each related 1-D grid (Γ from §5.5) adds band constraints.
-// The constraint order is deterministic (2-D cells row-major, then the i-side
-// 1-D grid, then the j-side), so every consumer — the aggregator's own
-// single-mutex cache and the serving engine — fits bit-identical matrices.
+// PairConstraints assembles the Algorithm-3 constraint set of pair (i < j)
+// from its 2-D grid and whichever related 1-D grids were collected (Γ from
+// §5.5: both for num×num, only the numerical one when the other attribute is
+// categorical), in estimate.GridConstraints' fixed order, so every consumer —
+// the aggregator's own single-mutex cache and the serving engine — fits
+// bit-identical matrices.
 func (a *Aggregator) PairConstraints(i, j int) ([]estimate.Constraint, error) {
-	key := [2]int{i, j}
-	g2, ok := a.grids2[key]
+	g2, ok := a.grids2[[2]int{i, j}]
 	if !ok {
 		return nil, fmt.Errorf("core: no 2-D grid for pair (%d,%d)", i, j)
 	}
-	di := a.schema.Attr(i).Size
-	dj := a.schema.Attr(j).Size
-
-	var cons []estimate.Constraint
-	// 2-D grid cells: δ(c) is the value rectangle of the cell.
-	lx, ly := g2.X.Cells(), g2.Y.Cells()
-	for cx := 0; cx < lx; cx++ {
-		xLo, xHi := g2.X.CellRange(cx)
-		for cy := 0; cy < ly; cy++ {
-			yLo, yHi := g2.Y.CellRange(cy)
-			cons = append(cons, estimate.Constraint{
-				R:      estimate.Rect{XLo: xLo, XHi: xHi, YLo: yLo, YHi: yHi},
-				Target: g2.At(cx, cy),
-			})
-		}
-	}
-	// Related 1-D grids add band constraints (Γ from §5.5: both 1-D grids
-	// for num×num, only the numerical one when the other attribute is
-	// categorical).
-	if g1, ok := a.grids1[i]; ok {
-		for c := 0; c < g1.L(); c++ {
-			lo, hi := g1.Axis.CellRange(c)
-			cons = append(cons, estimate.Constraint{
-				R:      estimate.Rect{XLo: lo, XHi: hi, YLo: 0, YHi: dj},
-				Target: g1.Freq[c],
-			})
-		}
-	}
-	if g1, ok := a.grids1[j]; ok {
-		for c := 0; c < g1.L(); c++ {
-			lo, hi := g1.Axis.CellRange(c)
-			cons = append(cons, estimate.Constraint{
-				R:      estimate.Rect{XLo: 0, XHi: di, YLo: lo, YHi: hi},
-				Target: g1.Freq[c],
-			})
-		}
-	}
-	return cons, nil
+	return estimate.GridConstraints(g2, a.grids1[i], a.grids1[j]), nil
 }
 
 // responseMatrix returns the per-value response matrix M(i,j) built from the
 // related grid set Γ (Algorithm 3), caching the result.
 //
 // This is the legacy single-mutex read path: the lock is held across the full
-// matrix build and iterative fit, so a cache miss on one pair blocks every
+// matrix build and iterative fit (O(di·dj + atoms·iter), see
+// estimate.Matrix.Fit), so a cache miss on one pair blocks every
 // concurrent query, including cache hits on other pairs. It is preserved as
 // the baseline the serving engine (internal/serve) is benchmarked against;
 // heavy concurrent query traffic should go through serve.Engine, whose

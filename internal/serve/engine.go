@@ -44,6 +44,7 @@ import (
 // Instruments (surfaced through /v1/status via metrics.Snapshot).
 var (
 	queryTimer  = metrics.GetTimer("serve.query")
+	warmupTimer = metrics.GetTimer("serve.warmup")
 	cacheHits   = metrics.GetCounter("serve.matrix_cache.hit")
 	cacheMisses = metrics.GetCounter("serve.matrix_cache.miss")
 )
@@ -232,7 +233,11 @@ func (e *Engine) Aggregator() *core.Aggregator { return e.agg }
 // fan-out grid estimation uses), so the first query burst after a round swap
 // never pays an Algorithm-3 fit inline. Idempotent and safe to run
 // concurrently with queries; returns the first build error in pair order.
+// Each call is observed once on the serve.warmup timer, so /v1/status shows
+// what warming a round costs.
 func (e *Engine) Warmup() error {
+	start := time.Now()
+	defer func() { warmupTimer.Observe(time.Since(start)) }()
 	var keys [][2]int
 	for key, plan := range e.pairs {
 		if plan.lazy {
@@ -346,8 +351,8 @@ func (e *Engine) pairAnswer(i, j int, selI, selJ, notI, notJ []estimate.Span) (e
 
 // pairSAT returns the pair's summed-area table, fitting the response matrix
 // under per-pair singleflight on first use. The engine lock guards only the
-// slot map — never the O(di·dj·iter) fit — so a miss on pair (a,b) cannot
-// stall hits or misses on any other pair.
+// slot map — never the O(di·dj + atoms·iter) fit — so a miss on pair (a,b)
+// cannot stall hits or misses on any other pair.
 func (e *Engine) pairSAT(i, j int) (*estimate.SummedArea, error) {
 	key := [2]int{i, j}
 	plan, ok := e.pairs[key]

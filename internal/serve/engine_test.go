@@ -9,6 +9,7 @@ import (
 	"felip/internal/core"
 	"felip/internal/dataset"
 	"felip/internal/domain"
+	"felip/internal/estimate"
 	"felip/internal/metrics"
 	"felip/internal/query"
 )
@@ -223,17 +224,29 @@ func TestEngineMatrixSingleflight(t *testing.T) {
 	}
 }
 
-// Warmup records misses, subsequent queries record hits.
+// Warmup records misses and one serve.warmup observation per call,
+// subsequent queries record hits.
 func TestEngineCacheCounters(t *testing.T) {
 	agg := collectFor(t, core.OHG, 6000, 707)
 	eng := engineFor(t, agg)
 	hits0 := metrics.GetCounter("serve.matrix_cache.hit").Value()
 	misses0 := metrics.GetCounter("serve.matrix_cache.miss").Value()
+	warmups0 := metrics.GetTimer("serve.warmup").Count()
 	if err := eng.Warmup(); err != nil {
 		t.Fatal(err)
 	}
 	if d := metrics.GetCounter("serve.matrix_cache.miss").Value() - misses0; d != 5 {
 		t.Errorf("Warmup misses = %d, want 5", d)
+	}
+	if d := metrics.GetTimer("serve.warmup").Count() - warmups0; d != 1 {
+		t.Errorf("serve.warmup observed %d times after one Warmup, want 1", d)
+	}
+	// A second, idempotent Warmup fits nothing but is still one observation.
+	if err := eng.Warmup(); err != nil {
+		t.Fatal(err)
+	}
+	if d := metrics.GetTimer("serve.warmup").Count() - warmups0; d != 2 {
+		t.Errorf("serve.warmup observed %d times after two Warmups, want 2", d)
 	}
 	q := query.Query{Preds: []query.Predicate{query.NewRange(0, 4, 19), query.NewRange(1, 8, 23)}}
 	if _, err := eng.Answer(q); err != nil {
@@ -325,4 +338,112 @@ func TestEngineConcurrentMixedUse(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// denseFit is the entry-wise Algorithm-3 sweep loop that estimate.Matrix.Fit
+// replaced with its atom-grid form (the same reference estimate's own tests
+// use): every constraint rescales each entry of its rectangle.
+func denseFit(m *estimate.Matrix, cons []estimate.Constraint, threshold float64, maxIter int) {
+	for iter := 0; iter < max(maxIter, 1); iter++ {
+		var change float64
+		for _, c := range cons {
+			s := m.RectSum(c.R)
+			if s == 0 {
+				continue
+			}
+			factor := math.Max(c.Target, 0) / s
+			for x := c.R.XLo; x < c.R.XHi; x++ {
+				row := m.Vals[x*m.Dy : (x+1)*m.Dy]
+				for y := c.R.YLo; y < c.R.YHi; y++ {
+					old := row[y]
+					row[y] = old * factor
+					change += math.Abs(row[y] - old)
+				}
+			}
+		}
+		if change < threshold {
+			return
+		}
+	}
+}
+
+// On the pipeline benchmark's plan (six 256-value numerical and two
+// 16-value categorical attributes, planned for 5M users, 100k reports
+// collected) every response matrix the engine fits must match the
+// entry-wise reference within 1e-12 relative, and the engine's answers must
+// match answers served from the reference matrices.
+func TestEngineMatchesDenseFitOnBenchmarkPlan(t *testing.T) {
+	schema := dataset.MixedSchema(6, 256, 2, 16)
+	opts := core.Options{Strategy: core.OHG, Epsilon: 1.2, Seed: 1201, StreamingAggregation: true}
+	col, err := core.NewCollector(schema, 5_000_000, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.NewNormal().Generate(schema, 100_000, 1202)
+	dev, err := core.NewClient(col.Specs(), opts.Epsilon, 1203)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row := 0; row < ds.N(); row++ {
+		rep, err := dev.Perturb(col.AssignGroup(), func(attr int) int { return ds.Value(row, attr) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := col.Add(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	agg, err := col.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engineFor(t, agg)
+	if err := eng.Warmup(); err != nil {
+		t.Fatal(err)
+	}
+
+	// ref serves the same round from the dense reference matrices.
+	ref := engineFor(t, agg)
+	fitted := 0
+	for key, plan := range eng.pairs {
+		if !plan.lazy {
+			continue
+		}
+		fitted++
+		di, dj := schema.Attr(key[0]).Size, schema.Attr(key[1]).Size
+		cons, err := agg.PairConstraints(key[0], key[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := estimate.NewMatrix(di, dj)
+		got.Fit(cons, eng.threshold, eng.matrixMaxIter)
+		want, _ := estimate.NewMatrix(di, dj)
+		denseFit(want, cons, eng.threshold, eng.matrixMaxIter)
+		for k, w := range want.Vals {
+			if d := math.Abs(got.Vals[k] - w); d > 1e-18 && d > 1e-12*math.Abs(w) {
+				t.Fatalf("pair %v entry %d: atom fit %v, dense reference %v", key, k, got.Vals[k], w)
+			}
+		}
+		sat, err := want.SummedArea()
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot := &matrixSlot{ready: make(chan struct{}), sat: sat}
+		close(slot.ready)
+		ref.matrices[key] = slot
+	}
+	if fitted != 27 {
+		t.Fatalf("benchmark plan fitted %d response matrices, want 27", fitted)
+	}
+	for i, q := range workload(t, schema, 200, 1204) {
+		got, errG := eng.Answer(q)
+		want, errW := ref.Answer(q)
+		if errG != nil || errW != nil {
+			t.Fatalf("query %d %v: engine err %v, reference err %v", i, q, errG, errW)
+		}
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("query %d %v (λ=%d): engine %v vs dense reference %v (Δ=%g)",
+				i, q, q.Lambda(), got, want, math.Abs(got-want))
+		}
+	}
 }
