@@ -8,8 +8,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The full gate: vet plus the tier-1 suite under the race detector.
+# The full gate: gofmt, vet, and the tier-1 suite under the race detector.
 check:
+	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l:" $$unformatted; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -17,9 +17,10 @@
 //     matrices and λ-D IPF, the query model, and synthetic data.
 //   - internal/baseline/hio and internal/baseline/hdg — the paper's
 //     comparison systems, reimplemented from their original publications.
-//   - internal/adaptive, internal/stream, internal/privacy — the paper's
-//     future-work directions: two-phase equi-mass binning, windowed streams,
-//     and multi-round budget accounting.
+//   - internal/adaptive, internal/stream, internal/longitudinal — the
+//     paper's future-work directions: two-phase equi-mass binning, windowed
+//     streams, and memoized multi-round reporting with its budget
+//     accounting.
 //   - internal/wire and internal/httpapi — the JSON wire protocol and HTTP
 //     aggregator service with its Go client.
 //

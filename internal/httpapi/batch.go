@@ -7,9 +7,7 @@ import (
 	"net/http"
 	"sync"
 
-	"felip/internal/core"
 	"felip/internal/fo"
-	"felip/internal/reportlog"
 	"felip/internal/wire"
 )
 
@@ -41,38 +39,29 @@ var batchBodyPool = sync.Pool{
 	},
 }
 
-// stagedReport is one frame report that passed every admission check and
-// awaits the frame's single WAL write.
-type stagedReport struct {
-	id  string
-	key reportKey
-	rep core.Report
-	// bytes is the report's share of the frame — its record's encoded size,
-	// excluding the frame header — charged to the per-protocol wire counter
-	// only if the whole frame lands.
-	bytes int
-}
-
-// batchScratch is the batch ingest path's reusable per-server scratch. It is
-// only touched while s.mu is held, so one set of buffers serves every
-// request without per-report allocations.
-type batchScratch struct {
-	reader wire.FrameReader
-	staged []stagedReport
-	// seen maps a report_id staged earlier in this frame to its staged index,
-	// so within-frame duplicates get the same duplicate/conflict answer as
-	// cross-request retries.
-	seen map[string]int
-	recs []reportlog.Record
+// decodeFrame validates a frame's envelope and decodes every record into
+// b.subs, returning the mode the frame claims. Nothing is classified until
+// the whole frame has decoded, so a record that lies refuses the frame with
+// nothing charged but the frame itself.
+func (b *batch) decodeFrame(frame []byte) (fo.ReportMode, error) {
+	if _, err := b.reader.Reset(frame); err != nil {
+		return 0, err
+	}
+	b.subs = b.subs[:0]
+	for b.reader.Next() {
+		r := &b.reader
+		b.subs = append(b.subs, submission{id: r.ID, rep: r.Report, attr: r.Attr, size: r.RecordBytes()})
+	}
+	return b.reader.Mode, b.reader.Err()
 }
 
 // IngestFrame ingests one binary batch frame and returns the per-report
-// dispositions. A frame-level refusal (damage, malformed records, a closed
-// server, a failed WAL write) returns a non-nil error with the HTTP status
-// to answer; the whole frame is charged to the wire-rejection counter per
-// report, and no report of the frame was counted. On success every report
-// was classified exactly as the single-report path would have and the
-// accepted ones are durable.
+// dispositions. A frame-level refusal (damage, malformed records, a foreign
+// channel, a closed server, a failed WAL write) returns a non-nil error with
+// the HTTP status to answer, and no report of the frame was counted; a frame
+// refused as malformed or foreign charges the rejection counters once per
+// report it claimed. On success every report was classified exactly as the
+// single-report path would have and the accepted ones are durable.
 //
 // Exported so the benchmark harness can drive the decode→dedup→fold path
 // directly and meter its allocations.
@@ -81,156 +70,30 @@ func (s *Server) IngestFrame(frame []byte) (wire.BatchReportResponse, int, error
 
 	s.mu.Lock()
 	b := &s.batch
-	n, err := b.reader.Reset(frame)
+	mode, err := b.decodeFrame(frame)
 	if err != nil {
-		s.wireRejected += wire.FrameReportCount(frame)
-		s.modeRejected[s.mode.String()] += wire.FrameReportCount(frame)
+		s.rejectLocked(s.mode, wire.FrameReportCount(frame))
 		s.mu.Unlock()
 		return resp, http.StatusBadRequest, err
 	}
-	if s.longitudinal != nil {
-		// The binary frame format has no longitudinal marker, so a frame can
-		// only ever carry one-shot reports — and a longitudinal round must not
-		// fold those: they were perturbed through a different channel than the
-		// round's two-stage chain inverts. Refuse the frame wholesale; the
-		// longitudinal path is the single-report JSON endpoint.
-		s.wireRejected += n
-		s.modeRejected[s.mode.String()] += n
+	// A frame claims its header's mode for all its reports, and the binary
+	// format has no longitudinal marker: its reports are one-shot. A foreign
+	// channel refuses the frame wholesale — none of its reports can be folded
+	// here; the longitudinal path is the single-report JSON endpoint.
+	if err := s.checkChannel(mode, false); err != nil {
+		s.rejectLocked(mode, len(b.subs))
 		s.mu.Unlock()
-		return resp, http.StatusBadRequest,
-			fmt.Errorf("the round's plan is longitudinal; batch frames carry one-shot reports only — use POST /v1/report")
+		return resp, http.StatusBadRequest, fmt.Errorf("batch frame refused: %w", err)
 	}
-	if b.reader.Mode != s.mode {
-		// A frame claims its mode once for all its reports; a foreign-mode
-		// frame is refused wholesale — its reports were perturbed under a
-		// different budget and none of them can be folded here.
-		s.wireRejected += n
-		s.modeRejected[b.reader.Mode.String()] += n
+	if status, err := s.admitLocked(b); err != nil {
 		s.mu.Unlock()
-		return resp, http.StatusBadRequest,
-			fmt.Errorf("frame claims mode %v; the round's plan runs %v", b.reader.Mode, s.mode)
+		return resp, status, err
 	}
-	if s.closed {
-		s.mu.Unlock()
-		return resp, http.StatusServiceUnavailable, fmt.Errorf("server shutting down")
-	}
-
-	b.staged = b.staged[:0]
-	if b.seen == nil {
-		b.seen = make(map[string]int)
-	} else {
-		clear(b.seen)
-	}
-	dispositions := make([]int, 0, n)
-	closedRound := s.agg != nil || s.finalizing != nil || s.shardState != nil || s.sealedEmpty
-
-	// Pass 1 — classify every report without mutating round state, so a
-	// malformed record discovered mid-frame can still refuse the whole frame
-	// with nothing counted.
-	for b.reader.Next() {
-		disp := 0
-		rep := b.reader.Report
-		key := reportKey{
-			group: rep.Group,
-			proto: wire.ProtoName(rep.Proto),
-			value: rep.Value,
-			seed:  rep.Seed,
-		}
-		if prev, dup := s.dedup[string(b.reader.ID)]; dup {
-			if prev == key {
-				disp = wire.DispositionDuplicate
-			} else {
-				disp = wire.DispositionConflict
-				s.wireRejected++
-				s.modeRejected[s.mode.String()]++
-			}
-		} else if j, dup := b.seen[string(b.reader.ID)]; dup {
-			if b.staged[j].key == key {
-				disp = wire.DispositionDuplicate
-			} else {
-				disp = wire.DispositionConflict
-				s.wireRejected++
-				s.modeRejected[s.mode.String()]++
-			}
-		} else if closedRound {
-			disp = wire.DispositionConflict
-		} else if err := s.col.Check(rep); err != nil {
-			if errors.Is(err, core.ErrFinalized) {
-				disp = wire.DispositionConflict
-			} else {
-				disp = wire.DispositionRejected
-			}
-		} else if s.mode != fo.ModeFELIP && b.reader.Attr != s.specAttrs[rep.Group] {
-			// Check proved the group in range; a v2 record whose attr does not
-			// name that group's attribute is a confused encoder.
-			disp = wire.DispositionRejected
-			s.wireRejected++
-			s.modeRejected[s.mode.String()]++
-		} else {
-			disp = wire.DispositionAccepted
-			id := string(b.reader.ID)
-			b.seen[id] = len(b.staged)
-			b.staged = append(b.staged, stagedReport{id: id, key: key, rep: rep, bytes: b.reader.RecordBytes()})
-		}
-		dispositions = append(dispositions, disp)
-	}
-	if err := b.reader.Err(); err != nil {
-		// The envelope checksum held but a record inside lied: a buggy or
-		// hostile encoder. Refuse the frame wholesale — some reports may
-		// already have classified clean, but none were counted.
-		s.wireRejected += wire.FrameReportCount(frame)
-		s.modeRejected[s.mode.String()] += wire.FrameReportCount(frame)
-		s.mu.Unlock()
-		return resp, http.StatusBadRequest, err
-	}
-
-	// Pass 2 — one WAL write for the whole frame, then fold. A failed write
-	// refuses the frame before anything is counted, so the client's retry
-	// cannot double-count.
-	if len(b.staged) > 0 && s.wal != nil {
-		b.recs = b.recs[:0]
-		for i := range b.staged {
-			st := &b.staged[i]
-			b.recs = append(b.recs, reportlog.ReportRecordMode(st.id, st.rep.Group, st.key.proto, st.rep.Value, st.rep.Seed, s.modeName))
-		}
-		if err := s.wal.AppendBatch(b.recs); err != nil {
-			s.mu.Unlock()
-			s.logf("httpapi: wal batch append: %v", err)
-			return resp, http.StatusInternalServerError, fmt.Errorf("report log unavailable")
-		}
-	}
-	for i := range b.staged {
-		st := &b.staged[i]
-		if err := s.col.Add(st.rep); err != nil {
-			// Check passed under this same lock hold; unreachable short of a
-			// bug. Reports staged before this one are counted and logged —
-			// answer the frame as a server error so the client retries and the
-			// dedup index sorts it out.
-			s.mu.Unlock()
-			return resp, http.StatusInternalServerError, err
-		}
-		s.dedup[st.id] = st.key
-		s.wireBytes[st.key.proto] += int64(st.bytes)
-	}
-	s.modeAccepted[s.mode.String()] += len(b.staged)
-	accepted := len(b.staged)
-	wal := s.wal
 	resp.Round = s.round
-	s.mu.Unlock()
-
-	// One fsync per frame, outside the lock so concurrent frames overlap
-	// their disk waits with other shards' classification. The ack only goes
-	// out after the sync: a crash in between loses nothing acknowledged.
-	if accepted > 0 && wal != nil {
-		if err := wal.Sync(); err != nil {
-			s.logf("httpapi: wal batch sync: %v", err)
-			// Counted but not durable and not acknowledged; the retry turns
-			// into all-duplicates.
-			return resp, http.StatusInternalServerError, fmt.Errorf("report log unavailable")
-		}
-	}
-
-	for _, d := range dispositions {
+	resp.Dispositions = make([]int, len(b.subs))
+	for i := range b.subs {
+		d := b.subs[i].disp
+		resp.Dispositions[i] = d
 		switch d {
 		case wire.DispositionAccepted:
 			resp.Accepted++
@@ -242,7 +105,20 @@ func (s *Server) IngestFrame(frame []byte) (wire.BatchReportResponse, int, error
 			resp.Rejected++
 		}
 	}
-	resp.Dispositions = dispositions
+	wal := s.wal
+	s.mu.Unlock()
+
+	// One fsync per frame, outside the lock so concurrent frames overlap
+	// their disk waits with other shards' classification. The ack only goes
+	// out after the sync: a crash in between loses nothing acknowledged.
+	if resp.Accepted > 0 && wal != nil {
+		if err := wal.Sync(); err != nil {
+			s.logf("httpapi: wal batch sync: %v", err)
+			// Counted but not durable and not acknowledged; the retry turns
+			// into all-duplicates.
+			return wire.BatchReportResponse{}, http.StatusInternalServerError, fmt.Errorf("report log unavailable")
+		}
+	}
 	return resp, http.StatusOK, nil
 }
 
@@ -257,7 +133,9 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// An oversized or unreadable frame is N refused submissions, not one:
 		// charge the header's claim (or 1 if even that is gone).
-		s.countWireRejects(wire.FrameReportCount(buf))
+		s.mu.Lock()
+		s.rejectLocked(s.mode, wire.FrameReportCount(buf))
+		s.mu.Unlock()
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.writeError(w, http.StatusRequestEntityTooLarge,
@@ -273,14 +151,6 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, status, resp)
-}
-
-// countWireRejects charges n refused report submissions to the rejection
-// counter — a refused batch frame counts every report it claimed to carry.
-func (s *Server) countWireRejects(n int) {
-	s.mu.Lock()
-	s.wireRejected += n
-	s.mu.Unlock()
 }
 
 // readAllInto is io.ReadAll into a caller-owned buffer, so pooled buffers

@@ -27,9 +27,13 @@
 // resubmission — a device retrying because its acknowledgment was lost — is
 // answered 200 without being counted again; a key reused for a different
 // payload is refused with 409. With a write-ahead log attached (UseWAL),
-// every counted report is durable before it is acknowledged, so a crashed
-// server replays the log and resumes the round with nothing double-counted
-// and nothing acknowledged lost.
+// every counted report is in the log before it is acknowledged, so a crashed
+// server replays the log and resumes the round with nothing double-counted.
+// The two ingest paths promise different durability: a batch frame
+// (POST /v1/reports) is fsynced before its 200, so its acknowledged reports
+// survive a machine crash; a single report (POST /v1/report) is acknowledged
+// once the OS has its write, which survives a process crash but not a
+// machine crash.
 package httpapi
 
 import (
@@ -61,19 +65,6 @@ var testHookFinalize func()
 // under 200 bytes; the cap only exists so a hostile payload cannot exhaust
 // memory.
 const maxReportBody = 64 << 10
-
-// reportKey fingerprints a report's payload so a reused report_id with a
-// different payload can be told apart from an honest retry.
-type reportKey struct {
-	group int
-	proto string
-	value int
-	seed  uint64
-}
-
-func keyOf(m wire.ReportMessage) reportKey {
-	return reportKey{group: m.Group, proto: m.Proto, value: m.Value, seed: m.Seed}
-}
 
 // Server drives FELIP collection rounds over HTTP: an ingest plane (the
 // current round's Collector, guarded by mu) and a serving plane (the last
@@ -172,8 +163,9 @@ type Server struct {
 	// refused and the next round may open.
 	sealedEmpty bool
 
-	// batch is the POST /v1/reports scratch, reused across frames under mu.
-	batch batchScratch
+	// batch is the POST /v1/reports admission scratch, reused across frames
+	// under mu.
+	batch batch
 }
 
 // NewServer plans a round for an expected population of n users.
@@ -201,6 +193,7 @@ func NewServer(schema *domain.Schema, n int, opts core.Options) (*Server, error)
 		logf:         log.Printf,
 		qp:           NewQueryPlane(schema, log.Printf),
 		dedup:        make(map[string]reportKey),
+		batch:        batch{seen: make(map[string]int)},
 		modeAccepted: make(map[string]int),
 		modeRejected: make(map[string]int),
 		wireBytes:    make(map[string]int64),
@@ -256,46 +249,23 @@ func (s *Server) replayLocked(records []reportlog.Record) error {
 			if _, dup := s.dedup[rec.ReportID]; dup {
 				return fmt.Errorf("httpapi: wal record %d: duplicate report_id %q", i, rec.ReportID)
 			}
-			// A record's mode must match the round's plan: a segment written
-			// under a different mode holds reports perturbed at a different
-			// budget, and replaying them would silently corrupt the estimates.
-			// Records without a mode (every v1 segment) replay as FELIP.
-			recMode, err := fo.ParseReportMode(rec.Mode)
+			// A record's channel must match the round's plan: a segment
+			// written under another mode, or the other side of the
+			// longitudinal/one-shot line, holds reports perturbed through a
+			// different randomizer, and replaying them would silently corrupt
+			// the estimates. Records without a mode (every v1 segment) replay
+			// as FELIP.
+			rep, _, err := s.checkMessage(wire.ReportMessage{
+				ReportID: rec.ReportID, Group: rec.Group, Proto: rec.Proto, Value: rec.Value,
+				Seed: rec.Seed, Mode: rec.Mode, Longitudinal: rec.Longitudinal,
+			})
+			if err == nil {
+				err = s.col.Add(rep)
+			}
 			if err != nil {
 				return fmt.Errorf("httpapi: wal record %d: %w", i, err)
 			}
-			if recMode != s.mode {
-				return fmt.Errorf("httpapi: wal record %d: mode %v does not match the round's plan mode %v",
-					i, recMode, s.mode)
-			}
-			// Same discipline for the longitudinal claim: a segment of
-			// two-stage reports must never fold into a one-shot round (their
-			// values went through the memoized chain, not GRR(ε)), and a
-			// one-shot segment must never fold into a longitudinal round.
-			if rec.Longitudinal != (s.longitudinal != nil) {
-				if rec.Longitudinal {
-					return fmt.Errorf("httpapi: wal record %d: longitudinal report against the round's one-shot plan", i)
-				}
-				return fmt.Errorf("httpapi: wal record %d: one-shot report against the round's longitudinal plan", i)
-			}
-			msg := wire.ReportMessage{
-				ReportID: rec.ReportID,
-				Group:    rec.Group,
-				Proto:    rec.Proto,
-				Value:    rec.Value,
-				Seed:     rec.Seed,
-			}
-			if err := msg.Validate(); err != nil {
-				return fmt.Errorf("httpapi: wal record %d: %w", i, err)
-			}
-			rep, err := msg.Report()
-			if err != nil {
-				return fmt.Errorf("httpapi: wal record %d: %w", i, err)
-			}
-			if err := s.col.Add(rep); err != nil {
-				return fmt.Errorf("httpapi: wal record %d: %w", i, err)
-			}
-			s.dedup[rec.ReportID] = keyOf(msg)
+			s.dedup[rec.ReportID] = keyOf(rep)
 			s.modeAccepted[s.mode.String()]++
 			s.walReplayed++
 		case reportlog.TypeFinalize:
@@ -521,27 +491,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleAssign(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	col := s.col
-	finalized := s.agg != nil || s.finalizing != nil || s.shardState != nil || s.sealedEmpty
+	finalized := s.roundClosedLocked()
 	s.mu.RUnlock()
 	if finalized {
 		s.writeError(w, http.StatusConflict, fmt.Errorf("collection round already finalized"))
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]int{"group": col.AssignGroup()})
-}
-
-// countWireReject records a report submission refused before it reached the
-// collector's plan validation, charged to the round's own mode.
-func (s *Server) countWireReject() { s.countWireRejectMode(s.mode.String()) }
-
-// countWireRejectMode is countWireReject charged to a specific mode's
-// counter — a report refused for claiming a foreign mode is charged to the
-// mode it claimed, so the operator can see whose traffic is being refused.
-func (s *Server) countWireRejectMode(key string) {
-	s.mu.Lock()
-	s.wireRejected++
-	s.modeRejected[key]++
-	s.mu.Unlock()
 }
 
 // countingReader counts the bytes read through it — the single-report
@@ -557,134 +513,54 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// handleReport serves POST /v1/report: it decodes and validates one JSON
+// report, admits it as a one-record batch, and maps the disposition to the
+// HTTP status a batch entry would carry.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxReportBody)
 	body := &countingReader{r: r.Body}
-	var msg wire.ReportMessage
-	if err := json.NewDecoder(body).Decode(&msg); err != nil {
-		s.countWireReject()
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("report body exceeds %d bytes", tooBig.Limit))
-			return
+	var (
+		msg    wire.ReportMessage
+		b      batch
+		tooBig *http.MaxBytesError
+		status = http.StatusBadRequest
+		claim  = s.mode
+	)
+	err := json.NewDecoder(body).Decode(&msg)
+	switch {
+	case errors.As(err, &tooBig):
+		status, err = http.StatusRequestEntityTooLarge, fmt.Errorf("report body exceeds %d bytes", tooBig.Limit)
+	case err != nil:
+		err = fmt.Errorf("invalid report body: %w", err)
+	default:
+		sub := submission{id: []byte(msg.ReportID), attr: -1, size: int(body.n)}
+		if msg.Attr != nil {
+			sub.attr = *msg.Attr
 		}
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid report body: %w", err))
-		return
-	}
-	if err := msg.Validate(); err != nil {
-		s.countWireReject()
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	rep, err := msg.Report()
-	if err != nil {
-		s.countWireReject()
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Validate already proved the claim parses.
-	repMode, _ := fo.ParseReportMode(msg.Mode)
-	if repMode != s.mode {
-		s.countWireRejectMode(repMode.String())
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("report claims mode %v; the round's plan runs %v", repMode, s.mode))
-		return
-	}
-	if msg.Longitudinal != (s.longitudinal != nil) {
-		s.countWireReject()
-		if msg.Longitudinal {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("report claims longitudinal reporting; the round's plan is one-shot"))
-		} else {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("one-shot report refused: the round's plan is longitudinal (memoized two-stage)"))
-		}
-		return
-	}
-	if s.mode != fo.ModeFELIP {
-		if msg.Attr == nil {
-			s.countWireReject()
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("%v report missing attr", s.mode))
-			return
-		}
-		if msg.Group >= 0 && msg.Group < len(s.specAttrs) && *msg.Attr != s.specAttrs[msg.Group] {
-			s.countWireReject()
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("report attr %d does not match group %d's attribute %d",
-					*msg.Attr, msg.Group, s.specAttrs[msg.Group]))
-			return
-		}
+		sub.rep, claim, err = s.checkMessage(msg)
+		b.subs = []submission{sub}
 	}
 
 	s.mu.Lock()
-	if prev, seen := s.dedup[msg.ReportID]; seen {
-		if prev != keyOf(msg) {
-			s.wireRejected++
-			s.modeRejected[s.mode.String()]++
-			s.mu.Unlock()
-			s.writeError(w, http.StatusConflict,
-				fmt.Errorf("report_id %q reused with a different payload", msg.ReportID))
-			return
-		}
-		s.mu.Unlock()
+	if err != nil {
+		s.rejectLocked(claim, 1)
+	} else {
+		status, err = s.admitLocked(&b)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		s.writeError(w, status, err)
+		return
+	}
+	switch sub := b.subs[0]; sub.disp {
+	case wire.DispositionAccepted:
+		w.WriteHeader(http.StatusNoContent)
+	case wire.DispositionDuplicate:
 		// An honest retry: already counted, tell the device it can stop.
 		s.writeJSON(w, http.StatusOK, map[string]string{"status": "duplicate"})
-		return
+	default:
+		s.writeError(w, sub.disp, sub.reason)
 	}
-	if s.agg != nil || s.finalizing != nil || s.shardState != nil || s.sealedEmpty {
-		// Finalized, sealed as a shard, or a finalize is in flight: the round
-		// is closing and the
-		// collector may not have sealed itself yet, so refuse here — otherwise
-		// a report could slip in after the operator asked to close and before
-		// the collector's snapshot, and be silently absent from the published
-		// estimates.
-		s.mu.Unlock()
-		s.writeError(w, http.StatusConflict, core.ErrFinalized)
-		return
-	}
-	if s.closed {
-		s.mu.Unlock()
-		s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server shutting down"))
-		return
-	}
-	// Validate against the plan first so the WAL only ever receives reports
-	// the collector is guaranteed to accept on replay.
-	if err := s.col.Check(rep); err != nil {
-		s.mu.Unlock()
-		// During an in-flight finalize s.agg is still nil but the collector
-		// already refuses reports; that is a round-state conflict, not a bad
-		// request.
-		if errors.Is(err, core.ErrFinalized) {
-			s.writeError(w, http.StatusConflict, err)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if s.wal != nil {
-		rec := reportlog.ReportRecordMode(msg.ReportID, msg.Group, msg.Proto, msg.Value, msg.Seed, s.modeName)
-		rec.Longitudinal = msg.Longitudinal
-		if err := s.wal.Append(rec); err != nil {
-			s.mu.Unlock()
-			s.logf("httpapi: wal append: %v", err)
-			// Not counted, not acknowledged: the device will retry.
-			s.writeError(w, http.StatusInternalServerError, fmt.Errorf("report log unavailable"))
-			return
-		}
-	}
-	if err := s.col.Add(rep); err != nil {
-		// Check passed under the same lock; this is unreachable short of a
-		// bug, and the WAL record is harmless (replay revalidates).
-		s.mu.Unlock()
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.dedup[msg.ReportID] = keyOf(msg)
-	s.modeAccepted[s.mode.String()]++
-	s.wireBytes[msg.Proto] += body.n
-	s.mu.Unlock()
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // finalize closes the round once; subsequent calls return the same count.

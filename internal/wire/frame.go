@@ -327,9 +327,9 @@ func FrameReportCount(b []byte) int {
 // Next fills the reader's reusable ID/Report fields in place — ID aliases
 // the frame buffer and is only valid until the following Next.
 type FrameReader struct {
-	payload []byte
-	count   int
-	next    int
+	payload  []byte
+	count    int
+	next     int
 	off      int
 	v2       bool
 	recBytes int
