@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench-module bench bench-fo bench-query bench-cluster bench-restart bench-ingest bench-modes bench-modes-smoke bench-longitudinal bench-longitudinal-smoke bench-megadomain bench-megadomain-smoke bench-smoke chaos-cluster chaos-archive chaos-failover chaos-idle chaos-longitudinal
+.PHONY: build test check fuzz-smoke bench-module bench bench-fo bench-query bench-cluster bench-restart bench-ingest bench-modes bench-modes-smoke bench-longitudinal bench-longitudinal-smoke bench-megadomain bench-megadomain-smoke bench-smoke chaos-cluster chaos-archive chaos-failover chaos-idle chaos-longitudinal
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,16 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+
+# Native fuzz targets, about 10 s each: FuzzDedupIndex runs decoded
+# operations against the idempotency-key index and a map reference;
+# FuzzFrameReader feeds arbitrary and resealed frames, seeded from the golden
+# ones, to the frame decoder and requires every id it accepts to come back
+# byte-identical from the WAL. A failing input lands in the package's
+# testdata/fuzz directory.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDedupIndex$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
 
 # The pipeline benchmark (bench/) is its own Go module, so ./... above never
 # compiles it: vet it and run its smoke test, so an API change that breaks the

@@ -237,6 +237,9 @@ type Collector struct {
 	// FELIP, ε/m under SPL, the amplified ε' under RS+FD. Aggregators,
 	// validation and partial-state checks all run at this budget.
 	reportEps float64
+	// olhG is the OLH hash range at reportEps: every OLH report's value must
+	// fall in [0, olhG).
+	olhG int
 
 	mu        sync.Mutex
 	nextGroup int
@@ -288,6 +291,7 @@ func NewCollector(schema *domain.Schema, n int, opts Options) (*Collector, error
 		opts:      opts,
 		specs:     specs,
 		reportEps: reportEps,
+		olhG:      fo.OptimalG(reportEps),
 		rng:       fo.NewRand(opts.Seed),
 		grrAggs:   make(map[int]*fo.GRRAggregator),
 		olhAggs:   make(map[int]*fo.OLHAggregator),
@@ -377,9 +381,8 @@ func (c *Collector) validateLocked(rep Report) error {
 			return fmt.Errorf("core: GRR report %d outside [0,%d)", rep.Value, spec.L())
 		}
 	case fo.OLH:
-		g := fo.OptimalG(c.reportEps)
-		if rep.Value < 0 || rep.Value >= g {
-			return fmt.Errorf("core: OLH report %d outside [0,%d)", rep.Value, g)
+		if rep.Value < 0 || rep.Value >= c.olhG {
+			return fmt.Errorf("core: OLH report %d outside [0,%d)", rep.Value, c.olhG)
 		}
 	case fo.HR:
 		k := fo.HRPaddedSize(spec.L())

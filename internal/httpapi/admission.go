@@ -28,23 +28,10 @@ import (
 // The caller decides whether to Sync before acknowledging: a frame is
 // fsynced before its 200, a JSON report is acknowledged after its OS write.
 
-// reportKey fingerprints a report's payload so a reused report_id with a
-// different payload can be told apart from an honest retry.
-type reportKey struct {
-	group int
-	proto string
-	value int
-	seed  uint64
-}
-
-func keyOf(rep core.Report) reportKey {
-	return reportKey{group: rep.Group, proto: wire.ProtoName(rep.Proto), value: rep.Value, seed: rep.Seed}
-}
-
 // submission is one report presented for admission.
 type submission struct {
 	// id is the idempotency key as received. On the frame path it aliases
-	// the frame buffer; admission copies it into key only for a report it
+	// the frame buffer; admission copies it into idStr only for a report it
 	// accepts.
 	id   []byte
 	rep  core.Report
@@ -53,8 +40,8 @@ type submission struct {
 
 	// Set by admission.
 	disp   int
-	reason error // why a 409 or 400 disposition was given
-	key    string
+	reason error  // why a 409 or 400 disposition was given
+	idStr  string // the id of an accepted report, for its WAL record
 }
 
 // batch is the unit of admission: one request's submissions plus the scratch
@@ -136,9 +123,9 @@ func (s *Server) admitLocked(b *batch) (int, error) {
 		sub := &b.subs[i]
 		sub.disp, sub.reason = s.classifyLocked(b, sub, roundClosed)
 		if sub.disp == wire.DispositionAccepted {
-			sub.key = string(sub.id)
+			sub.idStr = string(sub.id)
 			if b.seen != nil {
-				b.seen[sub.key] = i
+				b.seen[sub.idStr] = i
 			}
 		}
 	}
@@ -152,16 +139,18 @@ func (s *Server) admitLocked(b *batch) (int, error) {
 // mismatches are charged here; Collector.Check charges the plan failures it
 // finds itself. Caller holds s.mu.
 func (s *Server) classifyLocked(b *batch, sub *submission, roundClosed bool) (int, error) {
-	key := keyOf(sub.rep)
-	prev, seen := s.dedup[string(sub.id)]
+	// A report that does not pack never equals a stored key, which passed
+	// Check: a retry of a stored id under such a payload is a conflict.
+	key, packed := packKey(sub.rep)
+	prev, seen := s.dedup.get(sub.id)
 	if !seen {
 		var j int
 		if j, seen = b.seen[string(sub.id)]; seen {
-			prev = keyOf(b.subs[j].rep)
+			prev, _ = packKey(b.subs[j].rep)
 		}
 	}
 	switch {
-	case seen && prev == key:
+	case seen && packed && prev == key:
 		// An honest retry: already counted.
 		return wire.DispositionDuplicate, nil
 	case seen:
@@ -201,7 +190,7 @@ func (s *Server) commitLocked(b *batch) error {
 		for i := range b.subs {
 			if sub := &b.subs[i]; sub.disp == wire.DispositionAccepted {
 				b.recs = append(b.recs, reportlog.Record{
-					Type: reportlog.TypeReport, ReportID: sub.key, Group: sub.rep.Group,
+					Type: reportlog.TypeReport, ReportID: sub.idStr, Group: sub.rep.Group,
 					Proto: wire.ProtoName(sub.rep.Proto), Value: sub.rep.Value, Seed: sub.rep.Seed,
 					Mode: s.modeName, Longitudinal: s.longitudinal != nil,
 				})
@@ -224,9 +213,9 @@ func (s *Server) commitLocked(b *batch) error {
 			// client's retry turns them into duplicates.
 			return err
 		}
-		key := keyOf(sub.rep)
-		s.dedup[sub.key] = key
-		s.wireBytes[key.proto] += int64(sub.size)
+		key, _ := packKey(sub.rep) // Check passed, so the report packs
+		s.dedup.put(sub.id, key)
+		s.wireBytes[wire.ProtoName(sub.rep.Proto)] += int64(sub.size)
 		accepted++
 	}
 	if accepted > 0 {

@@ -39,7 +39,7 @@ func (s *Server) BeginAtRound(round int) error {
 	if round < 1 {
 		return fmt.Errorf("httpapi: round %d out of range (rounds are 1-based)", round)
 	}
-	if s.round != 1 || s.col.N() > 0 || s.agg != nil || s.shardState != nil || len(s.dedup) > 0 {
+	if s.round != 1 || s.col.N() > 0 || s.agg != nil || s.shardState != nil || s.dedup.len() > 0 {
 		return fmt.Errorf("httpapi: cannot begin at round %d: round %d already has state", round, s.round)
 	}
 	s.round = round

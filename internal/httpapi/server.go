@@ -103,9 +103,11 @@ type Server struct {
 	finalN     int
 	wal        *reportlog.Log
 	closed     bool // a WAL was attached and has been closed
-	// dedup spans rounds: a device retrying its round-k report during round
-	// k+1 must be answered "duplicate", not double-counted into a new round.
-	dedup map[string]reportKey
+	// dedup holds every accepted report_id with its payload key (dedup.go).
+	// It spans rounds: a device retrying its round-k report during round k+1
+	// must be answered "duplicate", not double-counted into a new round. WAL
+	// replay rebuilds it on restart.
+	dedup *dedupIndex
 	// finalizing is non-nil while a finalize is in flight; it closes when
 	// the attempt's outcome is stored. Estimation runs outside mu so status,
 	// health and (refused) reports stay live during finalization.
@@ -192,7 +194,7 @@ func NewServer(schema *domain.Schema, n int, opts core.Options) (*Server, error)
 		specAttrs:    specAttrs,
 		logf:         log.Printf,
 		qp:           NewQueryPlane(schema, log.Printf),
-		dedup:        make(map[string]reportKey),
+		dedup:        newDedupIndex(),
 		batch:        batch{seen: make(map[string]int)},
 		modeAccepted: make(map[string]int),
 		modeRejected: make(map[string]int),
@@ -246,7 +248,8 @@ func (s *Server) replayLocked(records []reportlog.Record) error {
 	for i, rec := range records {
 		switch rec.Type {
 		case reportlog.TypeReport:
-			if _, dup := s.dedup[rec.ReportID]; dup {
+			id := []byte(rec.ReportID)
+			if _, dup := s.dedup.get(id); dup {
 				return fmt.Errorf("httpapi: wal record %d: duplicate report_id %q", i, rec.ReportID)
 			}
 			// A record's channel must match the round's plan: a segment
@@ -265,7 +268,8 @@ func (s *Server) replayLocked(records []reportlog.Record) error {
 			if err != nil {
 				return fmt.Errorf("httpapi: wal record %d: %w", i, err)
 			}
-			s.dedup[rec.ReportID] = keyOf(rep)
+			key, _ := packKey(rep) // Add passed Check, so the report packs
+			s.dedup.put(id, key)
 			s.modeAccepted[s.mode.String()]++
 			s.walReplayed++
 		case reportlog.TypeFinalize:
@@ -739,7 +743,8 @@ type Status struct {
 	Durable bool `json:"durable"`
 	// WALPos is the log's end offset in bytes (0 when not durable).
 	WALPos int64 `json:"wal_pos,omitempty"`
-	// DedupEntries is the size of the idempotency-key index.
+	// DedupEntries is the size of the idempotency-key index. The response
+	// also carries dedup_bytes, the memory the index has allocated.
 	DedupEntries int `json:"dedup_entries"`
 	// ShardID names this server when it runs as a cluster shard.
 	ShardID string `json:"shard_id,omitempty"`
@@ -769,7 +774,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Finalized:    s.agg != nil,
 		Finalizing:   s.agg == nil && s.finalizing != nil,
 		Durable:      s.wal != nil || s.durable,
-		DedupEntries: len(s.dedup),
+		DedupEntries: s.dedup.len(),
 		Rejected:     s.wireRejected,
 		Mode:         s.mode.String(),
 		ShardID:      s.shardID,
@@ -807,6 +812,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	}
 	finalN := s.finalN
 	store := s.store
+	dedupBytes := s.dedup.sizeBytes()
 	s.mu.RUnlock()
 	if round, ok := s.qp.ServedRound(); ok {
 		st.ServedRound = round
@@ -825,7 +831,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	st.Groups = len(s.plan.Grids)
 	st.GroupCounts = col.GroupCounts()
 	st.Metrics = metrics.Snapshot()
-	s.writeJSON(w, http.StatusOK, st)
+	s.writeJSON(w, http.StatusOK, struct {
+		Status
+		// DedupBytes is what the idempotency-key index has allocated: its
+		// slots plus its id arena (DESIGN.md §14 bounds it per entry).
+		DedupBytes int64 `json:"dedup_bytes"`
+	}{st, dedupBytes})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"unicode/utf8"
 
 	"felip/internal/core"
 	"felip/internal/fo"
@@ -24,7 +25,7 @@ import (
 //	crc     u32   CRC32-IEEE of the payload
 //	payload count records, each:
 //	  idlen u8    report_id length (1..MaxReportIDLen)
-//	  id    idlen bytes
+//	  id    idlen bytes, valid UTF-8
 //	  proto u8    0=GRR 1=OLH 2=OUE 3=HR
 //	  group u32
 //	  value u32
@@ -58,7 +59,7 @@ const FrameMagic = "FELIPBF1"
 //	crc     u32   CRC32-IEEE of the payload
 //	payload count records, each:
 //	  idlen u8    report_id length (1..MaxReportIDLen)
-//	  id    idlen bytes
+//	  id    idlen bytes, valid UTF-8
 //	  proto u8    0=GRR 1=OLH 2=OUE 3=HR
 //	  group u32
 //	  value u32
@@ -153,6 +154,9 @@ func AppendFrame(dst []byte, reports []BatchReport) ([]byte, error) {
 		if len(br.ID) > MaxReportIDLen {
 			return nil, fmt.Errorf("wire: batch report %d report_id of %d bytes exceeds %d", i, len(br.ID), MaxReportIDLen)
 		}
+		if !utf8.ValidString(br.ID) {
+			return nil, fmt.Errorf("wire: batch report %d report_id is not valid UTF-8", i)
+		}
 		pb, err := protoByte(br.Report.Proto)
 		if err != nil {
 			return nil, fmt.Errorf("wire: batch report %d: %w", i, err)
@@ -228,6 +232,9 @@ func AppendFrameMode(dst []byte, mode fo.ReportMode, reports []BatchReport) ([]b
 		}
 		if len(br.ID) > MaxReportIDLen {
 			return nil, fmt.Errorf("wire: batch report %d report_id of %d bytes exceeds %d", i, len(br.ID), MaxReportIDLen)
+		}
+		if !utf8.ValidString(br.ID) {
+			return nil, fmt.Errorf("wire: batch report %d report_id is not valid UTF-8", i)
 		}
 		pb, err := protoByte(br.Report.Proto)
 		if err != nil {
@@ -421,6 +428,13 @@ func (r *FrameReader) Next() bool {
 	}
 	r.ID = p[off : off+idLen]
 	off += idLen
+	// An id is text: the WAL writes it as a JSON string, which would replace
+	// invalid UTF-8 and log the report under another id. These are the ids
+	// the JSON endpoint can carry.
+	if !utf8.Valid(r.ID) {
+		r.err = fmt.Errorf("wire: frame record %d: report_id is not valid UTF-8", r.next)
+		return false
+	}
 	proto := fo.Protocol(p[off])
 	if proto != fo.GRR && proto != fo.OLH && proto != fo.OUE && proto != fo.HR {
 		r.err = fmt.Errorf("wire: frame record %d: unknown protocol byte %d", r.next, p[off])
@@ -481,5 +495,6 @@ func (r *FrameReader) Err() error { return r.err }
 func (r *FrameReader) RecordBytes() int { return r.recBytes }
 
 // ProtoName returns the wire name of a frame protocol byte's protocol —
-// what the dedup index keys payloads by, shared with the JSON path.
+// what WAL records and the wire-byte counters name it by, shared with the
+// JSON path.
 func ProtoName(p fo.Protocol) string { return protoName(p) }
