@@ -21,6 +21,7 @@ import (
 	"felip/internal/fo"
 	"felip/internal/postproc"
 	"felip/internal/query"
+	"felip/internal/serve"
 )
 
 // benchParams is the miniaturized scale shared by all figure benchmarks.
@@ -203,10 +204,14 @@ func BenchmarkIncrementalCollect(b *testing.B) {
 }
 
 // BenchmarkAnswer4D measures answering a 4-dimensional query (response
-// matrices + IPF) on a prepared OHG aggregator.
+// matrices + IPF) through the serving engine of a prepared OHG round.
 func BenchmarkAnswer4D(b *testing.B) {
 	ds := benchDataset(20_000)
 	agg, err := core.Collect(ds, core.Options{Strategy: core.OHG, Epsilon: 1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := serve.NewEngine(agg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -218,7 +223,7 @@ func BenchmarkAnswer4D(b *testing.B) {
 	}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Answer(q); err != nil {
+		if _, err := eng.Answer(q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -129,6 +129,7 @@ func runClusterBench(outPath string, reps int, smoke bool) error {
 
 	var singleThroughput float64
 	var singleGrids [][]float64
+	var diverged []int // shard counts whose merged grids differ from one shard's
 	for _, k := range []int{1, 2, 4} {
 		// Partition once per case: ShardFor is what production routing uses.
 		slices := make([][]benchReport, k)
@@ -142,6 +143,9 @@ func runClusterBench(outPath string, reps int, smoke bool) error {
 			c, err := runClusterCase(schema, n, opts, k, slices, singleGrids)
 			if err != nil {
 				return err
+			}
+			if !c.BitIdentical {
+				diverged = append(diverged, k)
 			}
 			if rep == 0 || c.IngestMS < best.IngestMS {
 				best = c
@@ -174,6 +178,9 @@ func runClusterBench(outPath string, reps int, smoke bool) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "felipbench: wrote %s\n", outPath)
+	if len(diverged) > 0 {
+		return fmt.Errorf("-cluster: merged grids differ from the single-shard round at shards=%v", diverged)
+	}
 	return nil
 }
 

@@ -12,15 +12,15 @@
 //	felipbench -fig 7 -paper         # Figure 7 at the paper's n=10⁶
 //	felipbench -fig all -n 50000     # everything, custom population
 //	felipbench -list                  # list available figures
-//	felipbench -kernel                # OLH aggregation-kernel benchmark → BENCH_PR2.json
-//	felipbench -query                 # concurrent read-path benchmark → BENCH_PR3.json
 //	felipbench -cluster               # shard-scaling ingest benchmark → BENCH_PR4.json
 //	felipbench -restart               # cold-restart recovery benchmark → BENCH_PR5.json
-//	felipbench -ingest                # batched binary ingest benchmark → BENCH_PR7.json
 //	felipbench -modes                 # FELIP/SPL/RS+FD mode shootout → BENCH_PR8.json
 //	felipbench -longitudinal          # memoized two-stage vs fresh-ε rounds → BENCH_PR9.json
 //	felipbench -megadomain            # mega-domain oracle shootout (MSE × wire bytes) → BENCH_PR10.json
-//	felipbench -kernel -query -smoke # both benchmarks at CI-smoke sizes
+//	felipbench -cluster -restart -smoke # both benchmarks at CI-smoke sizes
+//
+// Ingest, query and round-close costs are measured end to end by the
+// pipeline benchmark in bench/ (bash bench/run.sh).
 package main
 
 import (
@@ -45,95 +45,44 @@ func main() {
 		only    = flag.String("datasets", "", "comma-separated dataset subset (uniform,normal,ipums-sim,loan-sim)")
 		lambdas = flag.String("lambdas", "", "comma-separated query dimensions for the mixed figures (default 2,4)")
 		csvPath = flag.String("csv", "", "also write machine-readable results to this CSV file")
-		kernel  = flag.Bool("kernel", false, "benchmark the OLH aggregation kernel against the sequential baseline and exit")
-		out     = flag.String("out", "BENCH_PR2.json", "output path for the -kernel JSON report")
-		reps    = flag.Int("reps", 3, "timed repetitions per -kernel/-query case (best is reported)")
-		qbench  = flag.Bool("query", false, "benchmark the concurrent read path (serve.Engine vs legacy Aggregator.Answer) and exit")
-		qout    = flag.String("qout", "BENCH_PR3.json", "output path for the -query JSON report")
+		reps    = flag.Int("reps", 3, "timed repetitions per -cluster/-restart case (best is reported)")
 		cbench  = flag.Bool("cluster", false, "benchmark sharded ingest scaling (1/2/4 shards) and exit")
 		cout    = flag.String("cout", "BENCH_PR4.json", "output path for the -cluster JSON report")
 		rbench  = flag.Bool("restart", false, "benchmark cold-restart recovery (WAL replay vs archive snapshot) and exit")
 		rout    = flag.String("rout", "BENCH_PR5.json", "output path for the -restart JSON report")
-		ibench  = flag.Bool("ingest", false, "benchmark the batched binary ingest path against single-report JSON and exit")
-		iout    = flag.String("iout", "BENCH_PR7.json", "output path for the -ingest JSON report")
 		mbench  = flag.Bool("modes", false, "run the FELIP/SPL/RS+FD reporting-mode shootout and exit")
 		mout    = flag.String("mout", "BENCH_PR8.json", "output path for the -modes JSON report")
 		lbench  = flag.Bool("longitudinal", false, "run the memoized two-stage vs fresh-ε longitudinal benchmark and exit")
 		lout    = flag.String("lout", "BENCH_PR9.json", "output path for the -longitudinal JSON report")
 		dbench  = flag.Bool("megadomain", false, "run the mega-domain frequency-oracle shootout and exit")
 		dout    = flag.String("dout", "BENCH_PR10.json", "output path for the -megadomain JSON report")
-		smoke   = flag.Bool("smoke", false, "shrink the -kernel/-query/-cluster/-restart/-modes/-longitudinal/-megadomain benchmarks to CI-smoke sizes")
+		smoke   = flag.Bool("smoke", false, "shrink the -cluster/-restart/-modes/-longitudinal/-megadomain benchmarks to CI-smoke sizes")
 	)
 	flag.Parse()
 
-	if *kernel {
-		if err := runKernelBench(*out, *reps, *smoke); err != nil {
-			fmt.Fprintln(os.Stderr, "felipbench:", err)
-			os.Exit(1)
-		}
-		if !*qbench && !*cbench && !*rbench && !*ibench && !*mbench && !*lbench && !*dbench {
-			return
-		}
+	// Each selected benchmark mode runs in this order; if any ran, exit.
+	modes := []struct {
+		on  bool
+		run func() error
+	}{
+		{*cbench, func() error { return runClusterBench(*cout, *reps, *smoke) }},
+		{*rbench, func() error { return runRestartBench(*rout, *reps, *smoke) }},
+		{*mbench, func() error { return runModesBench(*mout, *smoke) }},
+		{*lbench, func() error { return runLongBench(*lout, *smoke) }},
+		{*dbench, func() error { return runMegaDomainBench(*dout, *smoke) }},
 	}
-	if *qbench {
-		if err := runQueryBench(*qout, *reps, *smoke); err != nil {
+	ran := false
+	for _, m := range modes {
+		if !m.on {
+			continue
+		}
+		if err := m.run(); err != nil {
 			fmt.Fprintln(os.Stderr, "felipbench:", err)
 			os.Exit(1)
 		}
-		if !*cbench && !*rbench && !*ibench && !*mbench && !*lbench && !*dbench {
-			return
-		}
+		ran = true
 	}
-	if *cbench {
-		if err := runClusterBench(*cout, *reps, *smoke); err != nil {
-			fmt.Fprintln(os.Stderr, "felipbench:", err)
-			os.Exit(1)
-		}
-		if !*rbench && !*ibench && !*mbench && !*lbench && !*dbench {
-			return
-		}
-	}
-	if *rbench {
-		if err := runRestartBench(*rout, *reps, *smoke); err != nil {
-			fmt.Fprintln(os.Stderr, "felipbench:", err)
-			os.Exit(1)
-		}
-		if !*ibench && !*mbench && !*lbench && !*dbench {
-			return
-		}
-	}
-	if *ibench {
-		if err := runIngestBench(*iout, *reps, *smoke); err != nil {
-			fmt.Fprintln(os.Stderr, "felipbench:", err)
-			os.Exit(1)
-		}
-		if !*mbench && !*lbench && !*dbench {
-			return
-		}
-	}
-	if *mbench {
-		if err := runModesBench(*mout, *smoke); err != nil {
-			fmt.Fprintln(os.Stderr, "felipbench:", err)
-			os.Exit(1)
-		}
-		if !*lbench && !*dbench {
-			return
-		}
-	}
-	if *lbench {
-		if err := runLongBench(*lout, *smoke); err != nil {
-			fmt.Fprintln(os.Stderr, "felipbench:", err)
-			os.Exit(1)
-		}
-		if !*dbench {
-			return
-		}
-	}
-	if *dbench {
-		if err := runMegaDomainBench(*dout, *smoke); err != nil {
-			fmt.Fprintln(os.Stderr, "felipbench:", err)
-			os.Exit(1)
-		}
+	if ran {
 		return
 	}
 

@@ -239,6 +239,9 @@ func runRestartBench(outPath string, reps int, smoke bool) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "felipbench: wrote %s\n", outPath)
+	if !c.BitIdentical {
+		return fmt.Errorf("-restart: WAL replay and snapshot restore answered the probes differently")
+	}
 	return nil
 }
 

@@ -160,20 +160,24 @@ func main() {
 	for i := range cols {
 		cols[i] = ds.Col(i)
 	}
+	eng, err := serve.NewEngine(agg)
+	if err != nil {
+		fail(err)
+	}
 
 	if *batch {
-		runBatch(fail, agg, schema, cols, float64(ds.N()))
+		runBatch(fail, eng, schema, cols, float64(ds.N()))
 		return
 	}
 
-	got, err := agg.Answer(q)
+	got, err := eng.Answer(q)
 	if err != nil {
 		fail(err)
 	}
 	truth := query.Evaluate(q, cols)
 
 	fmt.Printf("\nprivate estimate : %.6f  (≈ %d users)\n", got, int(got*float64(ds.N())+0.5))
-	if ee, err := agg.ExpectedError(q); err == nil {
+	if ee, err := eng.ExpectedError(q); err == nil {
 		fmt.Printf("expected error   : ±%.6f (analytic, a-priori)\n", ee)
 	}
 	fmt.Printf("exact answer     : %.6f  (= %d users)\n", truth, int(truth*float64(ds.N())+0.5))
@@ -183,11 +187,7 @@ func main() {
 // runBatch answers every WHERE expression on stdin through the serving
 // engine and prints one line per query: estimate, exact answer and the
 // absolute error, plus a mean-absolute-error summary.
-func runBatch(fail func(error), agg *core.Aggregator, schema *domain.Schema, cols [][]uint16, n float64) {
-	eng, err := serve.NewEngine(agg)
-	if err != nil {
-		fail(err)
-	}
+func runBatch(fail func(error), eng *serve.Engine, schema *domain.Schema, cols [][]uint16, n float64) {
 	if err := eng.Warmup(); err != nil {
 		fail(err)
 	}

@@ -6,23 +6,27 @@
 //
 // The implementation lives under internal/:
 //
-//   - internal/core — the FELIP engine (OUG/OHG strategies, planning,
-//     collection, post-processing, query answering), both as the one-call
+//   - internal/core — FELIP's collection side (OUG/OHG strategies,
+//     planning, collection, post-processing), both as the one-call
 //     simulated round (Collect) and as the deployment-grade split between
 //     device-side Client and server-side Collector, with snapshot
 //     persistence.
+//   - internal/serve — the one query path: an immutable engine built from a
+//     finalized round answers every λ-D query (response matrices, IPF).
 //   - internal/fo, grid, gridopt, postproc, estimate, query, dataset,
 //     domain, metrics — the substrates: frequency oracles, variable-width
 //     grids, error-model optimizers, Norm-Sub/consistency, response
 //     matrices and λ-D IPF, the query model, and synthetic data.
 //   - internal/baseline/hio and internal/baseline/hdg — the paper's
 //     comparison systems, reimplemented from their original publications.
-//   - internal/adaptive, internal/stream, internal/longitudinal — the
-//     paper's future-work directions: two-phase equi-mass binning, windowed
-//     streams, and memoized multi-round reporting with its budget
-//     accounting.
+//   - internal/adaptive and internal/longitudinal — the paper's future-work
+//     directions: two-phase equi-mass binning, and memoized multi-round
+//     reporting with its budget accounting. Streams are a sequence of
+//     rounds, answered over windows and with decay by internal/archive.
 //   - internal/wire and internal/httpapi — the JSON wire protocol and HTTP
-//     aggregator service with its Go client.
+//     aggregator service with its Go client; internal/reportlog,
+//     internal/archive and internal/cluster — the WAL, round history and
+//     sharded ingest behind it.
 //
 // The root package carries the repository-wide benchmark suite
 // (bench_test.go — one benchmark per paper figure) and the cross-module

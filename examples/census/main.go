@@ -26,6 +26,7 @@ import (
 	"felip/internal/dataset"
 	"felip/internal/domain"
 	"felip/internal/query"
+	"felip/internal/serve"
 )
 
 func main() {
@@ -81,23 +82,25 @@ func main() {
 	fmt.Printf("census example: n=%d users, ε=1.0\n", n)
 	fmt.Printf("%-52s %10s %10s %10s\n", "query", "exact", "OUG", "OHG")
 
-	aggs := map[string]*core.Aggregator{}
+	engines := map[string]*serve.Engine{}
 	for name, strat := range map[string]core.Strategy{"OUG": core.OUG, "OHG": core.OHG} {
 		agg, err := core.Collect(users, core.Options{Strategy: strat, Epsilon: 1.0, Seed: 99})
 		if err != nil {
 			log.Fatal(err)
 		}
-		aggs[name] = agg
+		if engines[name], err = serve.NewEngine(agg); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	var maeOUG, maeOHG float64
 	for _, item := range workload {
 		truth := query.Evaluate(item.q, cols)
-		oug, err := aggs["OUG"].Answer(item.q)
+		oug, err := engines["OUG"].Answer(item.q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ohg, err := aggs["OHG"].Answer(item.q)
+		ohg, err := engines["OHG"].Answer(item.q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -19,6 +19,7 @@ import (
 	"felip/internal/domain"
 	"felip/internal/fo"
 	"felip/internal/query"
+	"felip/internal/serve"
 )
 
 func main() {
@@ -86,13 +87,15 @@ func main() {
 		fmt.Printf("   ε=%.1f  ", eps)
 	}
 	fmt.Println()
-	answers := make(map[float64]*core.Aggregator, len(budgets))
+	answers := make(map[float64]*serve.Engine, len(budgets))
 	for _, eps := range budgets {
 		a, err := core.Collect(loans, core.Options{Strategy: core.OHG, Epsilon: eps, Seed: 5})
 		if err != nil {
 			log.Fatal(err)
 		}
-		answers[eps] = a
+		if answers[eps], err = serve.NewEngine(a); err != nil {
+			log.Fatal(err)
+		}
 	}
 	for _, item := range workload {
 		truth := query.Evaluate(item.q, cols)

@@ -2,7 +2,7 @@
 //
 // A population of users holds a 4-attribute record each. The aggregator
 // plans optimized LDP grids, every user perturbs one report locally with
-// ε-LDP, and the aggregator answers a multidimensional counting query from
+// ε-LDP, and a serving engine answers a multidimensional counting query from
 // the perturbed reports alone.
 //
 // Run with: go run ./examples/quickstart
@@ -16,6 +16,7 @@ import (
 	"felip/internal/core"
 	"felip/internal/dataset"
 	"felip/internal/query"
+	"felip/internal/serve"
 )
 
 func main() {
@@ -35,12 +36,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. Ask a mixed point/range counting query.
+	// 3. Serve the round and ask a mixed point/range counting query.
+	eng, err := serve.NewEngine(agg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	q := query.Query{Preds: []query.Predicate{
 		query.NewRange(0, 16, 47), // num0 BETWEEN 16 AND 47
 		query.NewIn(2, 0, 1),      // cat0 IN (0, 1)
 	}}
-	estimate, err := agg.Answer(q)
+	estimate, err := eng.Answer(q)
 	if err != nil {
 		log.Fatal(err)
 	}

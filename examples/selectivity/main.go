@@ -20,6 +20,7 @@ import (
 	"felip/internal/dataset"
 	"felip/internal/metrics"
 	"felip/internal/query"
+	"felip/internal/serve"
 )
 
 func main() {
@@ -67,9 +68,13 @@ func main() {
 				}
 			}
 		}
+		eng, err := serve.NewEngine(agg)
+		if err != nil {
+			log.Fatal(err)
+		}
 		answers := make([]float64, len(workload))
 		for i, q := range workload {
-			a, err := agg.Answer(q)
+			a, err := eng.Answer(q)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -3,10 +3,10 @@
 //
 // Batches of fresh users arrive over time and the underlying population
 // drifts (a promotion shifts loan amounts upward halfway through). Each
-// batch runs one full ε-LDP FELIP round; the collector retains a window ring
-// and answers the same query per window, over the whole horizon, and with
-// exponential decay toward the present — showing how decay tracks the drift
-// while the plain horizon average lags.
+// batch runs one full ε-LDP FELIP round and is archived as one round; the
+// archive keeps the newest rounds and answers the same query per round,
+// over every retained round, and with exponential decay toward the present —
+// showing how decay tracks the drift while the plain horizon average lags.
 //
 // Run with: go run ./examples/stream
 package main
@@ -14,24 +14,30 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
+	"felip/internal/archive"
 	"felip/internal/core"
 	"felip/internal/dataset"
+	"felip/internal/fo"
 	"felip/internal/query"
-	"felip/internal/stream"
 )
 
 func main() {
 	schema := dataset.MixedSchema(2, 64, 1, 4)
 	const batchSize = 40_000
 
-	col, err := stream.New(schema, stream.Options{
-		Core:       core.Options{Strategy: core.OUG, Epsilon: 1.0, Seed: 9},
-		MaxWindows: 8,
-	})
+	dir, err := os.MkdirTemp("", "felip-stream-")
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer os.RemoveAll(dir)
+	store, err := archive.Open(dir, archive.Options{RetainRounds: 8})
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts := core.Options{Strategy: core.OUG, Epsilon: 1.0}
+	seeds := fo.NewRand(9) // one collection seed per batch
 
 	// "High amount" share: amount (attr 0) in the upper half.
 	q := query.Query{Preds: []query.Predicate{
@@ -56,7 +62,15 @@ func main() {
 			}
 			batch = shifted
 		}
-		if err := col.Ingest(batch); err != nil {
+		opts.Seed = seeds.Uint64()
+		agg, err := core.Collect(batch, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		round := w + 1
+		if err := store.WriteRound(archive.RoundSnapshot{
+			Round: round, Reports: agg.N(), Aggregate: agg.Snapshot(),
+		}); err != nil {
 			log.Fatal(err)
 		}
 
@@ -65,15 +79,19 @@ func main() {
 			cols[i] = batch.Col(i)
 		}
 		truth := query.Evaluate(q, cols)
-		latest, err := col.AnswerLatest(q)
+		eng, err := store.Engine(round)
 		if err != nil {
 			log.Fatal(err)
 		}
-		horizon, err := col.AnswerHorizon(q)
+		latest, err := eng.Answer(q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		decayed, err := col.AnswerDecayed(q, 1)
+		horizon, err := store.AnswerRange(q, 1, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		decayed, err := store.AnswerDecayed(q, 1, 0, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,14 +8,16 @@ import (
 	"testing"
 
 	"felip/internal/adaptive"
+	"felip/internal/archive"
 	"felip/internal/baseline/hdg"
 	"felip/internal/baseline/hio"
 	"felip/internal/core"
 	"felip/internal/dataset"
 	"felip/internal/domain"
+	"felip/internal/fo"
 	"felip/internal/httpapi"
 	"felip/internal/query"
-	"felip/internal/stream"
+	"felip/internal/serve"
 )
 
 // TestPaperRunningExample reproduces the paper's §1 motivating query
@@ -41,7 +43,7 @@ func TestPaperRunningExample(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := agg.Answer(q)
+		got, err := engineFor(t, agg).Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,13 +83,13 @@ func TestAllEstimatorsOneWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		systems[name] = agg
+		systems[name] = engineFor(t, agg)
 	}
 	ad, err := adaptive.Collect(users, adaptive.Options{Core: core.Options{Strategy: core.OHG, Epsilon: 2, Seed: 83}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	systems["OHG-eqmass"] = ad
+	systems["OHG-eqmass"] = engineFor(t, ad.Inner())
 	hioAgg, err := hio.Collect(users, hio.Options{Epsilon: 2, Seed: 85})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +188,7 @@ func TestCollectServePersistQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := restored.Answer(q)
+	direct, err := engineFor(t, restored).Answer(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,29 +200,41 @@ func TestCollectServePersistQuery(t *testing.T) {
 	}
 }
 
-// TestStreamOfAdaptiveRounds combines the two extensions: a stream whose
-// windows use the core engine while the marginals drift.
+// TestStreamOfAdaptiveRounds combines the two extensions: a stream of
+// batches, each archived as one round, answered over the retained rounds
+// while the marginals drift.
 func TestStreamOfAdaptiveRounds(t *testing.T) {
 	schema := dataset.MixedSchema(2, 32, 1, 4)
-	col, err := stream.New(schema, stream.Options{
-		Core:       core.Options{Strategy: core.OHG, Epsilon: 2, Seed: 97},
-		MaxWindows: 4,
-	})
+	store, err := archive.Open(t.TempDir(), archive.Options{RetainRounds: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	seeds := fo.NewRand(97)
 	for w := 0; w < 3; w++ {
 		batch := dataset.NewNormal().Generate(schema, 15_000, uint64(200+w))
-		if err := col.Ingest(batch); err != nil {
+		agg, err := core.Collect(batch, core.Options{Strategy: core.OHG, Epsilon: 2, Seed: seeds.Uint64()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.WriteRound(archive.RoundSnapshot{Round: w + 1, Reports: agg.N(), Aggregate: agg.Snapshot()}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	q := query.Query{Preds: []query.Predicate{query.NewRange(0, 8, 23), query.NewIn(2, 0, 1)}}
-	horizon, err := col.AnswerHorizon(q)
+	horizon, err := store.AnswerRange(q, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if horizon < 0 || horizon > 1 || math.IsNaN(horizon) {
 		t.Errorf("horizon answer %v", horizon)
 	}
+}
+
+func engineFor(t *testing.T, agg *core.Aggregator) *serve.Engine {
+	t.Helper()
+	eng, err := serve.NewEngine(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }

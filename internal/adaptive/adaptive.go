@@ -25,7 +25,6 @@ import (
 	"felip/internal/dataset"
 	"felip/internal/fo"
 	"felip/internal/postproc"
-	"felip/internal/query"
 )
 
 // Options configures a two-phase adaptive collection.
@@ -57,7 +56,8 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// Aggregator answers queries from a completed two-phase round.
+// Aggregator holds a completed two-phase round. Queries are answered by
+// serve.NewEngine(a.Inner()), like any other round.
 type Aggregator struct {
 	inner *core.Aggregator
 	// Marginals holds the phase-1 per-value marginal estimate of each
@@ -167,12 +167,6 @@ func learnMarginals(phase1 *dataset.Dataset, numAttrs []int, opts Options, rng *
 	return out, nil
 }
 
-// Answer estimates the fractional answer of a query from the phase-2
-// aggregator.
-func (a *Aggregator) Answer(q query.Query) (float64, error) {
-	return a.inner.Answer(q)
-}
-
 // Specs exposes the phase-2 grid plan (with its equi-mass axes).
 func (a *Aggregator) Specs() []core.GridSpec { return a.inner.Specs() }
 
@@ -182,5 +176,6 @@ func (a *Aggregator) Phase1N() int { return a.phase1N }
 // Phase2N reports the phase-2 population size.
 func (a *Aggregator) Phase2N() int { return a.phase2N }
 
-// Inner exposes the phase-2 core aggregator.
+// Inner exposes the phase-2 core aggregator, the round a serving engine
+// answers from.
 func (a *Aggregator) Inner() *core.Aggregator { return a.inner }

@@ -8,10 +8,20 @@ import (
 	"felip/internal/dataset"
 	"felip/internal/domain"
 	"felip/internal/query"
+	"felip/internal/serve"
 )
 
 func spikySchema() *domain.Schema {
 	return dataset.MixedSchema(2, 128, 1, 4)
+}
+
+func engineFor(t *testing.T, agg *Aggregator) *serve.Engine {
+	t.Helper()
+	eng, err := serve.NewEngine(agg.Inner())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }
 
 func TestOptionsValidation(t *testing.T) {
@@ -102,6 +112,7 @@ func TestAnswerAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := engineFor(t, agg)
 	cols := [][]uint16{ds.Col(0), ds.Col(1), ds.Col(2)}
 	qs := []query.Query{
 		{Preds: []query.Predicate{query.NewRange(0, 40, 70)}},
@@ -110,7 +121,7 @@ func TestAnswerAccuracy(t *testing.T) {
 	}
 	for _, q := range qs {
 		truth := query.Evaluate(q, cols)
-		got, err := agg.Answer(q)
+		got, err := eng.Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +142,7 @@ func TestNoNumericalAttributesFallsBack(t *testing.T) {
 		t.Errorf("all-categorical schema should skip phase 1: %d/%d", agg.Phase1N(), agg.Phase2N())
 	}
 	q := query.Query{Preds: []query.Predicate{query.NewIn(0, 1, 2), query.NewIn(1, 0)}}
-	if _, err := agg.Answer(q); err != nil {
+	if _, err := engineFor(t, agg).Answer(q); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -151,7 +162,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := agg.Answer(q)
+		got, err := engineFor(t, agg).Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}

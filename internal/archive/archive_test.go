@@ -11,7 +11,6 @@ import (
 	"felip/internal/fo"
 	"felip/internal/query"
 	"felip/internal/serve"
-	"felip/internal/stream"
 	"felip/internal/wire"
 )
 
@@ -362,8 +361,8 @@ func TestPlanFingerprintGuard(t *testing.T) {
 	}
 }
 
-// Window and decay aggregates over the archive reproduce internal/stream's
-// weighted-combination semantics exactly.
+// Window and decay aggregates over the archive equal the weighted combination
+// of the live rounds' engines exactly.
 func TestAnswerRangeAndDecayed(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{Logf: t.Logf})
@@ -383,20 +382,20 @@ func TestAnswerRangeAndDecayed(t *testing.T) {
 		engines[round] = eng
 	}
 	q := testQueries[3]
-	items := func(lo, hi int, halfLife float64) []stream.Item {
-		var out []stream.Item
+	items := func(lo, hi int, halfLife float64) []item {
+		var out []item
 		for round := lo; round <= hi; round++ {
 			eng := engines[round]
 			w := float64(eng.N())
 			if halfLife > 0 {
-				w = stream.DecayWeight(eng.N(), float64(hi-round), halfLife)
+				w = decayWeight(eng.N(), float64(hi-round), halfLife)
 			}
-			out = append(out, stream.Item{Weight: w, Answer: eng.Answer})
+			out = append(out, item{weight: w, answer: eng.Answer})
 		}
 		return out
 	}
 
-	want, err := stream.WeightedAnswer(q, items(1, 3, 0))
+	want, err := weightedAnswer(q, items(1, 3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +407,7 @@ func TestAnswerRangeAndDecayed(t *testing.T) {
 		t.Fatalf("AnswerRange(1, newest) = %v, want %v", got, want)
 	}
 
-	want, err = stream.WeightedAnswer(q, items(2, 3, 1.5))
+	want, err = weightedAnswer(q, items(2, 3, 1.5))
 	if err != nil {
 		t.Fatal(err)
 	}

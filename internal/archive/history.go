@@ -2,11 +2,11 @@ package archive
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"felip/internal/query"
 	"felip/internal/serve"
-	"felip/internal/stream"
 )
 
 // engineSlot is one archived round's lazily opened serving engine, under
@@ -127,38 +127,68 @@ func (st *Store) OpenEngines() int {
 
 // AnswerRange answers the query over the archived rounds in [lo, hi]
 // (hi = 0 means the newest archived round), weighting each round's answer by
-// its population — the same union-of-batches semantics as
-// stream.Collector.AnswerHorizon, with rounds in ascending order so the
-// floating-point combination reproduces exactly across restarts.
+// its population: the estimate for the union of the rounds' users. This is
+// how a stream of batches, one round each, is answered over a window.
 func (st *Store) AnswerRange(q query.Query, lo, hi int) (float64, error) {
 	items, err := st.rangeItems(lo, hi, nil)
 	if err != nil {
 		return 0, err
 	}
-	return stream.WeightedAnswer(q, items)
+	return weightedAnswer(q, items)
 }
 
 // AnswerDecayed answers the query over the archived rounds in [lo, hi] with
 // exponential decay toward the newest selected round: round r (age a rounds)
-// gets weight N_r·2^(−a/halfLife) — stream.Collector.AnswerDecayed semantics
-// over the archive.
+// gets weight N_r·2^(−a/halfLife).
 func (st *Store) AnswerDecayed(q query.Query, lo, hi int, halfLife float64) (float64, error) {
 	if halfLife <= 0 {
 		return 0, fmt.Errorf("archive: half-life must be positive, got %v", halfLife)
 	}
 	items, err := st.rangeItems(lo, hi, func(round, newest, n int) float64 {
-		return stream.DecayWeight(n, float64(newest-round), halfLife)
+		return decayWeight(n, float64(newest-round), halfLife)
 	})
 	if err != nil {
 		return 0, err
 	}
-	return stream.WeightedAnswer(q, items)
+	return weightedAnswer(q, items)
+}
+
+// item is one weighted answer source: an archived round and its weight in
+// the combination (its population, possibly decayed).
+type item struct {
+	weight float64
+	answer func(query.Query) (float64, error)
+}
+
+// decayWeight is the exponential-decay weight of a round of population n at
+// the given age in rounds: n·2^(−age/halfLife).
+func decayWeight(n int, age, halfLife float64) float64 {
+	return float64(n) * math.Exp2(-age/halfLife)
+}
+
+// weightedAnswer answers the query from every item and combines the answers
+// as the weighted mean Σ wᵢ·fᵢ / Σ wᵢ. Items come in ascending round order,
+// so the floating-point sum reproduces bit for bit across restarts.
+func weightedAnswer(q query.Query, items []item) (float64, error) {
+	var num, den float64
+	for _, it := range items {
+		f, err := it.answer(q)
+		if err != nil {
+			return 0, err
+		}
+		num += it.weight * f
+		den += it.weight
+	}
+	if den == 0 {
+		return 0, fmt.Errorf("archive: zero total weight")
+	}
+	return num / den, nil
 }
 
 // rangeItems resolves the rounds in [lo, hi] to weighted answer sources.
 // weight nil = population weighting. Engines open lazily through the LRU
 // cache as the combination walks the range in ascending order.
-func (st *Store) rangeItems(lo, hi int, weight func(round, newest, n int) float64) ([]stream.Item, error) {
+func (st *Store) rangeItems(lo, hi int, weight func(round, newest, n int) float64) ([]item, error) {
 	if hi == 0 {
 		hi = st.LatestRound()
 	}
@@ -183,7 +213,7 @@ func (st *Store) rangeItems(lo, hi int, weight func(round, newest, n int) float6
 		return nil, fmt.Errorf("archive: no archived rounds in [%d, %d]", lo, hi)
 	}
 	newest := selected[len(selected)-1]
-	items := make([]stream.Item, 0, len(selected))
+	items := make([]item, 0, len(selected))
 	for _, r := range selected {
 		round := r
 		n := meta[r].reports
@@ -191,9 +221,9 @@ func (st *Store) rangeItems(lo, hi int, weight func(round, newest, n int) float6
 		if weight != nil {
 			wt = weight(round, newest, n)
 		}
-		items = append(items, stream.Item{
-			Weight: wt,
-			Answer: func(q query.Query) (float64, error) {
+		items = append(items, item{
+			weight: wt,
+			answer: func(q query.Query) (float64, error) {
 				eng, err := st.Engine(round)
 				if err != nil {
 					return 0, err

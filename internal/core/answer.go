@@ -8,47 +8,6 @@ import (
 	"felip/internal/query"
 )
 
-// Answer estimates the fractional answer f_q of a multidimensional query
-// (§5.6): 1-D queries read the best marginal directly; λ ≥ 2 queries are
-// split into all C(λ,2) associated 2-D queries, answered per pair (directly
-// off the grid for OUG, via the response matrix for OHG), and recombined
-// with Algorithm 4.
-func (a *Aggregator) Answer(q query.Query) (float64, error) {
-	if err := q.Validate(a.schema); err != nil {
-		return 0, err
-	}
-	lambda := q.Lambda()
-	if lambda == 1 {
-		return a.answer1D(q.Preds[0])
-	}
-
-	attrs := q.Attrs()
-	// Selections and their negations are materialized once per predicate, not
-	// per associated pair: a λ-D query used to rebuild each predicate's
-	// negation mask λ−1 times inside pairAnswer.
-	sels := make(map[int][]bool, lambda)
-	nots := make(map[int][]bool, lambda)
-	for _, p := range q.Preds {
-		sel := p.Selection(a.schema.Attr(p.Attr).Size)
-		sels[p.Attr] = sel
-		nots[p.Attr] = negate(sel)
-	}
-
-	var pairs []estimate.PairAnswer
-	for ii := 0; ii < lambda; ii++ {
-		for jj := ii + 1; jj < lambda; jj++ {
-			ai, aj := attrs[ii], attrs[jj]
-			pa, err := a.pairAnswer(ai, aj, sels[ai], sels[aj], nots[ai], nots[aj])
-			if err != nil {
-				return 0, err
-			}
-			pa.I, pa.J = ii, jj
-			pairs = append(pairs, pa)
-		}
-	}
-	return estimate.EstimateLambda(lambda, pairs, a.ipfThreshold(), a.opts.LambdaMaxIter)
-}
-
 // ExpectedError returns an analytic a-priori estimate of the query's root
 // expected squared error, from the optimizer's per-grid minimized objectives
 // (§5.7: noise + sampling + non-uniformity; the λ-D estimation error is
@@ -100,9 +59,9 @@ func (a *Aggregator) ipfThreshold() float64 {
 	return 1 / float64(a.n)
 }
 
-// IPFThreshold exposes the round's iterative-fitting convergence threshold so
-// an external read path (the serving engine) fits matrices with exactly the
-// parameters this aggregator would use.
+// IPFThreshold returns the round's iterative-fitting convergence threshold,
+// which the serving engine uses for both the response-matrix fit
+// (Algorithm 3) and λ-D estimation (Algorithm 4).
 func (a *Aggregator) IPFThreshold() float64 { return a.ipfThreshold() }
 
 // Strategy returns the round's grid strategy.
@@ -151,73 +110,6 @@ func (a *Aggregator) CoveringGrid2D(attr int) ([2]int, bool) {
 	return key, ok
 }
 
-// answer1D estimates a single-predicate query from the most precise marginal
-// available: the attribute's own 1-D grid under OHG, otherwise the marginal
-// of the first 2-D grid containing the attribute (precomputed covering
-// index; the choice matches the former linear scan over specs).
-func (a *Aggregator) answer1D(p query.Predicate) (float64, error) {
-	sel := p.Selection(a.schema.Attr(p.Attr).Size)
-	if g1, ok := a.grids1[p.Attr]; ok {
-		return g1.Mass(sel), nil
-	}
-	if key, ok := a.cover2[p.Attr]; ok {
-		g2 := a.grids2[key]
-		marg, err := g2.ValueMarginal(p.Attr)
-		if err != nil {
-			return 0, err
-		}
-		return maskSum(marg, sel), nil
-	}
-	return 0, fmt.Errorf("core: no grid covers attribute %d", p.Attr)
-}
-
-func maskSum(vals []float64, sel []bool) float64 {
-	var s float64
-	for i, v := range vals {
-		if sel[i] {
-			s += v
-		}
-	}
-	return s
-}
-
-// pairAnswer computes the four sign-combination answers of the associated
-// 2-D query on attributes (i < j). Negation masks are supplied by the caller,
-// computed once per predicate per query.
-func (a *Aggregator) pairAnswer(i, j int, selI, selJ, notI, notJ []bool) (estimate.PairAnswer, error) {
-	if a.opts.Strategy == OHG && a.NeedsMatrix(i, j) {
-		m, err := a.responseMatrix(i, j)
-		if err != nil {
-			return estimate.PairAnswer{}, err
-		}
-		return estimate.PairAnswer{
-			PP: m.MaskSum(selI, selJ),
-			PN: m.MaskSum(selI, notJ),
-			NP: m.MaskSum(notI, selJ),
-			NN: m.MaskSum(notI, notJ),
-		}, nil
-	}
-
-	g2, ok := a.grids2[[2]int{i, j}]
-	if !ok {
-		return estimate.PairAnswer{}, fmt.Errorf("core: no 2-D grid for pair (%d,%d)", i, j)
-	}
-	return estimate.PairAnswer{
-		PP: g2.Mass(selI, selJ),
-		PN: g2.Mass(selI, notJ),
-		NP: g2.Mass(notI, selJ),
-		NN: g2.Mass(notI, notJ),
-	}, nil
-}
-
-func negate(sel []bool) []bool {
-	out := make([]bool, len(sel))
-	for i, b := range sel {
-		out[i] = !b
-	}
-	return out
-}
-
 // NeedsMatrix reports whether the pair benefits from a response matrix: at
 // least one related 1-D grid exists to refine the 2-D grid (§5.5). A
 // categorical×categorical grid is already its own response matrix.
@@ -230,45 +122,12 @@ func (a *Aggregator) NeedsMatrix(i, j int) bool {
 // PairConstraints assembles the Algorithm-3 constraint set of pair (i < j)
 // from its 2-D grid and whichever related 1-D grids were collected (Γ from
 // §5.5: both for num×num, only the numerical one when the other attribute is
-// categorical), in estimate.GridConstraints' fixed order, so every consumer —
-// the aggregator's own single-mutex cache and the serving engine — fits
-// bit-identical matrices.
+// categorical), in estimate.GridConstraints' fixed order, so every consumer
+// fits bit-identical matrices.
 func (a *Aggregator) PairConstraints(i, j int) ([]estimate.Constraint, error) {
 	g2, ok := a.grids2[[2]int{i, j}]
 	if !ok {
 		return nil, fmt.Errorf("core: no 2-D grid for pair (%d,%d)", i, j)
 	}
 	return estimate.GridConstraints(g2, a.grids1[i], a.grids1[j]), nil
-}
-
-// responseMatrix returns the per-value response matrix M(i,j) built from the
-// related grid set Γ (Algorithm 3), caching the result.
-//
-// This is the legacy single-mutex read path: the lock is held across the full
-// matrix build and iterative fit (O(di·dj + atoms·iter), see
-// estimate.Matrix.Fit), so a cache miss on one pair blocks every
-// concurrent query, including cache hits on other pairs. It is preserved as
-// the baseline the serving engine (internal/serve) is benchmarked against;
-// heavy concurrent query traffic should go through serve.Engine, whose
-// per-pair singleflight fits matrices without a global lock.
-func (a *Aggregator) responseMatrix(i, j int) (*estimate.Matrix, error) {
-	key := [2]int{i, j}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if m, ok := a.matrices[key]; ok {
-		return m, nil
-	}
-	di := a.schema.Attr(i).Size
-	dj := a.schema.Attr(j).Size
-	m, err := estimate.NewMatrix(di, dj)
-	if err != nil {
-		return nil, err
-	}
-	cons, err := a.PairConstraints(i, j)
-	if err != nil {
-		return nil, err
-	}
-	m.Fit(cons, a.ipfThreshold(), a.opts.MatrixMaxIter)
-	a.matrices[key] = m
-	return m, nil
 }

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"felip/internal/dataset"
 	"felip/internal/domain"
-	"felip/internal/estimate"
 	"felip/internal/fo"
 	"felip/internal/grid"
 	"felip/internal/longitudinal"
@@ -38,8 +36,9 @@ func estimateLongitudinal(cfg fo.Longitudinal, L int, values []int, seed uint64)
 }
 
 // Aggregator is the server side of FELIP after a completed collection round:
-// it holds the post-processed grids and answers multidimensional queries.
-// It is safe for concurrent use by multiple goroutines.
+// it holds the post-processed grids, their noise variances and the planner's
+// expected errors. It is immutable once built, so any number of goroutines
+// may read it; serve.Engine answers queries from it.
 type Aggregator struct {
 	schema *domain.Schema
 	opts   Options
@@ -57,15 +56,13 @@ type Aggregator struct {
 	err1   map[int]float64
 	err2   map[[2]int]float64
 	cover2 map[int][2]int
-
-	mu       sync.Mutex
-	matrices map[[2]int]*estimate.Matrix
 }
 
 // Collect runs a full FELIP round over the dataset: plan the grids (§5.2,
 // §5.3), divide the population into groups (§5.1), perturb every user's
 // report client-side under ε-LDP, estimate every grid's cell frequencies,
-// and post-process (§5.4). The returned Aggregator answers queries.
+// and post-process (§5.4). serve.NewEngine answers queries from the returned
+// Aggregator.
 func Collect(ds *dataset.Dataset, opts Options) (*Aggregator, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -178,15 +175,14 @@ func Collect(ds *dataset.Dataset, opts Options) (*Aggregator, error) {
 // (Collect) and the incremental report-driven path (Collector.Finalize).
 func assembleAggregator(schema *domain.Schema, opts Options, specs []GridSpec, n int, freqs [][]float64, groupNs []int, groupEps float64) (*Aggregator, error) {
 	agg := &Aggregator{
-		schema:   schema,
-		opts:     opts,
-		specs:    specs,
-		n:        n,
-		grids1:   make(map[int]*grid.Grid1D),
-		grids2:   make(map[[2]int]*grid.Grid2D),
-		var01:    make(map[int]float64),
-		var02:    make(map[[2]int]float64),
-		matrices: make(map[[2]int]*estimate.Matrix),
+		schema: schema,
+		opts:   opts,
+		specs:  specs,
+		n:      n,
+		grids1: make(map[int]*grid.Grid1D),
+		grids2: make(map[[2]int]*grid.Grid2D),
+		var01:  make(map[int]float64),
+		var02:  make(map[[2]int]float64),
 	}
 	for g, spec := range specs {
 		freq := freqs[g]

@@ -1,8 +1,9 @@
 // Package core implements FELIP (paper §5): locally differentially private
 // frequency estimation on multidimensional datasets with categorical and
 // numerical attributes, through optimized 1-D/2-D grids, per-grid adaptive
-// frequency oracles, consistency post-processing, response matrices and λ-D
-// query estimation.
+// frequency oracles and consistency post-processing. Answering queries from
+// the resulting grids — response matrices (§5.5) and λ-D estimation (§5.6) —
+// is package serve's job.
 //
 // The two strategies of the paper are provided: Optimized Uniform Grid (OUG,
 // 2-D grids only, uniformity assumption inside cells) and Optimized Hybrid
@@ -12,7 +13,7 @@
 // The entry point is Collect, which simulates a full collection round over a
 // dataset — planning the grids, partitioning the population, perturbing every
 // user's report client-side under ε-LDP, aggregating, and post-processing —
-// and returns an Aggregator that answers queries.
+// and returns the round's Aggregator; serve.NewEngine answers queries from it.
 package core
 
 import (

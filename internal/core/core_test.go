@@ -213,78 +213,9 @@ func TestCollectGridsAreDistributions(t *testing.T) {
 	}
 }
 
-func TestAnswer1D(t *testing.T) {
-	agg, ds := collectFor(t, OHG, 60000, 11)
-	for _, q := range []query.Query{
-		{Preds: []query.Predicate{query.NewRange(0, 8, 23)}},
-		{Preds: []query.Predicate{query.NewIn(2, 0, 1)}},
-	} {
-		truth := query.Evaluate(q, [][]uint16{ds.Col(0), ds.Col(1), ds.Col(2), ds.Col(3)})
-		got, err := agg.Answer(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-truth) > 0.05 {
-			t.Errorf("query %v: got %v, truth %v", q, got, truth)
-		}
-	}
-}
-
-func TestAnswer2DAccuracy(t *testing.T) {
-	for _, strat := range []Strategy{OUG, OHG} {
-		agg, ds := collectFor(t, strat, 60000, 13)
-		cols := [][]uint16{ds.Col(0), ds.Col(1), ds.Col(2), ds.Col(3)}
-		qs := []query.Query{
-			{Preds: []query.Predicate{query.NewRange(0, 8, 23), query.NewRange(1, 8, 23)}},
-			{Preds: []query.Predicate{query.NewRange(0, 0, 15), query.NewIn(2, 0, 1)}},
-			{Preds: []query.Predicate{query.NewIn(2, 0), query.NewIn(3, 1, 2)}},
-		}
-		for _, q := range qs {
-			truth := query.Evaluate(q, cols)
-			got, err := agg.Answer(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got-truth) > 0.08 {
-				t.Errorf("%v query %v: got %v, truth %v", strat, q, got, truth)
-			}
-		}
-	}
-}
-
-func TestAnswer4DAccuracy(t *testing.T) {
-	agg, ds := collectFor(t, OHG, 80000, 17)
-	cols := [][]uint16{ds.Col(0), ds.Col(1), ds.Col(2), ds.Col(3)}
-	q := query.Query{Preds: []query.Predicate{
-		query.NewRange(0, 8, 23),
-		query.NewRange(1, 4, 27),
-		query.NewIn(2, 0, 1),
-		query.NewIn(3, 0, 1, 2),
-	}}
-	truth := query.Evaluate(q, cols)
-	got, err := agg.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-truth) > 0.1 {
-		t.Errorf("4-D query: got %v, truth %v", got, truth)
-	}
-}
-
-func TestAnswerValidation(t *testing.T) {
-	agg, _ := collectFor(t, OUG, 5000, 19)
-	if _, err := agg.Answer(query.Query{}); err == nil {
-		t.Error("empty query accepted")
-	}
-	if _, err := agg.Answer(query.Query{Preds: []query.Predicate{query.NewRange(2, 0, 1)}}); err == nil {
-		t.Error("BETWEEN on categorical accepted")
-	}
-}
-
 func TestCollectDeterministicWithSeed(t *testing.T) {
 	s := mixedSchema()
 	ds := dataset.NewUniform().Generate(s, 10000, 5)
-	q := query.Query{Preds: []query.Predicate{query.NewRange(0, 0, 15), query.NewRange(1, 0, 15)}}
 	a1, err := Collect(ds, Options{Strategy: OHG, Epsilon: 1, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -293,45 +224,11 @@ func TestCollectDeterministicWithSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, _ := a1.Answer(q)
-	r2, _ := a2.Answer(q)
-	if r1 != r2 {
-		t.Errorf("same seed produced %v vs %v", r1, r2)
-	}
-}
-
-// Theorem 5.1 empirically: dividing users must beat dividing the budget.
-func TestDivideUsersBeatsDivideBudget(t *testing.T) {
-	s := mixedSchema()
-	ds := dataset.NewNormal().Generate(s, 40000, 23)
-	cols := [][]uint16{ds.Col(0), ds.Col(1), ds.Col(2), ds.Col(3)}
-	gen, err := query.NewGenerator(s, 0.5, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs, err := gen.GenerateMany(8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maeOf := func(divideBudget bool) float64 {
-		agg, err := Collect(ds, Options{Strategy: OUG, Epsilon: 1, Seed: 99, DivideBudget: divideBudget})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var total float64
-		for _, q := range qs {
-			got, err := agg.Answer(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += math.Abs(got - query.Evaluate(q, cols))
-		}
-		return total / float64(len(qs))
-	}
-	users := maeOf(false)
-	budget := maeOf(true)
-	if users >= budget {
-		t.Errorf("dividing users MAE %v not better than dividing budget MAE %v", users, budget)
+	// Every grid bit must agree, so every answer served from them does too.
+	h1, _ := hashAgg(a1)
+	h2, _ := hashAgg(a2)
+	if h1 != h2 {
+		t.Errorf("same seed produced grid hashes %#x vs %#x", h1, h2)
 	}
 }
 
@@ -391,53 +288,6 @@ func TestExpectedError1DOnOUG(t *testing.T) {
 	}
 }
 
-// FELIP explicitly supports attributes with different domain sizes (§5.8),
-// unlike TDG/HDG. Exercise planning and answering over a strongly
-// heterogeneous schema.
-func TestHeterogeneousDomains(t *testing.T) {
-	s := domain.MustSchema(
-		domain.Attribute{Name: "tiny", Kind: domain.Numerical, Size: 9},
-		domain.Attribute{Name: "huge", Kind: domain.Numerical, Size: 700},
-		domain.Attribute{Name: "bin", Kind: domain.Categorical, Size: 2},
-		domain.Attribute{Name: "wide", Kind: domain.Categorical, Size: 12},
-	)
-	ds := dataset.NewIPUMSSim().Generate(s, 50000, 71)
-	for _, strat := range []Strategy{OUG, OHG} {
-		agg, err := Collect(ds, Options{Strategy: strat, Epsilon: 2, Seed: 73})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sp := range agg.Specs() {
-			// Categorical axes stay at full domain even when mixed with the
-			// 700-value numerical attribute.
-			if !sp.Is1D() {
-				if s.Attr(sp.AttrX).IsCategorical() && sp.AxisX.Cells() != s.Attr(sp.AttrX).Size {
-					t.Errorf("%v: categorical x axis binned: %v", strat, sp)
-				}
-				if s.Attr(sp.AttrY).IsCategorical() && sp.AxisY.Cells() != s.Attr(sp.AttrY).Size {
-					t.Errorf("%v: categorical y axis binned: %v", strat, sp)
-				}
-			}
-		}
-		cols := [][]uint16{ds.Col(0), ds.Col(1), ds.Col(2), ds.Col(3)}
-		qs := []query.Query{
-			{Preds: []query.Predicate{query.NewRange(0, 2, 6), query.NewRange(1, 100, 450)}},
-			{Preds: []query.Predicate{query.NewRange(1, 0, 349), query.NewIn(3, 0, 1, 2)}},
-			{Preds: []query.Predicate{query.NewPoint(2, 0), query.NewIn(3, 0, 5)}},
-		}
-		for _, q := range qs {
-			truth := query.Evaluate(q, cols)
-			got, err := agg.Answer(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got-truth) > 0.08 {
-				t.Errorf("%v query %v: got %v, truth %v", strat, q, got, truth)
-			}
-		}
-	}
-}
-
 // SelectivityByAttr lets the aggregator size each attribute's grids with its
 // own workload prior.
 func TestSelectivityByAttr(t *testing.T) {
@@ -463,25 +313,5 @@ func TestSelectivityByAttr(t *testing.T) {
 	}
 	if per < def {
 		t.Errorf("per-attribute narrow prior coarsened the grid: %d -> %d", def, per)
-	}
-}
-
-// With huge ε the pipeline must reproduce near-exact answers: the remaining
-// error is only binning bias.
-func TestHighEpsilonNearExact(t *testing.T) {
-	s := dataset.MixedSchema(2, 16, 1, 4)
-	ds := dataset.NewUniform().Generate(s, 50000, 29)
-	agg, err := Collect(ds, Options{Strategy: OHG, Epsilon: 5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := query.Query{Preds: []query.Predicate{query.NewRange(0, 0, 7), query.NewIn(2, 0, 1)}}
-	truth := query.Evaluate(q, [][]uint16{ds.Col(0), ds.Col(1), ds.Col(2)})
-	got, err := agg.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-truth) > 0.03 {
-		t.Errorf("eps=5: got %v, truth %v", got, truth)
 	}
 }

@@ -8,11 +8,12 @@ import (
 	"felip/internal/core"
 	"felip/internal/dataset"
 	"felip/internal/query"
+	"felip/internal/serve"
 )
 
 // ExampleCollect shows the simulated single-call round: a dataset stands in
 // for the population, Collect runs planning, ε-LDP perturbation and
-// aggregation, and the aggregator answers a mixed point/range query.
+// aggregation, and a serving engine answers a mixed point/range query.
 func ExampleCollect() {
 	schema := dataset.MixedSchema(2, 64, 2, 8)
 	users := dataset.NewNormal().Generate(schema, 50_000, 1)
@@ -30,7 +31,11 @@ func ExampleCollect() {
 		query.NewRange(0, 16, 47), // num0 BETWEEN 16 AND 47
 		query.NewIn(2, 0, 1),      // cat0 IN (0, 1)
 	}}
-	estimate, err := agg.Answer(q)
+	eng, err := serve.NewEngine(agg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	estimate, err := eng.Answer(q)
 	if err != nil {
 		log.Fatal(err)
 	}

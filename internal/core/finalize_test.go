@@ -2,13 +2,11 @@ package core
 
 import (
 	"errors"
-	"math"
 	"sync"
 	"testing"
 
 	"felip/internal/dataset"
 	"felip/internal/domain"
-	"felip/internal/query"
 )
 
 // fillCollector feeds n perturbed reports from a normal dataset into col.
@@ -195,20 +193,10 @@ func TestCollectorStreamingMatchesBuffered(t *testing.T) {
 		return agg
 	}
 	a, b := build(opts), build(optsStream)
-	q, err := query.Parse("num0=2..9 and cat0=0,1", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	va, err := a.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vb, err := b.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if va != vb {
-		t.Fatalf("streaming answer %v != buffered answer %v", vb, va)
+	ha, _ := hashAgg(a)
+	hb, _ := hashAgg(b)
+	if ha != hb {
+		t.Fatalf("streaming grid hash %#x != buffered grid hash %#x", hb, ha)
 	}
 }
 
@@ -235,53 +223,5 @@ func TestCollectorCountsRejected(t *testing.T) {
 	}
 	if got := col.N(); got != 0 {
 		t.Errorf("N = %d, want 0", got)
-	}
-}
-
-// TestAnswerZeroPopulationConverges is the regression test for the unguarded
-// threshold := 1/n: with n = 0 the threshold was +Inf, so IPF exited after a
-// single sweep. The guard must fall back to a finite default and Answer must
-// return a finite estimate.
-func TestAnswerZeroPopulationConverges(t *testing.T) {
-	s := mixedSchema()
-	specs, err := BuildPlan(s, 10000, Options{Strategy: OUG, Epsilon: 1, Seed: 29})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := Options{Strategy: OUG, Epsilon: 1, Seed: 29}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	freqs := make([][]float64, len(specs))
-	groupNs := make([]int, len(specs))
-	for g, sp := range specs {
-		f := make([]float64, sp.L())
-		for i := range f {
-			f[i] = 1 / float64(len(f))
-		}
-		freqs[g] = f
-	}
-	agg, err := assembleAggregator(s, opts, specs, 0, freqs, groupNs, opts.Epsilon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := agg.ipfThreshold(); got != defaultIPFThreshold {
-		t.Errorf("ipfThreshold with n=0 = %v, want %v", got, defaultIPFThreshold)
-	}
-	q, err := query.Parse("num0=2..9 and cat0=0,1 and num1=1..6", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := agg.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(est) || math.IsInf(est, 0) {
-		t.Fatalf("Answer with n=0 not finite: %v", est)
-	}
-	// With n > 0 the threshold is the paper's 1/n.
-	agg.n = 4000
-	if got := agg.ipfThreshold(); got != 1/4000.0 {
-		t.Errorf("ipfThreshold with n=4000 = %v, want %v", got, 1/4000.0)
 	}
 }

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"testing"
 
 	"felip/internal/dataset"
 	"felip/internal/fo"
-	"felip/internal/query"
 )
 
 func TestNewClientValidation(t *testing.T) {
@@ -107,133 +105,6 @@ func TestAssignGroupRoundRobin(t *testing.T) {
 		if c < 5 || c > 6 {
 			t.Errorf("group %d assigned %d users, want 5-6", g, c)
 		}
-	}
-}
-
-// End-to-end through the report-level API: a population of simulated devices
-// each fetches the plan, perturbs locally, submits; the finalized aggregator
-// must answer accurately. This is the deployment path (client/server split),
-// distinct from the simulated Collect path.
-func TestIncrementalEndToEnd(t *testing.T) {
-	s := mixedSchema()
-	ds := dataset.NewNormal().Generate(s, 60000, 5)
-	col, err := NewCollector(s, ds.N(), Options{Strategy: OHG, Epsilon: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := NewClient(col.Specs(), col.Epsilon(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for row := 0; row < ds.N(); row++ {
-		group := col.AssignGroup()
-		rep, err := cl.Perturb(group, func(attr int) int { return ds.Value(row, attr) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := col.Add(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if col.N() != ds.N() {
-		t.Fatalf("collector N = %d", col.N())
-	}
-	agg, err := col.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := col.Add(Report{Group: 0, Proto: col.Specs()[0].Proto}); err == nil {
-		t.Error("Add after Finalize accepted")
-	}
-
-	cols := [][]uint16{ds.Col(0), ds.Col(1), ds.Col(2), ds.Col(3)}
-	for _, q := range []query.Query{
-		{Preds: []query.Predicate{query.NewRange(0, 8, 23)}},
-		{Preds: []query.Predicate{query.NewRange(0, 8, 23), query.NewIn(2, 0, 1)}},
-	} {
-		truth := query.Evaluate(q, cols)
-		got, err := agg.Answer(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-truth) > 0.06 {
-			t.Errorf("query %v: got %v, truth %v", q, got, truth)
-		}
-	}
-}
-
-// Failure injection: a fraction of devices send garbage (but wire-valid)
-// reports. LDP aggregation has no way to detect them — the estimates shift —
-// but the pipeline must stay numerically sane: finite, non-negative,
-// normalized grids and bounded query answers.
-func TestCollectorSurvivesGarbageReports(t *testing.T) {
-	s := mixedSchema()
-	ds := dataset.NewNormal().Generate(s, 20000, 61)
-	col, err := NewCollector(s, ds.N(), Options{Strategy: OHG, Epsilon: 1, Seed: 63})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := col.Specs()
-	cl, err := NewClient(specs, col.Epsilon(), 65)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := fo.NewRand(67)
-	for row := 0; row < ds.N(); row++ {
-		group := col.AssignGroup()
-		var rep Report
-		if row%10 == 0 {
-			// Adversarial device: protocol-conformant but arbitrary values.
-			sp := specs[group]
-			rep = Report{Group: group, Proto: sp.Proto}
-			switch sp.Proto {
-			case fo.GRR:
-				rep.Value = rng.IntN(sp.L())
-			case fo.OLH:
-				rep.Value = rng.IntN(fo.OptimalG(col.Epsilon()))
-				rep.Seed = rng.Uint64()
-			}
-		} else {
-			rep, err = cl.Perturb(group, func(attr int) int { return ds.Value(row, attr) })
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := col.Add(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	agg, err := col.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sp := range agg.Specs() {
-		var freq []float64
-		if sp.Is1D() {
-			g, _ := agg.Grid1D(sp.AttrX)
-			freq = g.Freq
-		} else {
-			g, _ := agg.Grid2D(sp.AttrX, sp.AttrY)
-			freq = g.Freq
-		}
-		var sum float64
-		for _, f := range freq {
-			if math.IsNaN(f) || math.IsInf(f, 0) || f < -1e-9 {
-				t.Fatalf("grid %v corrupted: %v", sp, f)
-			}
-			sum += f
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			t.Fatalf("grid %v sums to %v", sp, sum)
-		}
-	}
-	q := query.Query{Preds: []query.Predicate{query.NewRange(0, 8, 23), query.NewIn(2, 0, 1)}}
-	got, err := agg.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < -1e-9 || got > 1+1e-9 || math.IsNaN(got) {
-		t.Fatalf("answer %v out of range", got)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"felip/internal/domain"
-	"felip/internal/estimate"
 	"felip/internal/fo"
 	"felip/internal/grid"
 )
@@ -111,14 +110,13 @@ func Restore(s Snapshot) (*Aggregator, error) {
 	}
 
 	agg := &Aggregator{
-		schema:   schema,
-		opts:     opts,
-		n:        s.N,
-		grids1:   make(map[int]*grid.Grid1D),
-		grids2:   make(map[[2]int]*grid.Grid2D),
-		var01:    make(map[int]float64),
-		var02:    make(map[[2]int]float64),
-		matrices: make(map[[2]int]*estimate.Matrix),
+		schema: schema,
+		opts:   opts,
+		n:      s.N,
+		grids1: make(map[int]*grid.Grid1D),
+		grids2: make(map[[2]int]*grid.Grid2D),
+		var01:  make(map[int]float64),
+		var02:  make(map[[2]int]float64),
 	}
 	for i, gs := range s.Grids {
 		var proto fo.Protocol

@@ -63,8 +63,8 @@ func TestSummedAreaRectSum(t *testing.T) {
 
 // TestSummedAreaMatchesMaskScan pins the serving-engine equivalence: the
 // span-decomposed summed-area answer of a randomized contiguous-range
-// selection must match the boolean mask scan (Matrix.MaskSum) the legacy read
-// path performs, for both the selection and its complement.
+// selection must match the boolean mask scan (Matrix.MaskSum) over the same
+// matrix, for both the selection and its complement.
 func TestSummedAreaMatchesMaskScan(t *testing.T) {
 	m := randomMatrix(t, 41, 29, 3)
 	sat, err := m.SummedArea()

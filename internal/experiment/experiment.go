@@ -17,6 +17,7 @@ import (
 	"felip/internal/fo"
 	"felip/internal/metrics"
 	"felip/internal/query"
+	"felip/internal/serve"
 )
 
 // Strategy identifies one estimation strategy in experiment output.
@@ -152,14 +153,15 @@ func RunCell(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// answerer is the common query interface of all strategies' aggregators.
+// answerer is the common query interface of every strategy's read side.
 type answerer interface {
 	Answer(q query.Query) (float64, error)
 }
 
 // runStrategy runs one strategy's full collection round and answers the
-// workload. Strategies that cannot express a query (e.g. TDG/HDG facing an
-// IN predicate) report the error.
+// workload: FELIP rounds through serve.Engine, the baselines through their
+// own aggregators. Strategies that cannot express a query (e.g. TDG/HDG
+// facing an IN predicate) report the error.
 func runStrategy(strat Strategy, ds *dataset.Dataset, cfg Config, queries []query.Query) ([]float64, error) {
 	prior := cfg.PriorSelectivity
 	if prior == 0 {
@@ -168,8 +170,9 @@ func runStrategy(strat Strategy, ds *dataset.Dataset, cfg Config, queries []quer
 	seed := cfg.Seed + 100
 
 	var (
-		agg answerer
-		err error
+		agg   answerer
+		round *core.Aggregator
+		err   error
 	)
 	olh := fo.OLH
 	grr := fo.GRR
@@ -177,37 +180,40 @@ func runStrategy(strat Strategy, ds *dataset.Dataset, cfg Config, queries []quer
 	switch strat {
 	case StratOUG:
 		base.Strategy = core.OUG
-		agg, err = core.Collect(ds, base)
+		round, err = core.Collect(ds, base)
 	case StratOHG:
 		base.Strategy = core.OHG
-		agg, err = core.Collect(ds, base)
+		round, err = core.Collect(ds, base)
 	case StratOUGOLH:
 		base.Strategy = core.OUG
 		base.ForceProtocol = &olh
-		agg, err = core.Collect(ds, base)
+		round, err = core.Collect(ds, base)
 	case StratOHGOLH:
 		base.Strategy = core.OHG
 		base.ForceProtocol = &olh
-		agg, err = core.Collect(ds, base)
+		round, err = core.Collect(ds, base)
 	case StratOUGGRR:
 		base.Strategy = core.OUG
 		base.ForceProtocol = &grr
-		agg, err = core.Collect(ds, base)
+		round, err = core.Collect(ds, base)
 	case StratOHGGRR:
 		base.Strategy = core.OHG
 		base.ForceProtocol = &grr
-		agg, err = core.Collect(ds, base)
+		round, err = core.Collect(ds, base)
 	case StratOHGBudget:
 		base.Strategy = core.OHG
 		base.DivideBudget = true
-		agg, err = core.Collect(ds, base)
+		round, err = core.Collect(ds, base)
 	case StratOHGFixSel:
 		base.Strategy = core.OHG
 		base.Selectivity = 0.5
-		agg, err = core.Collect(ds, base)
+		round, err = core.Collect(ds, base)
 	case StratOHGEqMass:
 		base.Strategy = core.OHG
-		agg, err = adaptive.Collect(ds, adaptive.Options{Core: base})
+		var ad *adaptive.Aggregator
+		if ad, err = adaptive.Collect(ds, adaptive.Options{Core: base}); err == nil {
+			round = ad.Inner()
+		}
 	case StratHIO:
 		agg, err = hio.Collect(ds, hio.Options{Epsilon: cfg.Epsilon, Seed: seed})
 	case StratTDG:
@@ -219,6 +225,11 @@ func runStrategy(strat Strategy, ds *dataset.Dataset, cfg Config, queries []quer
 	}
 	if err != nil {
 		return nil, err
+	}
+	if round != nil {
+		if agg, err = serve.NewEngine(round); err != nil {
+			return nil, err
+		}
 	}
 
 	answers := make([]float64, len(queries))

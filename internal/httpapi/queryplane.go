@@ -147,8 +147,8 @@ func parseRoundRange(spec string) (lo, hi int, err error) {
 
 // handleWindowQuery answers a rounds=… aggregate: the query evaluated over
 // every archived round in the window, combined as a population-weighted mean
-// (internal/stream horizon semantics), or with exponential decay toward the
-// newest selected round when halflife is given.
+// (archive.Store.AnswerRange), or with exponential decay toward the newest
+// selected round when halflife is given (archive.Store.AnswerDecayed).
 func (p *QueryPlane) handleWindowQuery(w http.ResponseWriter, q query.Query, spec, halflife string) {
 	hist := p.history.Load()
 	if hist == nil {

@@ -1,6 +1,8 @@
-// Package serve is FELIP's query-serving plane: an immutable, concurrency-
-// first engine built once from a finalized collection round (a
-// *core.Aggregator) and then hammered by query traffic.
+// Package serve is FELIP's one query path: an immutable, concurrency-first
+// engine built once from a finalized collection round (a *core.Aggregator)
+// and then hammered by query traffic. HTTP, the archive's historical plane,
+// the cluster coordinator, the command-line tools and the examples all
+// answer through it.
 //
 // The split mirrors the paper's own structure — collection and estimation
 // (§5.1–§5.4) happen once per round, while query answering over response
@@ -8,17 +10,16 @@
 // DP-protected output — and the architecture consistency-style LDP systems
 // converge on: finalize into a read-only snapshot, then serve it lock-free.
 //
-// What the engine owns that the legacy Aggregator read path did not:
+// What the engine owns:
 //
 //   - an attr → covering-grid index and per-value marginals with prefix sums,
-//     so 1-D queries are O(#spans) lookups instead of per-value mask scans;
+//     so a 1-D query costs O(#spans) lookups;
 //   - summed-area (2-D prefix-sum) tables over every pair's per-value
 //     frequency surface, so each sign-combination answer of an associated
-//     2-D query is O(1) corner lookups instead of an O(di·dj) scan;
+//     2-D query costs O(1) corner lookups per pair of spans;
 //   - per-pair singleflight for response-matrix construction: a cache miss
 //     fits one pair's matrix (Algorithm 3) while hits — and misses on other
-//     pairs — proceed concurrently, where the Aggregator held one global
-//     mutex across the full build and fit;
+//     pairs — proceed concurrently;
 //   - a parallel Warmup that precomputes every response matrix up front, and
 //     a batch answer API that fans a query workload across GOMAXPROCS.
 //
@@ -114,8 +115,8 @@ type Engine struct {
 
 	// marginals holds each answerable attribute's prefix-summed per-value
 	// marginal: its own 1-D grid when one was collected, otherwise the
-	// marginal of its covering 2-D grid (same deterministic choice as the
-	// aggregator's spec-order scan).
+	// marginal of its covering 2-D grid (core.Aggregator.CoveringGrid2D, the
+	// first in spec order).
 	marginals map[int]*marginal1D
 	pairs     map[[2]int]*pairPlan
 
@@ -259,9 +260,9 @@ func (e *Engine) Warmup() error {
 // Answer estimates the fractional answer f_q of a multidimensional query
 // (§5.6) from the engine's prefix-summed surfaces: 1-D queries read the best
 // marginal, λ ≥ 2 queries recombine all C(λ,2) associated 2-D answers with
-// Algorithm 4. Answers agree with Aggregator.Answer up to floating-point
-// summation order (the summed-area tables add the same masses by
-// differencing rather than by scanning).
+// Algorithm 4. Answers agree with a per-value mask scan over the same grids
+// and matrices up to floating-point summation order (the summed-area tables
+// add the same masses by differencing rather than by scanning).
 func (e *Engine) Answer(q query.Query) (float64, error) {
 	start := time.Now()
 	defer func() { queryTimer.Observe(time.Since(start)) }()
@@ -383,8 +384,7 @@ func (e *Engine) pairSAT(i, j int) (*estimate.SummedArea, error) {
 }
 
 // buildMatrixSAT fits pair (i, j)'s response matrix (Algorithm 3) with
-// exactly the aggregator's constraints and parameters — the matrix entries
-// are bit-identical to the legacy path's cache — then folds it into a
+// exactly the aggregator's constraints and parameters, then folds it into a
 // summed-area table.
 func (e *Engine) buildMatrixSAT(i, j int) (*estimate.SummedArea, error) {
 	m, err := estimate.NewMatrix(e.schema.Attr(i).Size, e.schema.Attr(j).Size)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"felip/internal/adaptive"
 	"felip/internal/core"
 	"felip/internal/dataset"
 	"felip/internal/domain"
@@ -18,7 +19,7 @@ func testSchema() *domain.Schema {
 	return dataset.MixedSchema(2, 32, 2, 4)
 }
 
-func collectFor(t *testing.T, strat core.Strategy, n int, seed uint64) *core.Aggregator {
+func collectFor(t testing.TB, strat core.Strategy, n int, seed uint64) *core.Aggregator {
 	t.Helper()
 	ds := dataset.NewNormal().Generate(testSchema(), n, seed)
 	agg, err := core.Collect(ds, core.Options{Strategy: strat, Epsilon: 2.0, Seed: seed + 1})
@@ -28,7 +29,7 @@ func collectFor(t *testing.T, strat core.Strategy, n int, seed uint64) *core.Agg
 	return agg
 }
 
-func engineFor(t *testing.T, agg *core.Aggregator) *Engine {
+func engineFor(t testing.TB, agg *core.Aggregator) *Engine {
 	t.Helper()
 	e, err := NewEngine(agg)
 	if err != nil {
@@ -57,21 +58,39 @@ func workload(t *testing.T, s *domain.Schema, count int, seed uint64) []query.Qu
 	return qs[:count]
 }
 
-// The engine must reproduce the legacy Aggregator read path. λ ≤ 2 answers
-// are compared at floating-point noise level (the summed-area tables add the
-// same masses in a different order, so the last ULPs may differ); λ ≥ 3 goes
-// through IPF whose iteration count may shift under such perturbations, so
-// those agree to within the convergence threshold (1/n).
+// The engine must reproduce the mask-scan reference (maskscan_test.go). λ ≤ 2
+// answers are compared at floating-point noise level (the summed-area tables
+// add the same masses in a different order, so the last ULPs may differ);
+// λ ≥ 3 goes through IPF whose iteration count may shift under such
+// perturbations, so those agree to within the convergence threshold (1/n).
+// Besides plain OUG and OHG rounds, the inputs include adaptive rounds, whose
+// numerical axes are equi-mass and so have cells of varying width.
 func TestEngineMatchesAggregator(t *testing.T) {
+	type input struct {
+		name string
+		agg  *core.Aggregator
+	}
+	var inputs []input
 	for _, strat := range []core.Strategy{core.OUG, core.OHG} {
-		agg := collectFor(t, strat, 20000, 101)
+		ds := dataset.NewNormal().Generate(testSchema(), 20000, 101)
+		ad, err := adaptive.Collect(ds, adaptive.Options{Core: core.Options{Strategy: strat, Epsilon: 2.0, Seed: 102}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs,
+			input{strat.String(), collectFor(t, strat, 20000, 101)},
+			input{strat.String() + "-eqmass", ad.Inner()})
+	}
+	for _, in := range inputs {
+		strat, agg := in.name, in.agg
 		eng := engineFor(t, agg)
+		ref := newMaskScan(agg)
 		ipfTol := 10 / float64(agg.N())
 		for i, q := range workload(t, agg.Schema(), 60, 202) {
-			want, errW := agg.Answer(q)
+			want, errW := ref.Answer(q)
 			got, errG := eng.Answer(q)
 			if (errW == nil) != (errG == nil) {
-				t.Fatalf("%v query %d %v: aggregator err %v, engine err %v", strat, i, q, errW, errG)
+				t.Fatalf("%v query %d %v: reference err %v, engine err %v", strat, i, q, errW, errG)
 			}
 			if errW != nil {
 				continue
@@ -81,7 +100,7 @@ func TestEngineMatchesAggregator(t *testing.T) {
 				tol = ipfTol
 			}
 			if math.Abs(got-want) > tol {
-				t.Errorf("%v query %d %v (λ=%d): engine %v vs aggregator %v (Δ=%g)",
+				t.Errorf("%v query %d %v (λ=%d): engine %v vs reference %v (Δ=%g)",
 					strat, i, q, q.Lambda(), got, want, math.Abs(got-want))
 			}
 			ee1, err1 := agg.ExpectedError(q)
@@ -93,7 +112,7 @@ func TestEngineMatchesAggregator(t *testing.T) {
 	}
 }
 
-// Restored snapshots must serve identically to the live aggregator they came
+// Restored snapshots must serve identically to the live round they came
 // from: the engine reads only post-processed state that snapshots preserve.
 func TestEngineFromRestoredSnapshot(t *testing.T) {
 	agg := collectFor(t, core.OHG, 10000, 303)
@@ -105,22 +124,22 @@ func TestEngineFromRestoredSnapshot(t *testing.T) {
 	if err := eng.Warmup(); err != nil {
 		t.Fatal(err)
 	}
+	ref := newMaskScan(agg)
 	for _, q := range workload(t, agg.Schema(), 12, 404) {
-		want, errW := agg.Answer(q)
+		want, errW := ref.Answer(q)
 		got, errG := eng.Answer(q)
 		if (errW == nil) != (errG == nil) {
 			t.Fatalf("query %v: err mismatch %v vs %v", q, errW, errG)
 		}
 		if errW == nil && math.Abs(got-want) > 10/float64(agg.N()) {
-			t.Errorf("query %v: restored engine %v vs live aggregator %v", q, got, want)
+			t.Errorf("query %v: restored engine %v vs live reference %v", q, got, want)
 		}
 	}
 }
 
-// Regression test for the serialized read path this refactor removes: with
-// the legacy single-mutex cache, a query that triggered one pair's matrix fit
-// blocked every query on every other pair until the fit finished. The engine
-// must let other pairs make progress while one pair's fit is held open.
+// A matrix cache under one mutex held across the fit would block every query
+// on every other pair until one pair's fit finished. The engine must let
+// other pairs make progress while one pair's fit is held open.
 func TestEngineConcurrentPairsProgress(t *testing.T) {
 	agg := collectFor(t, core.OHG, 8000, 505)
 	eng := engineFor(t, agg)
