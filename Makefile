@@ -21,12 +21,14 @@ check:
 # ones, to the frame decoder and requires every id it accepts to come back
 # byte-identical from the WAL; FuzzQueryAnswer feeds arbitrary WHERE strings
 # to the query parser and answers what it accepts through the serving engine
-# and a mask-scan reference. A failing input lands in the package's
-# testdata/fuzz directory.
+# and a mask-scan reference; FuzzSegment feeds arbitrary and resealed WAL
+# segments to Open and VerifySegment and requires them to agree. A failing
+# input lands in the package's testdata/fuzz directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDedupIndex$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryAnswer$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSegment$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/reportlog
 
 # The pipeline benchmark (bench/) is its own Go module, so ./... above never
 # compiles it: vet it and run its smoke test, so an API change that breaks the
@@ -135,11 +137,14 @@ chaos-cluster:
 
 # Archive chaos drill: corrupted and torn snapshots skipped on open, a crash
 # in the window between snapshot fsync and WAL truncation recovered without
-# double-counting, and a coordinator kill -9 survived with bit-identical
-# current and historical answers — under the race detector.
+# double-counting, a coordinator kill -9 survived with bit-identical
+# current and historical answers, a segment chain with a gap refused, rounds
+# replayed from a WAL-only history archived on the first start with an
+# archive, and a round whose snapshot failed keeping its segment — under the
+# race detector.
 chaos-archive:
 	$(GO) test -race -v \
-		-run 'TestOpenSkipsCorruptSnapshots|TestEnvelopeRejectsDamage|TestCrashBetweenSnapshotAndTruncate|TestArchiveRestartSnapshotPlusTail|TestCoordinatorArchiveRestart' \
+		-run 'TestOpenSkipsCorruptSnapshots|TestEnvelopeRejectsDamage|TestCrashBetweenSnapshotAndTruncate|TestArchiveRestartSnapshotPlusTail|TestCoordinatorArchiveRestart|TestRecoverRefusesChainGap|TestRecoverArchivesEveryReplayedRound|TestFailedSnapshotKeepsSegment' \
 		./internal/archive ./internal/httpapi ./internal/cluster
 
 # Failover chaos drill: kill a primary mid-round with its WAL shipped to a

@@ -21,8 +21,8 @@ import (
 
 // restartCase compares the two cold-restart paths over the same finalized
 // round: replaying the round's full WAL segment versus restoring its archived
-// snapshot. Both paths run the real server code (UseWAL / RestoreArchivedRound
-// plus serving warmup) against the real on-disk artifacts.
+// snapshot. Both paths run the real server restart (Server.Recover, which
+// ends with the serving warmup) against the real on-disk artifacts.
 type restartCase struct {
 	N          int   `json:"n"`
 	WALRecords int   `json:"wal_records"`
@@ -253,28 +253,19 @@ func restartViaWAL(schema *domain.Schema, n int, opts core.Options, walPath stri
 	if err != nil {
 		return 0, nil, err
 	}
-	l, recs, err := reportlog.Open(walPath)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := srv.UseWAL(l, recs); err != nil {
-		l.Close()
-		return 0, nil, err
-	}
-	if err := srv.WarmupServing(); err != nil {
-		srv.Close()
+	defer srv.Close()
+	if err := srv.Recover(reportlog.NewSegments(walPath), 1); err != nil {
 		return 0, nil, err
 	}
 	ms := float64(time.Since(start).Microseconds()) / 1000
 	ans, err := probeServer(srv)
-	srv.Close()
 	return ms, ans, err
 }
 
 // restartViaSnapshot cold-starts a server from the archived round and times
 // it to query-ready, then probes it. The round's own WAL segment is gone in
-// this scenario (truncated once the snapshot became durable), so the archive
-// is the only recovery source — exactly what RestoreArchivedRound serves.
+// this scenario (deleted once the archive held the round), so the archive is
+// the only recovery source.
 func restartViaSnapshot(schema *domain.Schema, n int, opts core.Options, archDir string) (float64, []float64, error) {
 	start := time.Now()
 	srv, err := httpapi.NewServer(schema, n, opts)
@@ -289,15 +280,11 @@ func restartViaSnapshot(schema *domain.Schema, n int, opts core.Options, archDir
 	if err := srv.UseArchive(store, nil); err != nil {
 		return 0, nil, err
 	}
-	round, err := srv.RestoreArchivedRound()
-	if err != nil {
+	if err := srv.Recover(nil, 1); err != nil {
 		return 0, nil, err
 	}
-	if round != 1 {
-		return 0, nil, fmt.Errorf("restored round %d, want 1", round)
-	}
-	if err := srv.WarmupServing(); err != nil {
-		return 0, nil, err
+	if srv.Round() != 1 {
+		return 0, nil, fmt.Errorf("restored round %d, want 1", srv.Round())
 	}
 	ms := float64(time.Since(start).Microseconds()) / 1000
 	ans, err := probeServer(srv)

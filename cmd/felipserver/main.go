@@ -10,16 +10,20 @@
 // it is acknowledged, and a restarted server replays the logs and resumes
 // where it left off (re-serving any round that was already finalized). Each
 // collection round gets its own segment — round 1 in the given file, round k
-// in <file>.r<k> — so POST /v1/nextround keeps working across restarts:
+// in <file>.r<k> — so POST /v1/nextround keeps working across restarts. Every
+// start goes through httpapi.Server.Recover, which refuses a chain with a
+// missing segment rather than serve a history with rounds left out:
 //
 //	felipserver -addr :8377 -eps 1.0 -n 100000 -wal round.wal
 //
 // Add -archive to snapshot every finalized round into a directory: restarts
 // restore from the newest snapshot instead of replaying the whole WAL (only
-// the tail segments past the snapshot are replayed, and fully-snapshotted
-// segments are deleted), and every archived round stays queryable — GET
-// /v1/rounds lists them, and queries take a round (or rounds=a..b window)
-// parameter:
+// the tail segments past the snapshot are replayed), a round's segment is
+// deleted once its own round is archived (a round whose snapshot failed
+// keeps its segment), rounds a WAL-only server finalized are archived at the
+// first start with -archive, and every archived round stays queryable —
+// GET /v1/rounds lists them, and queries take a round (or rounds=a..b
+// window) parameter:
 //
 //	felipserver -addr :8377 -eps 1.0 -n 100000 -seed 7 \
 //	    -wal round.wal -archive rounds.archive -retain 8
@@ -212,13 +216,13 @@ func main() {
 		segs = reportlog.NewSegments(*walPath)
 	}
 
-	restored := 0
+	var store *archive.Store
 	if *archDir != "" {
 		if *seed == 0 {
 			// Restoring a snapshot requires rebuilding the identical plan.
 			log.Fatal("felipserver: -archive requires an explicit -seed so a restart rebuilds the same plan")
 		}
-		store, err := archive.Open(*archDir, archive.Options{
+		store, err = archive.Open(*archDir, archive.Options{
 			RetainRounds:    *retain,
 			PlanFingerprint: srv.PlanFingerprint(),
 			Logf:            log.Printf,
@@ -229,117 +233,17 @@ func main() {
 		if err := srv.UseArchive(store, segs); err != nil {
 			log.Fatal("felipserver: ", err)
 		}
-		// Snapshot-first recovery: serve the newest archived round and replay
-		// only the WAL tail beyond it (below). This also re-truncates any
-		// stale segments a crash stranded between snapshot and truncate.
-		restored, err = srv.RestoreArchivedRound()
-		if err != nil {
-			log.Fatal("felipserver: ", err)
-		}
-		if restored > 0 {
-			log.Printf("felipserver: restored round %d from archive %s", restored, *archDir)
-		}
 	}
 
-	if segs != nil {
-		// /v1/nextround opens a fresh segment for each new collection round.
-		srv.SetWALFactory(func(round int) (*reportlog.Log, error) {
-			l, recs, err := segs.Open(round)
-			if err != nil {
-				return nil, err
-			}
-			if len(recs) > 0 {
-				l.Close()
-				return nil, fmt.Errorf("segment %s already has %d records; refusing to reuse it for a new round", segs.Path(round), len(recs))
-			}
-			return l, nil
-		})
-		if restored > 0 {
-			// Only the tail segments past the snapshot remain; replay them in
-			// order. MarkDurable first: with no tail at all, the next round
-			// must still open a segment.
-			srv.MarkDurable()
-			rounds, err := segs.Existing()
-			if err != nil {
-				log.Fatal("felipserver: ", err)
-			}
-			expect := restored + 1
-			for _, round := range rounds {
-				if round <= restored {
-					continue // covered by the snapshot; truncation is retried at the next finalize
-				}
-				if round != expect {
-					log.Fatalf("felipserver: wal segment chain has a gap: expected round %d, found %s", expect, segs.Path(round))
-				}
-				l, recs, err := segs.Open(round)
-				if err != nil {
-					log.Fatal("felipserver: ", err)
-				}
-				if _, err := srv.ResumeNextRound(l, recs); err != nil {
-					log.Fatal("felipserver: ", err)
-				}
-				log.Printf("felipserver: resumed round %d (%d WAL records from %s)", round, len(recs), segs.Path(round))
-				expect++
-			}
-		} else {
-			// A shard that joined the cluster mid-deployment starts in its join
-			// round, and on a restart its segment chain starts wherever it
-			// joined — open the chain from its actual first round.
-			firstRound := joined
-			if rounds, err := segs.Existing(); err != nil {
-				log.Fatal("felipserver: ", err)
-			} else if len(rounds) > 0 {
-				firstRound = rounds[0]
-			}
-			if firstRound > 1 {
-				if err := srv.BeginAtRound(firstRound); err != nil {
-					log.Fatal("felipserver: ", err)
-				}
-			}
-			l, recs, err := segs.Open(firstRound)
-			if err != nil {
-				log.Fatal("felipserver: ", err)
-			}
-			if err := srv.UseWAL(l, recs); err != nil {
-				log.Fatal("felipserver: ", err)
-			}
-			if len(recs) > 0 {
-				log.Printf("felipserver: replayed %d WAL records from %s", len(recs), segs.Path(firstRound))
-			} else {
-				log.Printf("felipserver: opened fresh WAL at %s", segs.Path(firstRound))
-			}
-			// Replay any later segments left by /v1/nextround before the restart.
-			for round := firstRound + 1; ; round++ {
-				if _, err := os.Stat(segs.Path(round)); err != nil {
-					break
-				}
-				l, recs, err := segs.Open(round)
-				if err != nil {
-					log.Fatal("felipserver: ", err)
-				}
-				if _, err := srv.ResumeNextRound(l, recs); err != nil {
-					log.Fatal("felipserver: ", err)
-				}
-				log.Printf("felipserver: resumed round %d (%d WAL records from %s)", round, len(recs), segs.Path(round))
-			}
-		}
-		// Followers replicate the segment chain over /v1/replica/wal.
-		srv.SetSegments(segs)
-		if err := srv.WarmupServing(); err != nil {
-			log.Fatal("felipserver: ", err)
-		}
-		if *archDir != "" {
-			// Backfill: a round finalized by WAL replay (its snapshot was never
-			// written, or the crash beat the archive) gets archived now, which
-			// also truncates the segments it covers.
-			if err := srv.ArchiveNow(); err != nil {
-				log.Printf("felipserver: archiving replayed round: %v", err)
-			}
-		}
+	// The one restart path: serve the newest archived round, replay the
+	// segments after it (or the whole chain), archive what the replay
+	// re-finalizes, and warm up. A fresh server opens its join round.
+	if err := srv.Recover(segs, joined); err != nil {
+		log.Fatal("felipserver: ", err)
 	}
 
-	if *simulate > 0 && restored > 0 {
-		log.Printf("felipserver: round %d restored from archive; skipping -simulate", restored)
+	if *simulate > 0 && store != nil && store.LatestRound() > 0 {
+		log.Printf("felipserver: round %d restored from archive; skipping -simulate", store.LatestRound())
 	} else if *simulate > 0 {
 		log.Printf("felipserver: simulating %d %s users in-process", *simulate, *simData)
 		if err := httpapi.Simulate(srv, *simData, *simulate, *seed); err != nil {

@@ -184,24 +184,18 @@ func (c *Coordinator) restoreLatest() error {
 	if latest == 0 {
 		return nil
 	}
-	snap, err := c.store.Load(latest)
+	eng, err := c.store.Engine(latest)
 	if err != nil {
 		return fmt.Errorf("cluster: restoring archived round %d: %w", latest, err)
 	}
-	eng, err := serve.FromSnapshot(snap.Aggregate)
-	if err == nil {
-		err = eng.Warmup()
-	}
-	if err != nil {
-		return fmt.Errorf("cluster: rebuilding round %d engine from archive: %w", latest, err)
-	}
+	reports := eng.Aggregator().N()
 	c.mu.Lock()
 	c.round = latest
 	c.finalized = true
-	c.finalN = snap.Reports
+	c.finalN = reports
 	c.mu.Unlock()
 	c.qp.Serve(eng, latest)
-	c.logf("cluster: restored round %d from archive (%d reports)", latest, snap.Reports)
+	c.logf("cluster: restored round %d from archive (%d reports)", latest, reports)
 	return nil
 }
 
@@ -237,7 +231,7 @@ func (c *Coordinator) Round() int {
 // registers while a round is sealing — or after it sealed — joins the next
 // round: the in-flight merge's pull set must not change under it, and the
 // response's JoinRound tells the shard which round to open locally
-// (httpapi.Server.BeginAtRound) so the cluster and the shard agree from the
+// (httpapi.Server.Recover) so the cluster and the shard agree from the
 // first report.
 func (c *Coordinator) RegisterShard(msg wire.RegisterMessage) (wire.RegisterResponse, error) {
 	c.mu.Lock()

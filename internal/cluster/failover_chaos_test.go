@@ -16,8 +16,8 @@ import (
 	"felip/internal/wire"
 )
 
-// newDurableShard starts a WAL-backed shard server over real HTTP, wired the
-// way felipserver boots one.
+// newDurableShard starts a WAL-backed shard server over real HTTP, booted
+// through Recover the way felipserver boots one.
 func newDurableShard(t *testing.T, name, walPath string, n int, opts core.Options) (*httpapi.Server, *httptest.Server) {
 	t.Helper()
 	schema := dataset.MixedSchema(2, 32, 2, 4)
@@ -27,26 +27,9 @@ func newDurableShard(t *testing.T, name, walPath string, n int, opts core.Option
 	}
 	srv.SetLogger(t.Logf)
 	srv.SetShardID(name)
-	segs := reportlog.NewSegments(walPath)
-	l, recs, err := segs.Open(1)
-	if err != nil {
+	if err := srv.Recover(reportlog.NewSegments(walPath), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.UseWAL(l, recs); err != nil {
-		t.Fatal(err)
-	}
-	srv.SetWALFactory(func(round int) (*reportlog.Log, error) {
-		l, recs, err := segs.Open(round)
-		if err != nil {
-			return nil, err
-		}
-		if len(recs) > 0 {
-			l.Close()
-			return nil, fmt.Errorf("segment %s not empty", segs.Path(round))
-		}
-		return l, nil
-	})
-	srv.SetSegments(segs)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts

@@ -238,12 +238,12 @@ func (f *Follower) Heartbeat(ctx context.Context) error {
 
 // Promote performs the takeover: every local segment is strictly verified
 // (any tear or corruption refuses the promotion — the coordinator keeps the
-// shard dead rather than serve a state that is not bit-identical), then
-// replayed into a fresh shard server exactly the way a restarted primary
-// replays its own WAL chain. The server assumes the primary's logical shard
-// identity and keeps appending to the same local segment chain, so it *is*
-// the shard from here on. Idempotent: a second call returns the first
-// takeover's response.
+// shard dead rather than serve a state that is not bit-identical), then a
+// fresh shard server recovers from the chain exactly the way a restarted
+// primary does (httpapi.Server.Recover). The server assumes the primary's
+// logical shard identity and keeps appending to the same local segment
+// chain, so it *is* the shard from here on. Idempotent: a second call
+// returns the first takeover's response.
 func (f *Follower) Promote(targetRound int) (wire.PromoteResponse, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -275,70 +275,14 @@ func (f *Follower) Promote(targetRound int) (wire.PromoteResponse, error) {
 	}
 	srv.SetLogger(f.logf)
 	srv.SetShardID(f.cfg.Name)
-	srv.SetSegments(f.segs)
-	srv.SetWALFactory(func(round int) (*reportlog.Log, error) {
-		l, recs, err := f.segs.Open(round)
-		if err != nil {
-			return nil, err
-		}
-		if len(recs) > 0 {
-			l.Close()
-			return nil, fmt.Errorf("segment %s already has %d records; refusing to reuse it for a new round",
-				f.segs.Path(round), len(recs))
-		}
-		return l, nil
-	})
-
-	// Replay the chain like a restarted primary: the first segment attaches
-	// via UseWAL, each later one via the idempotent resume. A shard that
-	// joined mid-deployment has no segments for the earlier rounds — the
-	// server fast-forwards to its first round before replay.
-	first := f.round
-	if len(rounds) > 0 {
-		first = rounds[0]
-	}
-	if first > 1 {
-		if err := srv.BeginAtRound(first); err != nil {
-			return wire.PromoteResponse{}, err
-		}
-	}
-	expect := first
-	for i, round := range rounds {
-		if round != expect {
-			return wire.PromoteResponse{}, fmt.Errorf("cluster: refusing promotion: shipped chain has a gap: expected round %d, found %s",
-				expect, f.segs.Path(round))
-		}
-		l, recs, err := f.segs.Open(round)
-		if err != nil {
-			return wire.PromoteResponse{}, err
-		}
-		if i == 0 {
-			err = srv.UseWAL(l, recs)
-		} else {
-			_, err = srv.ResumeNextRound(l, recs)
-		}
-		if err != nil {
-			return wire.PromoteResponse{}, fmt.Errorf("cluster: replaying shipped segment %s: %w", f.segs.Path(round), err)
-		}
-		expect++
-	}
-	if len(rounds) == 0 {
-		// Nothing was ever shipped (the primary died before its first report):
-		// take over as a fresh durable shard in the cursor round.
-		l, recs, err := f.segs.Open(first)
-		if err != nil {
-			return wire.PromoteResponse{}, err
-		}
-		if err := srv.UseWAL(l, recs); err != nil {
-			return wire.PromoteResponse{}, err
-		}
+	// With nothing shipped (the primary died before its first report), the
+	// server opens the cursor round as a fresh durable shard.
+	if err := srv.Recover(f.segs, f.round); err != nil {
+		return wire.PromoteResponse{}, fmt.Errorf("cluster: refusing promotion: %w", err)
 	}
 	if targetRound != 0 && srv.Round() != targetRound {
 		return wire.PromoteResponse{}, fmt.Errorf("cluster: refusing promotion: replayed chain ends in round %d, cluster is in round %d",
 			srv.Round(), targetRound)
-	}
-	if err := srv.WarmupServing(); err != nil {
-		return wire.PromoteResponse{}, err
 	}
 
 	f.promoted = srv
@@ -346,7 +290,7 @@ func (f *Follower) Promote(targetRound int) (wire.PromoteResponse, error) {
 	f.resp = wire.PromoteResponse{
 		Name:     f.cfg.Name,
 		Round:    srv.Round(),
-		Reports:  replayed,
+		Reports:  srv.WALReplayed(),
 		Replayed: replayed,
 	}
 	f.logf("cluster: follower %q promoted: serving round %d after replaying %d records", f.cfg.Name, f.resp.Round, replayed)

@@ -123,6 +123,11 @@ func TestPromotionChainSpansIdleRound(t *testing.T) {
 	if resp.Round != 3 {
 		t.Fatalf("promoted into round %d, want 3", resp.Round)
 	}
+	// The chain holds 100 reports and two finalize markers; only the reports
+	// count as reports.
+	if resp.Reports != 100 || resp.Replayed != 102 {
+		t.Fatalf("promotion replayed %d records holding %d reports, want 102 and 100", resp.Replayed, resp.Reports)
+	}
 
 	folTS := httptest.NewServer(fol.Handler())
 	defer folTS.Close()
@@ -182,15 +187,7 @@ func TestFollowerRefusesTruncatedArchivedRound(t *testing.T) {
 	if err := srv.UseArchive(store, segs); err != nil {
 		t.Fatal(err)
 	}
-	srv.SetWALFactory(func(round int) (*reportlog.Log, error) {
-		l, _, err := segs.Open(round)
-		return l, err
-	})
-	l1, recs1, err := segs.Open(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.UseWAL(l1, recs1); err != nil {
+	if err := srv.Recover(segs, 1); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())

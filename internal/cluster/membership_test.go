@@ -279,7 +279,7 @@ func TestShardJoinsWhileRoundIsSealing(t *testing.T) {
 	if resp.JoinRound != 2 {
 		t.Fatalf("registering mid-seal joined round %d, want 2", resp.JoinRound)
 	}
-	if err := joiner.BeginAtRound(resp.JoinRound); err != nil {
+	if err := joiner.Recover(nil, resp.JoinRound); err != nil {
 		t.Fatal(err)
 	}
 

@@ -6,7 +6,6 @@ import (
 	"felip/internal/archive"
 	"felip/internal/core"
 	"felip/internal/reportlog"
-	"felip/internal/serve"
 	"felip/internal/wire"
 )
 
@@ -18,8 +17,8 @@ func (s *Server) PlanFingerprint() uint32 { return s.plan.Fingerprint() }
 // UseArchive attaches a snapshot store: every finalized round is archived
 // durably (temp file + fsync + rename) and served historically through the
 // query plane's round targeting. segments, when non-nil, names the server's
-// WAL segment chain; fully archived segments are truncated — strictly after
-// the covering snapshot is fsynced — so the log stops growing without bound.
+// WAL segment chain (Recover names it too); a segment is deleted once the
+// archive holds its own round, so the log stops growing without bound.
 func (s *Server) UseArchive(store *archive.Store, segments *reportlog.Segments) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -32,112 +31,11 @@ func (s *Server) UseArchive(store *archive.Store, segments *reportlog.Segments) 
 	return nil
 }
 
-// MarkDurable declares that every collection round must run against a WAL
-// segment (opened via the SetWALFactory opener). UseWAL implies it; a server
-// recovered purely from a snapshot — whose own segments were truncated — has
-// no log to attach for the restored round but must still open one for the
-// next.
-func (s *Server) MarkDurable() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.durable = true
-}
-
-// RestoreArchivedRound restores the newest archived round into the serving
-// plane of a fresh server: the round's engine is rebuilt from the snapshot
-// (bit-identical answers — see serve.FromSnapshot), warmed, and swapped in;
-// the server's round cursor moves to the archived round, finalized. WAL
-// segments the snapshot covers are re-truncated — a crash between a snapshot
-// and its truncation leaves stale segments that must not be replayed over the
-// snapshot. Returns the restored round, or 0 when the archive is empty.
-func (s *Server) RestoreArchivedRound() (int, error) {
-	s.mu.Lock()
-	store := s.store
-	s.mu.Unlock()
-	if store == nil {
-		return 0, fmt.Errorf("httpapi: no archive attached (UseArchive first)")
-	}
-	latest := store.LatestRound()
-	if latest == 0 {
-		return 0, nil
-	}
-	snap, err := store.Load(latest)
-	if err != nil {
-		return 0, err
-	}
-	agg, err := core.Restore(snap.Aggregate)
-	if err != nil {
-		return 0, err
-	}
-	eng, err := serve.NewEngine(agg)
-	if err != nil {
-		return 0, err
-	}
-	if err := eng.Warmup(); err != nil {
-		return 0, err
-	}
-
-	s.mu.Lock()
-	if s.col.N() > 0 || s.agg != nil || s.wal != nil || s.round != 1 {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("httpapi: cannot restore an archived round into a server already in use")
-	}
-	s.round = latest
-	s.agg = agg
-	s.finalN = snap.Reports
-	s.restored = true
-	segments := s.segments
-	s.mu.Unlock()
-	s.qp.Serve(eng, latest)
-
-	if segments != nil {
-		if removed, err := segments.TruncateThrough(latest); err != nil {
-			s.logf("httpapi: truncating segments covered by round %d snapshot: %v", latest, err)
-		} else if len(removed) > 0 {
-			s.logf("httpapi: removed stale wal segments %v already covered by the round %d snapshot", removed, latest)
-		}
-	}
-	return latest, nil
-}
-
-// ArchiveNow archives the round the server is currently serving, if an
-// archive is attached and the round is not a restored one (those are already
-// on disk). It is the backfill for rounds finalized before the archive
-// existed or recovered by WAL replay: the snapshot is written from the
-// serving engine's aggregator, with the exact pre-estimation counts included
-// when the finalized collector is still at hand.
-func (s *Server) ArchiveNow() error {
-	s.mu.Lock()
-	store := s.store
-	if store == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("httpapi: no archive attached (UseArchive first)")
-	}
-	var col *core.Collector
-	if s.agg != nil && !s.restored {
-		col = s.col
-	}
-	s.mu.Unlock()
-
-	st := s.qp.serving.Load()
-	if st == nil {
-		return nil // nothing finalized yet
-	}
-	for _, r := range store.Rounds() {
-		if r == st.round {
-			return nil // already archived
-		}
-	}
-	s.archiveRound(col, st.eng.Aggregator(), st.round)
-	return nil
-}
-
-// archiveRound persists one finalized round and then — only once the
-// snapshot is durable — truncates the WAL segments it covers. Runs outside
-// s.mu (disk I/O must not block ingest or status); failures are logged, not
-// returned: the WAL still covers an unarchived round, so finalize must not
-// fail because the archive did. col, when non-nil, contributes the round's
-// exact pre-estimation integer counts.
+// archiveRound persists one finalized round. Failures are logged, not
+// returned: the round's WAL segment still holds it, and reclaimSegments
+// keeps a segment whose round the archive lacks, so finalize must not fail
+// because the archive did. col, when non-nil, contributes the round's exact
+// pre-estimation integer counts.
 func (s *Server) archiveRound(col *core.Collector, agg *core.Aggregator, round int) {
 	snap := archive.RoundSnapshot{
 		Round:           round,
@@ -153,15 +51,6 @@ func (s *Server) archiveRound(col *core.Collector, agg *core.Aggregator, round i
 		}
 	}
 	if err := s.store.WriteRound(snap); err != nil {
-		// Do not truncate: the WAL is the round's only durable copy now.
 		s.logf("httpapi: archiving round %d: %v", round, err)
-		return
-	}
-	if s.segments != nil {
-		if removed, err := s.segments.TruncateThrough(round); err != nil {
-			s.logf("httpapi: truncating wal segments through round %d: %v", round, err)
-		} else if len(removed) > 0 {
-			s.logf("httpapi: archived round %d and truncated wal segments %v", round, removed)
-		}
 	}
 }

@@ -69,9 +69,9 @@ func postJSON(t *testing.T, url string, in, out any) {
 	}
 }
 
-// archiveHarness wires one server the way cmd/felipserver does with
-// -wal + -archive: a WAL segment chain, a snapshot store stamped with the
-// server's plan fingerprint, and the per-round segment opener.
+// archiveHarness boots one server the way cmd/felipserver does with
+// -wal + -archive: a snapshot store stamped with the server's plan
+// fingerprint, then Recover over the WAL segment chain.
 type archiveHarness struct {
 	srv   *Server
 	store *archive.Store
@@ -97,10 +97,9 @@ func newArchiveHarness(t *testing.T, dir string, n int) *archiveHarness {
 	if err := srv.UseArchive(store, segs); err != nil {
 		t.Fatal(err)
 	}
-	srv.SetWALFactory(func(round int) (*reportlog.Log, error) {
-		l, _, err := segs.Open(round)
-		return l, err
-	})
+	if err := srv.Recover(segs, 1); err != nil {
+		t.Fatal(err)
+	}
 	return &archiveHarness{srv: srv, store: store, segs: segs}
 }
 
@@ -116,13 +115,6 @@ func TestArchiveRestartSnapshotPlusTail(t *testing.T) {
 	wheres := []string{"num0=8..23", "num0=0..15; cat0=0,1", "num1=4..27; cat1=1,2"}
 
 	h := newArchiveHarness(t, dir, n)
-	l1, recs, err := h.segs.Open(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.srv.UseWAL(l1, recs); err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(h.srv.Handler())
 	cl := Dial(ts.URL, ts.Client())
 	schema := dataset.MixedSchema(2, 32, 2, 4)
@@ -182,30 +174,12 @@ func TestArchiveRestartSnapshotPlusTail(t *testing.T) {
 
 	// Restart: snapshot first, then only the tail segments.
 	h2 := newArchiveHarness(t, dir, n)
-	restored, err := h2.srv.RestoreArchivedRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != 1 {
-		t.Fatalf("restored round %d, want 1", restored)
-	}
-	h2.srv.MarkDurable()
 	tail, err := h2.segs.Existing()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tail) != 1 || tail[0] != 2 {
 		t.Fatalf("tail segments = %v, want [2]", tail)
-	}
-	l2, recs2, err := h2.segs.Open(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if round, err := h2.srv.ResumeNextRound(l2, recs2); err != nil || round != 2 {
-		t.Fatalf("resume: %d, %v", round, err)
-	}
-	if err := h2.srv.WarmupServing(); err != nil {
-		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(h2.srv.Handler())
 	defer ts2.Close()
@@ -383,23 +357,16 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 
 	// Recovery A: pure WAL replay of the stale segment (what a server without
 	// the archive would do).
+	if recsR, err := reportlog.VerifySegment(mustRead(t, segs.Path(1))); err != nil || len(recsR) <= n {
+		// n report records plus the round's finalize marker.
+		t.Fatalf("stale segment holds %d records (err %v), want > %d", len(recsR), err, n)
+	}
 	replaySrv, err := NewServer(schema, n, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replaySrv.SetLogger(t.Logf)
-	lr, recsR, err := segs.Open(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recsR) <= n {
-		// n report records plus the round's finalize marker.
-		t.Fatalf("stale segment holds %d records, want > %d", len(recsR), n)
-	}
-	if err := replaySrv.UseWAL(lr, recsR); err != nil {
-		t.Fatal(err)
-	}
-	if err := replaySrv.WarmupServing(); err != nil {
+	if err := replaySrv.Recover(segs, 1); err != nil {
 		t.Fatal(err)
 	}
 	tsR := httptest.NewServer(replaySrv.Handler())
@@ -419,17 +386,9 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	// Recovery B: snapshot-first. The stale segment must be dropped, not
 	// replayed over the restored round, and the answers must match exactly.
 	h := newArchiveHarness(t, dir, n)
-	restored, err := h.srv.RestoreArchivedRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != 1 {
-		t.Fatalf("restored round %d, want 1", restored)
-	}
 	if _, err := os.Stat(h.segs.Path(1)); !os.IsNotExist(err) {
 		t.Fatal("stale segment survived the snapshot-first recovery")
 	}
-	h.srv.MarkDurable()
 	ts2 := httptest.NewServer(h.srv.Handler())
 	defer ts2.Close()
 	defer h.srv.Close()

@@ -35,8 +35,8 @@ func newDurableShardHarness(t *testing.T, dir string, n int, opts core.Options) 
 	return h
 }
 
-// start boots (or reboots) the server, replaying every existing segment in
-// order — the felipserver startup sequence.
+// start boots (or reboots) the server from its segment chain through
+// Recover, the restart path felipserver takes.
 func (h *durableShardHarness) start(n int, opts core.Options) {
 	t := h.t
 	t.Helper()
@@ -47,40 +47,7 @@ func (h *durableShardHarness) start(n int, opts core.Options) {
 	}
 	srv.SetLogger(t.Logf)
 	srv.SetShardID("shard0")
-	srv.SetSegments(h.segs)
-	srv.SetWALFactory(func(round int) (*reportlog.Log, error) {
-		l, recs, err := h.segs.Open(round)
-		if err != nil {
-			return nil, err
-		}
-		if len(recs) > 0 {
-			l.Close()
-			return nil, fmt.Errorf("segment %s not empty", h.segs.Path(round))
-		}
-		return l, nil
-	})
-	rounds, err := h.segs.Existing()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rounds) == 0 {
-		rounds = []int{1}
-	}
-	for i, round := range rounds {
-		l, recs, err := h.segs.Open(round)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			err = srv.UseWAL(l, recs)
-		} else {
-			_, err = srv.ResumeNextRound(l, recs)
-		}
-		if err != nil {
-			t.Fatalf("replaying segment for round %d: %v", round, err)
-		}
-	}
-	if err := srv.WarmupServing(); err != nil {
+	if err := srv.Recover(h.segs, 1); err != nil {
 		t.Fatal(err)
 	}
 	h.srv = srv

@@ -496,15 +496,7 @@ func TestLongitudinalTrendOverRounds(t *testing.T) {
 	if err := srv.UseArchive(store, segs); err != nil {
 		t.Fatal(err)
 	}
-	srv.SetWALFactory(func(round int) (*reportlog.Log, error) {
-		l, _, err := segs.Open(round)
-		return l, err
-	})
-	l1, recs, err := segs.Open(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.UseWAL(l1, recs); err != nil {
+	if err := srv.Recover(segs, 1); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())

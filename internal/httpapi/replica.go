@@ -7,7 +7,6 @@ import (
 	"os"
 	"strconv"
 
-	"felip/internal/reportlog"
 	"felip/internal/wire"
 )
 
@@ -18,39 +17,19 @@ import (
 // (internal/cluster) and the follower — but every HTTP verb is defined here
 // so the wire contract has one home.
 
-// SetSegments names the server's WAL segment chain so the replication
-// endpoint can serve sealed (earlier-round) segments from disk. UseArchive
-// sets it implicitly; durable servers without an archive call this directly.
-func (s *Server) SetSegments(segs *reportlog.Segments) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.segments = segs
-}
-
-// BeginAtRound fast-forwards a *fresh* server — no reports accepted, nothing
-// finalized, round 1 — to the given collection round. This is how a shard
-// that registers mid-deployment joins the cluster's current round (the
-// registration response names it) and how a follower taking over an empty
-// shard opens the right round: jumping a server with state would detach that
-// state from its round, so anything but a pristine server is refused.
-func (s *Server) BeginAtRound(round int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if round < 1 {
-		return fmt.Errorf("httpapi: round %d out of range (rounds are 1-based)", round)
-	}
-	if s.round != 1 || s.col.N() > 0 || s.agg != nil || s.shardState != nil || s.dedup.len() > 0 {
-		return fmt.Errorf("httpapi: cannot begin at round %d: round %d already has state", round, s.round)
-	}
-	s.round = round
-	return nil
-}
-
 // Round reports the collection round the server is in (1-based).
 func (s *Server) Round() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.round
+}
+
+// WALReplayed reports how many report records the server replayed from its
+// write-ahead log since startup (finalize markers are not reports).
+func (s *Server) WALReplayed() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.walReplayed
 }
 
 // WALPos reports the current round's write-ahead-log end offset (0 when the
@@ -104,7 +83,7 @@ func (s *Server) handleReplicaWAL(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, wire.NewSegmentChunk(id, round, from, data, pos, false, cur))
 	default:
 		if segs == nil {
-			s.writeError(w, http.StatusConflict, fmt.Errorf("replica wal: no segment chain attached (SetSegments)"))
+			s.writeError(w, http.StatusConflict, fmt.Errorf("replica wal: no segment chain attached (Recover)"))
 			return
 		}
 		raw, err := os.ReadFile(segs.Path(round))

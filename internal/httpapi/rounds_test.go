@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"net/http/httptest"
 	"path/filepath"
@@ -308,38 +307,25 @@ func TestQueryServingDuringNextRoundHammer(t *testing.T) {
 // and collecting the open one.
 func TestDurableMultiRoundRestart(t *testing.T) {
 	const n = 600
-	dir := t.TempDir()
-	segPath := func(round int) string {
-		return filepath.Join(dir, fmt.Sprintf("round.r%d.wal", round))
-	}
+	segs := reportlog.NewSegments(filepath.Join(t.TempDir(), "round.wal"))
 	schema := dataset.MixedSchema(2, 32, 2, 4)
 	opts := core.Options{Strategy: core.OHG, Epsilon: 2, Seed: 11}
 
+	// newServer boots a server from the segment chain, as felipserver does.
 	newServer := func() *Server {
 		srv, err := NewServer(schema, n, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv.SetLogger(t.Logf)
-		srv.SetWALFactory(func(round int) (*reportlog.Log, error) {
-			l, _, err := reportlog.Open(segPath(round))
-			return l, err
-		})
+		if err := srv.Recover(segs, 1); err != nil {
+			t.Fatal(err)
+		}
 		return srv
 	}
 
 	// Round 1: collect, finalize, open round 2, collect half of it.
 	srv := newServer()
-	l1, recs, err := reportlog.Open(segPath(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("fresh segment has %d records", len(recs))
-	}
-	if err := srv.UseWAL(l1, recs); err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(srv.Handler())
 	cl := Dial(ts.URL, ts.Client())
 	ds := dataset.NewNormal().Generate(schema, n, 41)
@@ -378,27 +364,6 @@ func TestDurableMultiRoundRestart(t *testing.T) {
 
 	// "Restart": replay segment 1 then segment 2.
 	srv2 := newServer()
-	l1b, recs1, err := reportlog.Open(segPath(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv2.UseWAL(l1b, recs1); err != nil {
-		t.Fatal(err)
-	}
-	l2b, recs2, err := reportlog.Open(segPath(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	round, err := srv2.ResumeNextRound(l2b, recs2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if round != 2 {
-		t.Fatalf("resumed round = %d, want 2", round)
-	}
-	if err := srv2.WarmupServing(); err != nil {
-		t.Fatal(err)
-	}
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	defer srv2.Close()

@@ -26,9 +26,19 @@
 // submission under a key is counted and answered 204; an identical
 // resubmission — a device retrying because its acknowledgment was lost — is
 // answered 200 without being counted again; a key reused for a different
-// payload is refused with 409. With a write-ahead log attached (UseWAL),
-// every counted report is in the log before it is acknowledged, so a crashed
-// server replays the log and resumes the round with nothing double-counted.
+// payload is refused with 409. On a durable server every counted report is
+// in the write-ahead log before it is acknowledged, so a crashed server
+// replays the log and resumes the round with nothing double-counted.
+//
+// A durable server runs one WAL segment per round (reportlog.Segments) and
+// comes up through Server.Recover, the one restart path: it restores the
+// newest archived round if an archive is attached (UseArchive), replays the
+// segments after it, refuses a gap in that chain, archives every round the
+// replay re-finalizes, and warms the served engine. A segment is deleted
+// only once the archive holds its own round, at a round's close and in
+// Recover alike, so a round whose snapshot failed keeps its segment. UseWAL
+// attaches and replays a single log file.
+//
 // The two ingest paths promise different durability: a batch frame
 // (POST /v1/reports) is fsynced before its 200, so its acknowledged reports
 // survive a machine crash; a single report (POST /v1/report) is acknowledged
@@ -134,17 +144,18 @@ type Server struct {
 	// that separates HR from OUE/OLH.
 	wireBytes map[string]int64
 	// durable marks a server whose rounds must run against WAL segments.
-	// UseWAL sets it; MarkDurable sets it for a server recovered purely from
-	// an archive snapshot (its own segments were truncated, so there is no
-	// log to attach, but the next round must still open one).
+	// UseWAL and Recover set it; a server Recover restored from an archive
+	// snapshot with no segment after it has no log to attach, but its next
+	// round must still open one.
 	durable bool
 	// restored marks a server whose serving plane came from an archive
 	// snapshot rather than live collection: the round is finalized but the
 	// collector is empty and no WAL segment backs it.
 	restored bool
 	// store archives finalized rounds; nil = archiving disabled. segments
-	// names the WAL segment chain so fully archived segments can be
-	// truncated — only ever after the covering snapshot is fsynced.
+	// names the WAL segment chain: a segment is deleted only once the store
+	// holds its own round (reclaimSegments), and followers read sealed
+	// segments from it.
 	store    *archive.Store
 	segments *reportlog.Segments
 
@@ -294,8 +305,8 @@ func (s *Server) replayLocked(records []reportlog.Record) error {
 
 // finalizeReplayLocked re-closes the current round during startup replay —
 // no query traffic exists yet, so estimating under the lock is fine — and
-// swaps the round's engine in. Matrices are left cold; call WarmupServing
-// once replay is done. Caller holds s.mu.
+// swaps the round's engine in. Matrices are left cold; Recover warms the
+// served engine once replay is done. Caller holds s.mu.
 func (s *Server) finalizeReplayLocked() error {
 	agg, err := s.col.Finalize()
 	if err != nil {
@@ -390,41 +401,6 @@ func (s *Server) AdvanceRound(target int) (int, error) {
 	return s.round, nil
 }
 
-// ResumeNextRound replays a later round's WAL segment at startup: it opens
-// round k+1, re-counts the segment's records, and attaches the segment's log.
-// A segment is only ever created after its predecessor's finalize record, so
-// the previous round must be finalized.
-func (s *Server) ResumeNextRound(l *reportlog.Log, records []reportlog.Record) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, fmt.Errorf("httpapi: server shutting down")
-	}
-	if s.wal == nil && !s.restored {
-		return 0, fmt.Errorf("httpapi: no write-ahead log attached (UseWAL first)")
-	}
-	if s.agg == nil && !s.sealedEmpty {
-		return 0, fmt.Errorf("httpapi: round %d segment present but round %d never finalized", s.round+1, s.round)
-	}
-	if err := s.openRoundLocked(); err != nil {
-		return 0, err
-	}
-	if err := s.replayLocked(records); err != nil {
-		return 0, err
-	}
-	s.col.ResumeAssignment(s.col.N())
-	old := s.wal
-	s.wal = l
-	s.durable = true
-	s.restored = false
-	if old != nil {
-		if err := old.Close(); err != nil {
-			s.logf("httpapi: closing round %d log: %v", s.round-1, err)
-		}
-	}
-	return s.round, nil
-}
-
 // SetWALFactory registers the opener NextRound uses to create round k's WAL
 // segment on a durable server.
 func (s *Server) SetWALFactory(f func(round int) (*reportlog.Log, error)) {
@@ -432,10 +408,6 @@ func (s *Server) SetWALFactory(f func(round int) (*reportlog.Log, error)) {
 	defer s.mu.Unlock()
 	s.walFactory = f
 }
-
-// WarmupServing prepays every response-matrix fit of the engine currently
-// serving (after a cold startup replay). No-op when nothing is served yet.
-func (s *Server) WarmupServing() error { return s.qp.Warmup() }
 
 // Close flushes and closes the write-ahead log, if one is attached. The
 // server rejects reports afterwards (durability can no longer be honored).
@@ -652,9 +624,10 @@ func (s *Server) finalize() (int, error) {
 	// Archive outside the lock: snapshot fsync is disk I/O and must not block
 	// status or the next round's ingest. Ordering is what matters — the WAL
 	// finalize record is already synced, so a crash anywhere in here replays;
-	// and archiveRound truncates segments only after its snapshot is durable.
+	// and a segment is deleted only once the archive holds its round.
 	if store != nil {
 		s.archiveRound(col, agg, round)
+		s.reclaimSegments()
 	}
 	return n, nil
 }

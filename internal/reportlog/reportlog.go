@@ -110,34 +110,13 @@ func OpenFile(f File) (*Log, []Record, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, nil, fmt.Errorf("reportlog: %w", err)
 	}
-	var (
-		recs   []Record
-		pos    int64 // end of the last intact record
-		header [headerLen]byte
-	)
-	for {
-		if _, err := io.ReadFull(f, header[:]); err != nil {
-			break // clean EOF or torn header — either way the tail ends here
-		}
-		length := binary.BigEndian.Uint32(header[0:4])
-		sum := binary.BigEndian.Uint32(header[4:8])
-		if length == 0 || length > maxPayload {
-			break
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			break
-		}
-		recs = append(recs, rec)
-		pos += headerLen + int64(length)
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("reportlog: %w", err)
 	}
+	// A defect ends the log: a torn tail is a record that was never
+	// acknowledged, and nothing after a corrupt frame can be trusted.
+	recs, pos, _ := scan(data)
 	if err := f.Truncate(pos); err != nil {
 		return nil, nil, fmt.Errorf("reportlog: truncating torn tail: %w", err)
 	}
@@ -145,6 +124,39 @@ func OpenFile(f File) (*Log, []Record, error) {
 		return nil, nil, fmt.Errorf("reportlog: %w", err)
 	}
 	return &Log{f: f, pos: pos}, recs, nil
+}
+
+// scan parses data as a sequence of frames. It returns the records of every
+// intact frame before the first defect, the end offset of the last of them,
+// and the defect itself: nil exactly when data ends on a frame boundary.
+// Open forgives the defect and truncates at end; VerifySegment refuses it.
+func scan(data []byte) (recs []Record, end int64, defect error) {
+	for {
+		rest := data[end:]
+		if len(rest) == 0 {
+			return recs, end, nil
+		}
+		if len(rest) < headerLen {
+			return recs, end, fmt.Errorf("reportlog: segment torn mid-header at offset %d", end)
+		}
+		length := binary.BigEndian.Uint32(rest[0:4])
+		if length == 0 || length > maxPayload {
+			return recs, end, fmt.Errorf("reportlog: segment frame at offset %d claims %d payload bytes", end, length)
+		}
+		if len(rest)-headerLen < int(length) {
+			return recs, end, fmt.Errorf("reportlog: segment torn mid-payload at offset %d", end)
+		}
+		payload := rest[headerLen : headerLen+int(length)]
+		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(rest[4:8]) {
+			return recs, end, fmt.Errorf("reportlog: segment frame at offset %d fails its checksum", end)
+		}
+		var rec Record
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return recs, end, fmt.Errorf("reportlog: segment frame at offset %d: %w", end, err)
+		}
+		recs = append(recs, rec)
+		end += headerLen + int64(length)
+	}
 }
 
 // Append encodes and writes one record. The record is handed to the OS in a

@@ -10,10 +10,9 @@ import (
 )
 
 // Segments names the per-round write-ahead log segment chain of one server:
-// round 1 lives in the base file, round k in <base>.r<k>. The naming scheme
-// predates this type (cmd/felipserver invented it); Segments centralizes it
-// so the server, the archive recovery path, and the truncation policy all
-// agree on which file holds which round.
+// round 1 lives in the base file, round k in <base>.r<k>. Segments
+// centralizes the naming so the server's recovery, its deletion rule and
+// the follower's shipping all agree on which file holds which round.
 type Segments struct {
 	base string
 }
@@ -41,8 +40,9 @@ func (s *Segments) Open(round int) (*Log, []Record, error) {
 }
 
 // Existing returns the rounds whose segment files are present on disk, in
-// ascending order. Gaps are legal: once a snapshot covers rounds 1..k their
-// segments are truncated, leaving only the tail.
+// ascending order. Gaps are legal here: once the archive holds rounds 1..k
+// their segments are deleted, leaving only the tail. Whether a gap is legal
+// in a chain being replayed is the server's call.
 func (s *Segments) Existing() ([]int, error) {
 	dir, name := filepath.Split(s.base)
 	if dir == "" {
@@ -72,27 +72,22 @@ func (s *Segments) Existing() ([]int, error) {
 	return rounds, nil
 }
 
-// TruncateThrough deletes every segment file for rounds <= round and returns
-// the rounds it removed. This is the WAL reclamation step of the archive
-// design, and its safety rests entirely on the caller honoring one ordering
-// invariant: a segment may only be truncated after a snapshot covering its
-// round has been fsynced to stable storage ("snapshot fsync happens-before
-// WAL truncate"). A crash between the snapshot and the truncate merely leaves
-// stale segments behind; recovery prefers the snapshot and re-runs the
-// truncation. The containing directory is synced so the removals themselves
-// are durable.
-func (s *Segments) TruncateThrough(round int) ([]int, error) {
+// RemoveIf deletes every segment file whose round drop selects and returns
+// the rounds it removed. The caller owns the safety rule; the server's is
+// that a segment goes only once the archive durably holds its own round. The
+// containing directory is synced so the removals themselves are durable.
+func (s *Segments) RemoveIf(drop func(round int) bool) ([]int, error) {
 	existing, err := s.Existing()
 	if err != nil {
 		return nil, err
 	}
 	var removed []int
 	for _, k := range existing {
-		if k > round {
+		if !drop(k) {
 			continue
 		}
 		if err := os.Remove(s.Path(k)); err != nil {
-			return removed, fmt.Errorf("reportlog: truncating segment %d: %w", k, err)
+			return removed, fmt.Errorf("reportlog: removing segment %d: %w", k, err)
 		}
 		removed = append(removed, k)
 	}

@@ -55,7 +55,7 @@ func TestSegmentsExistingAndTruncate(t *testing.T) {
 		t.Fatalf("existing = %v, want [1 2 3 5]", got)
 	}
 
-	removed, err := s.TruncateThrough(3)
+	removed, err := s.RemoveIf(func(round int) bool { return round <= 3 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +69,8 @@ func TestSegmentsExistingAndTruncate(t *testing.T) {
 	if len(got) != 1 || got[0] != 5 {
 		t.Fatalf("existing after truncate = %v, want [5]", got)
 	}
-	// Idempotent: re-running the same truncation removes nothing.
-	removed, err = s.TruncateThrough(3)
+	// Idempotent: re-running the same removal removes nothing.
+	removed, err = s.RemoveIf(func(round int) bool { return round <= 3 })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,7 @@
 package reportlog
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
@@ -58,33 +54,9 @@ func (l *Log) ReadFrom(off int64) ([]byte, int64, error) {
 // corruption and the segment must not be replayed. This is the "shipped
 // -segment CRC chain verifies" half of the promotion invariant.
 func VerifySegment(data []byte) ([]Record, error) {
-	var recs []Record
-	rd := bytes.NewReader(data)
-	var header [headerLen]byte
-	for off := int64(0); ; {
-		if _, err := io.ReadFull(rd, header[:]); err != nil {
-			if err == io.EOF {
-				return recs, nil // clean frame boundary
-			}
-			return nil, fmt.Errorf("reportlog: segment torn mid-header at offset %d", off)
-		}
-		length := binary.BigEndian.Uint32(header[0:4])
-		sum := binary.BigEndian.Uint32(header[4:8])
-		if length == 0 || length > maxPayload {
-			return nil, fmt.Errorf("reportlog: segment frame at offset %d claims %d payload bytes", off, length)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(rd, payload); err != nil {
-			return nil, fmt.Errorf("reportlog: segment torn mid-payload at offset %d", off)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("reportlog: segment frame at offset %d fails its checksum", off)
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return nil, fmt.Errorf("reportlog: segment frame at offset %d: %w", off, err)
-		}
-		recs = append(recs, rec)
-		off += headerLen + int64(length)
+	recs, _, err := scan(data)
+	if err != nil {
+		return nil, err
 	}
+	return recs, nil
 }

@@ -53,7 +53,7 @@ func (m RegisterMessage) Validate() error {
 // RegisterResponse acknowledges a registration: the membership epoch the
 // node joined at, and — for primaries — the first collection round the
 // shard's reports will count toward. A fresh shard opens that round locally
-// (httpapi.Server.BeginAtRound) so it never disagrees with the cluster about
+// (httpapi.Server.Recover) so it never disagrees with the cluster about
 // which round is collecting.
 type RegisterResponse struct {
 	Epoch     int64 `json:"epoch"`
