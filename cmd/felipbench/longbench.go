@@ -37,22 +37,13 @@ const longMethodology = "The same device population reports across R rounds. The
 
 // runLongBench runs the longitudinal trajectory benchmark and writes the JSON
 // report.
-func runLongBench(outPath string, smoke bool) error {
+func runLongBench(outPath string) error {
 	cfg := experiment.LongitudinalConfig{
 		N:        20000,
 		Rounds:   10,
 		Attrs:    4,
 		Domain:   32,
 		Progress: func(line string) { fmt.Fprintln(os.Stderr, line) },
-	}
-	if smoke {
-		// Six rounds, not five: the largest default budget point (ε_perm=4,
-		// ε_1=1) crosses the fresh baseline exactly at round 5, and the gate
-		// asserts memoization strictly beats fresh spend by the last round.
-		cfg.N = 6000
-		cfg.Rounds = 6
-		cfg.Attrs = 3
-		cfg.Domain = 16
 	}
 	fmt.Fprintf(os.Stderr, "felipbench: longitudinal n=%d rounds=%d attrs=%d domain=%d\n",
 		cfg.N, cfg.Rounds, cfg.Attrs, cfg.Domain)

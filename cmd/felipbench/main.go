@@ -12,12 +12,11 @@
 //	felipbench -fig 7 -paper         # Figure 7 at the paper's n=10⁶
 //	felipbench -fig all -n 50000     # everything, custom population
 //	felipbench -list                  # list available figures
-//	felipbench -cluster               # shard-scaling ingest benchmark → BENCH_PR4.json
 //	felipbench -restart               # cold-restart recovery benchmark → BENCH_PR5.json
 //	felipbench -modes                 # FELIP/SPL/RS+FD mode shootout → BENCH_PR8.json
 //	felipbench -longitudinal          # memoized two-stage vs fresh-ε rounds → BENCH_PR9.json
 //	felipbench -megadomain            # mega-domain oracle shootout (MSE × wire bytes) → BENCH_PR10.json
-//	felipbench -cluster -restart -smoke # both benchmarks at CI-smoke sizes
+//	felipbench -restart -smoke        # the restart benchmark at CI-smoke sizes
 //
 // Ingest, query and round-close costs are measured end to end by the
 // pipeline benchmark in bench/ (bash bench/run.sh).
@@ -45,9 +44,7 @@ func main() {
 		only    = flag.String("datasets", "", "comma-separated dataset subset (uniform,normal,ipums-sim,loan-sim)")
 		lambdas = flag.String("lambdas", "", "comma-separated query dimensions for the mixed figures (default 2,4)")
 		csvPath = flag.String("csv", "", "also write machine-readable results to this CSV file")
-		reps    = flag.Int("reps", 3, "timed repetitions per -cluster/-restart case (best is reported)")
-		cbench  = flag.Bool("cluster", false, "benchmark sharded ingest scaling (1/2/4 shards) and exit")
-		cout    = flag.String("cout", "BENCH_PR4.json", "output path for the -cluster JSON report")
+		reps    = flag.Int("reps", 3, "timed repetitions per -restart case (best is reported)")
 		rbench  = flag.Bool("restart", false, "benchmark cold-restart recovery (WAL replay vs archive snapshot) and exit")
 		rout    = flag.String("rout", "BENCH_PR5.json", "output path for the -restart JSON report")
 		mbench  = flag.Bool("modes", false, "run the FELIP/SPL/RS+FD reporting-mode shootout and exit")
@@ -56,7 +53,7 @@ func main() {
 		lout    = flag.String("lout", "BENCH_PR9.json", "output path for the -longitudinal JSON report")
 		dbench  = flag.Bool("megadomain", false, "run the mega-domain frequency-oracle shootout and exit")
 		dout    = flag.String("dout", "BENCH_PR10.json", "output path for the -megadomain JSON report")
-		smoke   = flag.Bool("smoke", false, "shrink the -cluster/-restart/-modes/-longitudinal/-megadomain benchmarks to CI-smoke sizes")
+		smoke   = flag.Bool("smoke", false, "shrink the -restart benchmark to CI-smoke size")
 	)
 	flag.Parse()
 
@@ -65,11 +62,10 @@ func main() {
 		on  bool
 		run func() error
 	}{
-		{*cbench, func() error { return runClusterBench(*cout, *reps, *smoke) }},
 		{*rbench, func() error { return runRestartBench(*rout, *reps, *smoke) }},
-		{*mbench, func() error { return runModesBench(*mout, *smoke) }},
-		{*lbench, func() error { return runLongBench(*lout, *smoke) }},
-		{*dbench, func() error { return runMegaDomainBench(*dout, *smoke) }},
+		{*mbench, func() error { return runModesBench(*mout) }},
+		{*lbench, func() error { return runLongBench(*lout) }},
+		{*dbench, func() error { return runMegaDomainBench(*dout) }},
 	}
 	ran := false
 	for _, m := range modes {

@@ -39,15 +39,12 @@ const megaDomainMethodology = "Every cell draws the same Zipf(s) sample over a s
 	"ratio of OLH's, never below the threshold."
 
 // runMegaDomainBench sweeps the mega-domain shootout and writes BENCH_PR10.json.
-func runMegaDomainBench(outPath string, smoke bool) error {
+func runMegaDomainBench(outPath string) error {
 	cfg := experiment.MegaDomainConfig{
 		N:        20000,
 		Domains:  []int{1 << 10, 1 << 14, 1 << 17},
 		Epsilons: []float64{0.5, 1.0},
 		Progress: func(line string) { fmt.Fprintln(os.Stderr, line) },
-	}
-	if smoke {
-		cfg.N = 3000
 	}
 	fmt.Fprintf(os.Stderr, "felipbench: mega-domain shootout n=%d domains=%v eps=%v\n",
 		cfg.N, cfg.Domains, cfg.Epsilons)

@@ -38,19 +38,13 @@ const modesMethodology = "Every cell runs the full incremental pipeline on the s
 	"flip between small and large domains."
 
 // runModesBench sweeps the three-way mode shootout and writes the JSON report.
-func runModesBench(outPath string, smoke bool) error {
+func runModesBench(outPath string) error {
 	cfg := experiment.ModeShootoutConfig{
 		N:        50000,
 		Epsilons: []float64{0.5, 1.0, 2.0},
 		Dims:     []int{4, 8},
 		Domains:  []int{16, 32, 64},
 		Progress: func(line string) { fmt.Fprintln(os.Stderr, line) },
-	}
-	if smoke {
-		cfg.N = 8000
-		cfg.Epsilons = []float64{0.5, 2.0}
-		cfg.Dims = []int{3, 5}
-		cfg.Domains = []int{16, 32}
 	}
 	fmt.Fprintf(os.Stderr, "felipbench: mode shootout n=%d eps=%v dims=%v domains=%v\n",
 		cfg.N, cfg.Epsilons, cfg.Dims, cfg.Domains)

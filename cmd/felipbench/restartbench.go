@@ -87,12 +87,7 @@ func runRestartBench(outPath string, reps int, smoke bool) error {
 	}
 	schema := dataset.MixedSchema(2, 32, 2, 4)
 	ds := dataset.NewNormal().Generate(schema, n, 1201)
-	opts := core.Options{
-		Strategy:             core.OHG,
-		Epsilon:              1.2,
-		Seed:                 1203,
-		StreamingAggregation: true,
-	}
+	opts := core.Options{Strategy: core.OHG, Epsilon: 1.2, Seed: 1203}
 
 	dir, err := os.MkdirTemp("", "felip-restart-")
 	if err != nil {

@@ -46,7 +46,9 @@
 //	felipserver -role coordinator -addr :8377 -seed 7 \
 //	    -shards http://localhost:8471,http://localhost:8472,http://localhost:8473
 //
-// Devices report to the shard cluster.ShardFor(report_id, 3) names; analysts
+// Devices report through cluster.Client (cluster.NewClient with the shard
+// list, or cluster.DialCluster with the coordinator alone), which sends each
+// report to the shard cluster.RendezvousFor picks from its report_id; analysts
 // POST /v1/finalize to the coordinator — it pulls every shard's sealed
 // partial state, merges the exact integer counts, estimates once, and serves
 // /v1/query answers bit-identical to a single-node round over the same

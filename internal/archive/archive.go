@@ -80,12 +80,15 @@ type RoundSnapshot struct {
 }
 
 // PartialStates decodes the snapshot's per-grid integer counts, in group
-// order. Returns nil (no error) when the snapshot carries none.
-func (s RoundSnapshot) PartialStates() ([]fo.PartialState, error) {
+// order. Returns nil (no error) when the snapshot carries none. reportEps is
+// the budget each report was perturbed at (core.Collector.ReportEpsilon),
+// which the counts' aggregators ran at; the snapshot records only the
+// round's ε, and under SPL and RS+FD the two differ.
+func (s RoundSnapshot) PartialStates(reportEps float64) ([]fo.PartialState, error) {
 	if len(s.Partials) == 0 {
 		return nil, nil
 	}
-	return wire.ParseGridStates(s.Partials, s.Aggregate.Epsilon)
+	return wire.ParseGridStates(s.Partials, reportEps)
 }
 
 // Encode serializes the snapshot into its checksummed envelope:

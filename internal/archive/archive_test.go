@@ -193,7 +193,7 @@ func TestArchivedEngineBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				back, err := snap.PartialStates()
+				back, err := snap.PartialStates(snap.Aggregate.Epsilon)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -154,14 +154,23 @@ func TestClusterChaosShardCrashBitIdentical(t *testing.T) {
 
 	// Restart from the WAL at the same address. Devices whose acknowledgment
 	// the crash may have swallowed resubmit verbatim; the replayed dedup index
-	// must recognize every one and recount none.
+	// must recognize every one and recount none. The resubmissions are the
+	// crashed shard's own ids, picked by the router the client routes by.
 	ts2, _ := bootShard(shardAddr)
 	defer ts2.Close()
+	names := make([]string, k)
+	for i := range names {
+		names[i] = StaticShardName(i)
+	}
+	const resubmits = 25
 	resubmitted := 0
-	for row := 0; row < n/2 && resubmitted < 25; row++ {
+	for row := 0; row < n/2 && resubmitted < resubmits; row++ {
 		id, rep := deviceReport(t, specs, opts.Epsilon, ds, row, devSeed)
-		if ShardFor(id, k) != crashed {
+		if RendezvousFor(id, names) != crashed {
 			continue
+		}
+		if base, _ := ccl.route(id); base != bases[crashed] {
+			t.Fatalf("resubmit row %d routes to %s, not the restarted shard %s", row, base, bases[crashed])
 		}
 		resubmitted++
 		dup, err := ccl.ReportWithID(ctx, id, rep)
@@ -169,8 +178,8 @@ func TestClusterChaosShardCrashBitIdentical(t *testing.T) {
 			t.Fatalf("resubmit row %d across shard restart: dup=%v err=%v", row, dup, err)
 		}
 	}
-	if resubmitted == 0 {
-		t.Fatal("no rows landed on the crashed shard; test is vacuous")
+	if resubmitted != resubmits {
+		t.Fatalf("%d of the first %d rows landed on the crashed shard, want %d resubmissions", resubmitted, n/2, resubmits)
 	}
 
 	// Second half of the round, then the cluster finalize (which rides out the

@@ -16,9 +16,9 @@
 //
 // Topology:
 //
-//	device ──report──▶ shard_i (i = ShardFor(report_id))   ingest plane
-//	coordinator ──pull──▶ shard_i /v1/shard/state           round finalize
-//	analyst ──query──▶ coordinator /v1/query                serving plane
+//	device ──report──▶ shard RendezvousFor(report_id, names)   ingest plane
+//	coordinator ──pull──▶ shard /v1/shard/state                round finalize
+//	analyst ──query──▶ coordinator /v1/query                   serving plane
 //
 // Every cross-process step is idempotent — reports carry idempotency keys,
 // the state pull re-serves identical bytes, round transitions name their
@@ -36,10 +36,11 @@ import "hash/fnv"
 // coverage would collapse).
 const shardSalt = "felip-shard\x00"
 
-// mix64 is a splitmix64-style finalizer. FNV-1a mod 2^k is a function of the
-// byte stream's low bits alone (xor and multiply never propagate downward),
-// so the salt by itself does NOT decorrelate a modulo from DeriveGroup's —
-// the finalizer spreads every input bit across the low bits first.
+// mix64 is a splitmix64-style finalizer. FNV-1a's xor and multiply never
+// propagate downward, so a raw FNV-1a score's low bits are a function of the
+// byte stream's low bits alone and the salt by itself does not decorrelate
+// it from DeriveGroup's hash; the finalizer spreads every input bit across
+// the whole word first.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -49,26 +50,12 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// ShardFor assigns a report to one of n shards by hashing its report ID —
-// stateless and idempotent, like httpapi.DeriveGroup: a device retrying the
-// same report always lands on the same shard, so the shard's idempotency
-// index can do its job.
-//
-// ShardFor is the fixed-fleet scheme (hash mod n): correct while the shard
-// list never changes, but adding shard n+1 reshuffles nearly every key.
-// Elastic deployments route with RendezvousFor over the live membership
-// instead.
-func ShardFor(reportID string, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(shardSalt))
-	h.Write([]byte(reportID))
-	return int(mix64(h.Sum64()) % uint64(n))
-}
-
 // RendezvousFor assigns a report to one of the named logical shards by
 // highest-random-weight (rendezvous) hashing: each (shard name, key) pair is
-// hashed independently and the highest score owns the key. Two properties
-// make this the elastic cluster's router:
+// hashed independently and the highest score owns the key. It is stateless
+// and idempotent, like httpapi.DeriveGroup: a device retrying the same report
+// always lands on the same shard, so the shard's idempotency index can do its
+// job. Two more properties make it the cluster's one router:
 //
 //   - Stability under growth: adding shard n+1 re-scores every key against
 //     one new name, so exactly the keys the new name wins — in expectation
@@ -80,10 +67,10 @@ func ShardFor(reportID string, n int) int {
 //     primary's replicated dedup index already knows — keeps routing to the
 //     same logical shard.
 //
-// The score hash reuses shardSalt + mix64, so rendezvous routing stays
-// decorrelated from httpapi.DeriveGroup's group assignment exactly like
-// ShardFor. Ties (astronomically unlikely) break toward the lexically
-// smallest name so every router agrees. names must be non-empty.
+// The score hash is salted with shardSalt and finalized by mix64, so routing
+// stays decorrelated from httpapi.DeriveGroup's group assignment. Ties
+// (astronomically unlikely) break toward the lexically smallest name so every
+// router agrees. names must be non-empty.
 func RendezvousFor(reportID string, names []string) int {
 	best := -1
 	var bestScore uint64

@@ -60,16 +60,20 @@ func deviceReport(t *testing.T, specs []core.GridSpec, eps float64, ds *dataset.
 	return id, rep
 }
 
-// TestShardForCoversAndDecorrelates: every shard must receive traffic, and
+// TestRendezvousCoversAndDecorrelates: every shard must receive traffic, and
 // the shard partition must be independent of the group partition — with a
 // shared hash a 4-shard cluster on a 4-group plan would pin each shard to a
 // single group and starve the others.
-func TestShardForCoversAndDecorrelates(t *testing.T) {
+func TestRendezvousCoversAndDecorrelates(t *testing.T) {
 	const shards, groups, n = 4, 4, 4000
+	names := make([]string, shards)
+	for s := range names {
+		names[s] = StaticShardName(s)
+	}
 	seen := make(map[[2]int]int)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("user-%d", i)
-		seen[[2]int{ShardFor(id, shards), httpapi.DeriveGroup(id, groups)}]++
+		seen[[2]int{RendezvousFor(id, names), httpapi.DeriveGroup(id, groups)}]++
 	}
 	for s := 0; s < shards; s++ {
 		for g := 0; g < groups; g++ {
@@ -242,7 +246,7 @@ func TestClusterBitIdenticalToSingleNode(t *testing.T) {
 			t.Fatalf("shard %d reports id %q", i, info.ID)
 		}
 		if info.Reports == 0 {
-			t.Fatalf("shard %d ingested nothing: ShardFor is not spreading", i)
+			t.Fatalf("shard %d ingested nothing: RendezvousFor is not spreading", i)
 		}
 		total += info.Reports
 	}

@@ -116,12 +116,9 @@ type Options struct {
 	// avoid cells with low true counts. Package adaptive produces the hints
 	// from a first collection phase.
 	MarginalHint map[int][]float64
-	// StreamingAggregation makes the incremental Collector fold OLH reports
-	// into support counts as they arrive (in batches) instead of buffering
-	// raw reports until Finalize: aggregator memory stays O(grids·L) instead
-	// of O(n), at the cost of paying the fold during collection. The
-	// estimates are bit-identical either way. Only Collector reads this; the
-	// simulated Collect path always folds at estimation time.
+	// Deprecated: ignored. The incremental Collector always folds OLH
+	// reports into support counts as they arrive, and the simulated Collect
+	// path folds once at estimation time.
 	StreamingAggregation bool
 }
 

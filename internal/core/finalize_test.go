@@ -7,6 +7,8 @@ import (
 
 	"felip/internal/dataset"
 	"felip/internal/domain"
+	"felip/internal/fo"
+	"felip/internal/metrics"
 )
 
 // fillCollector feeds n perturbed reports from a normal dataset into col.
@@ -135,7 +137,7 @@ func TestCollectorLiveDuringFinalize(t *testing.T) {
 // snapshot-then-estimate restructure shows up here.
 func TestCollectorRaceDuringFinalize(t *testing.T) {
 	s := mixedSchema()
-	col, err := NewCollector(s, 2000, Options{Strategy: OUG, Epsilon: 1, Seed: 17, StreamingAggregation: true})
+	col, err := NewCollector(s, 2000, Options{Strategy: OUG, Epsilon: 1, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,31 +174,43 @@ func TestCollectorRaceDuringFinalize(t *testing.T) {
 	}
 }
 
-// TestCollectorStreamingMatchesBuffered: the memory-bounded collector must
-// produce exactly the estimates of the buffering one for the same reports.
-func TestCollectorStreamingMatchesBuffered(t *testing.T) {
+// TestCollectorFoldsOLHDuringCollection: the Collector folds OLH reports
+// into support counts as they arrive, with nothing in Options asking for it,
+// so the round's memory stays O(L) per grid and the close folds at most one
+// partial batch per grid. The fold counter must advance before Finalize runs.
+func TestCollectorFoldsOLHDuringCollection(t *testing.T) {
 	s := mixedSchema()
-	opts := Options{Strategy: OUG, Epsilon: 1, Seed: 19}
-	optsStream := opts
-	optsStream.StreamingAggregation = true
-
-	build := func(o Options) *Aggregator {
-		col, err := NewCollector(s, 3000, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillCollector(t, col, s, 3000)
-		agg, err := col.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return agg
+	col, err := NewCollector(s, 4000, Options{Strategy: OUG, Epsilon: 1, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := build(opts), build(optsStream)
-	ha, _ := hashAgg(a)
-	hb, _ := hashAgg(b)
-	if ha != hb {
-		t.Fatalf("streaming grid hash %#x != buffered grid hash %#x", hb, ha)
+	olhGrids := 0
+	for _, spec := range col.Specs() {
+		if spec.Proto == fo.OLH {
+			olhGrids++
+		}
+	}
+	if olhGrids == 0 {
+		t.Fatal("plan has no OLH grid; the test needs one")
+	}
+	folded := metrics.GetCounter("fo.olh.fold_reports")
+	before := folded.Value()
+	fillCollector(t, col, s, 4000)
+	olhReports := 0
+	for g, n := range col.GroupCounts() {
+		if col.Specs()[g].Proto == fo.OLH {
+			olhReports += n
+		}
+	}
+	// Every grid may still hold one partial batch of fewer than 512 reports.
+	if got, least := folded.Value()-before, int64(olhReports-olhGrids*511); got < least {
+		t.Fatalf("%d of %d OLH reports folded before Finalize, want at least %d", got, olhReports, least)
+	}
+	if _, err := col.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := folded.Value() - before; got != int64(olhReports) {
+		t.Fatalf("%d OLH reports folded after Finalize, want %d", got, olhReports)
 	}
 }
 

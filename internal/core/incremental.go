@@ -302,11 +302,10 @@ func NewCollector(schema *domain.Schema, n int, opts Options) (*Collector, error
 		case fo.GRR:
 			c.grrAggs[g] = fo.NewGRRAggregator(reportEps, spec.L())
 		case fo.OLH:
-			if opts.StreamingAggregation {
-				c.olhAggs[g] = fo.NewOLHAggregatorStreaming(reportEps, spec.L())
-			} else {
-				c.olhAggs[g] = fo.NewOLHAggregator(reportEps, spec.L())
-			}
+			// Fold as reports arrive: the grid's memory stays O(L) however
+			// many reports the round takes, and the close folds at most one
+			// partial batch.
+			c.olhAggs[g] = fo.NewOLHAggregatorStreaming(reportEps, spec.L())
 		case fo.HR:
 			// RS+FD's fake-data inversion has no HR form (the planner never
 			// emits one; only a forced protocol can get here).
@@ -610,7 +609,7 @@ func (c *Collector) ImportPartials(states []fo.PartialState) error {
 // Aggregator.
 //
 // The collector lock is held only long enough to mark the round closed and
-// snapshot the aggregator set; the O(n·L) estimation runs outside it, so
+// snapshot the aggregator set; the estimation runs outside it, so
 // N, GroupCounts, Rejected and (failing) Add calls — the server's status and
 // health surface — stay live while the round closes. Finalize is idempotent:
 // every call, including concurrent ones, returns the same Aggregator.

@@ -132,11 +132,13 @@ const streamFoldBatch = 512
 // C(v) = |{j : H_j(v) = x_j}|; Estimates converts the counts into the
 // unbiased frequency estimates (C(v)/n − 1/g) / (p − 1/g).
 //
-// In the default buffered mode Add is O(1) (reports queue in memory) and the
-// O(n·L) fold runs once at Estimates time, fanned out across GOMAXPROCS
-// workers over disjoint domain ranges. In streaming mode (NewOLHAggregator-
-// Streaming) reports fold as they arrive, batch by batch, so memory stays
-// O(L) instead of O(n) — the shape a long-lived shard wants.
+// The caller's constructor picks when the fold runs. A streaming aggregator
+// (NewOLHAggregatorStreaming, what core.Collector builds) folds reports as
+// they arrive, batch by batch, so memory stays O(L) instead of O(n). A
+// buffered one (NewOLHAggregator, what the simulated paths build) queues
+// reports in O(1) Adds and runs the O(n·L) fold once at Estimates time,
+// fanned out across GOMAXPROCS workers over disjoint domain ranges: one
+// fold over a mega-domain beats batches that each sweep the whole domain.
 //
 // Because the support counts are integers and every report's contribution is
 // folded exactly once, the kernel is bit-deterministic: buffered, streaming,

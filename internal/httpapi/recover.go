@@ -12,11 +12,12 @@ import (
 // opens: 1, or the round a cluster registration names.
 //
 // With an archive attached (UseArchive) that holds rounds, the newest
-// archived round is served through the archive's engine and only the
-// segments after it are replayed. Otherwise the chain is replayed from its
-// first segment, and with no segment at all the server opens round
-// joinRound. The replayed chain must be contiguous: a missing segment is an
-// error that names it. Every round the replay re-finalizes is archived, and
+// archived round is served through the archive's engine, its collector
+// holds the snapshot's partial counts, sealed, for a repeated state pull,
+// and only the segments after it are replayed. Otherwise the chain is
+// replayed from its first segment, and with no segment at all the server
+// opens round joinRound. The replayed chain must be contiguous: a missing
+// segment is an error that names it. Every round the replay re-finalizes is archived, and
 // only then are segments deleted, by the one rule the live close also
 // follows (reclaimSegments). A segment at or below the restored round whose
 // round the archive lacks is kept and logged; it is never replayed over the
@@ -38,6 +39,9 @@ func (s *Server) Recover(segs *reportlog.Segments, joinRound int) error {
 	if s.store != nil {
 		if latest := s.store.LatestRound(); latest > 0 {
 			eng, err := s.store.Engine(latest)
+			if err == nil {
+				err = s.importArchivedLocked(latest)
+			}
 			if err != nil {
 				return fmt.Errorf("httpapi: restoring archived round %d: %w", latest, err)
 			}
@@ -123,6 +127,27 @@ func (s *Server) Recover(segs *reportlog.Segments, joinRound int) error {
 	}
 	s.reclaimSegments()
 	return s.qp.Warmup()
+}
+
+// importArchivedLocked loads an archived round's exact partial counts into
+// the server's collector and seals it, so a state pull on the restored round
+// re-exports the counts the round was closed with. A snapshot without partial
+// states leaves the collector empty, and handleShardState refuses to export
+// it. Callers hold s.mu.
+func (s *Server) importArchivedLocked(round int) error {
+	snap, err := s.store.Load(round)
+	if err != nil {
+		return err
+	}
+	states, err := snap.PartialStates(s.col.ReportEpsilon())
+	if err != nil || states == nil {
+		return err
+	}
+	if err := s.col.ImportPartials(states); err != nil {
+		return err
+	}
+	s.col.Seal()
+	return nil
 }
 
 // reclaimSegments deletes every WAL segment whose own round the archive

@@ -13,6 +13,7 @@ import (
 	"felip/internal/archive"
 	"felip/internal/core"
 	"felip/internal/dataset"
+	"felip/internal/fo"
 	"felip/internal/reportlog"
 )
 
@@ -27,11 +28,11 @@ type recoverNode struct {
 	cl  *Client
 }
 
-// newRecoverServer builds a server over the test plan and attaches the
-// archive at archDir unless it is empty.
-func newRecoverServer(t *testing.T, n int, archDir string, segs *reportlog.Segments) *Server {
+// newRecoverServer builds a server over the test plan in the given reporting
+// mode and attaches the archive at archDir unless it is empty.
+func newRecoverServer(t *testing.T, n int, mode fo.ReportMode, archDir string, segs *reportlog.Segments) *Server {
 	t.Helper()
-	srv, err := NewServer(dataset.MixedSchema(2, 32, 2, 4), n, core.Options{Strategy: core.OHG, Epsilon: 2, Seed: 11})
+	srv, err := NewServer(dataset.MixedSchema(2, 32, 2, 4), n, core.Options{Strategy: core.OHG, Epsilon: 2, Seed: 11, Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func newRecoverServer(t *testing.T, n int, archDir string, segs *reportlog.Segme
 // any) through Recover.
 func bootRecovered(t *testing.T, n int, archDir string, segs *reportlog.Segments) *recoverNode {
 	t.Helper()
-	srv := newRecoverServer(t, n, archDir, segs)
+	srv := newRecoverServer(t, n, core.ModeFELIP, archDir, segs)
 	if err := srv.Recover(segs, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestRecoverRefusesChainGap(t *testing.T) {
 			if withArchive {
 				archDir = filepath.Join(dir, "arch")
 			}
-			srv := newRecoverServer(t, n, archDir, segs)
+			srv := newRecoverServer(t, n, core.ModeFELIP, archDir, segs)
 			err := srv.Recover(segs, 1)
 			srv.Close()
 			if err == nil || !strings.Contains(err.Error(), segs.Path(2)) {
@@ -254,5 +255,104 @@ func TestRecoverRefusesServerInUse(t *testing.T) {
 	defer nd.stop(t)
 	if err := nd.srv.Recover(segs, 1); err == nil {
 		t.Fatal("Recover ran twice on one server")
+	}
+}
+
+// TestRestoredShardRepullsSealedRound: a durable shard with an archive is
+// sealed by a state pull, then restarted twice. The first restart replays the
+// round from its WAL, archives it and deletes the segment; the second serves
+// the round from the archive alone. A coordinator that re-pulls after either
+// restart must receive the first pull's report count and checksum; a round
+// whose snapshot lost its partial states refuses the pull with 409. SPL runs
+// too: its reports are perturbed at ε/m, not at the round's ε.
+func TestRestoredShardRepullsSealedRound(t *testing.T) {
+	const n = 200
+	ctx := context.Background()
+	ds := dataset.NewNormal().Generate(dataset.MixedSchema(2, 32, 2, 4), n, 131)
+	for _, mode := range []fo.ReportMode{fo.ModeFELIP, fo.ModeSPL} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			segs := reportlog.NewSegments(filepath.Join(dir, "round.wal"))
+			boot := func() *recoverNode {
+				srv := newRecoverServer(t, n, mode, filepath.Join(dir, "arch"), segs)
+				srv.SetShardID("shard0")
+				if err := srv.Recover(segs, 1); err != nil {
+					t.Fatal(err)
+				}
+				ts := httptest.NewServer(srv.Handler())
+				return &recoverNode{srv: srv, ts: ts, cl: Dial(ts.URL, ts.Client())}
+			}
+
+			nd := boot()
+			plan, err := nd.cl.Plan(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs, err := plan.Specs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			device, err := core.NewModeClient(specs, mode, plan.Epsilon, 137)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent := 0
+			for row := 0; row < n; row++ {
+				id := fmt.Sprintf("dev-%d", row)
+				reps, err := device.PerturbAll(DeriveGroup(id, len(specs)), func(attr int) int { return ds.Value(row, attr) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, rep := range reps {
+					if _, err := nd.cl.ReportModeWithID(ctx, fmt.Sprintf("%s-%d", id, j), mode, rep); err != nil {
+						t.Fatal(err)
+					}
+					sent++
+				}
+			}
+			first, err := nd.cl.ShardState(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.Reports != sent {
+				t.Fatalf("first pull: %d reports, want %d", first.Reports, sent)
+			}
+			for restart := 1; restart <= 2; restart++ {
+				nd.stop(t)
+				nd = boot()
+				again, err := nd.cl.ShardState(ctx)
+				if err != nil {
+					t.Fatalf("pull after restart %d: %v", restart, err)
+				}
+				if again.Reports != first.Reports || again.Checksum != first.Checksum {
+					t.Fatalf("pull after restart %d: %d reports, checksum %d; first pull: %d reports, checksum %d",
+						restart, again.Reports, again.Checksum, first.Reports, first.Checksum)
+				}
+			}
+			if got := existing(t, segs); len(got) != 0 {
+				t.Fatalf("segments %v survive; the second restart did not serve the round from the archive alone", got)
+			}
+			nd.stop(t)
+
+			// A snapshot without partial states cannot be re-exported: the
+			// pull is refused rather than answered with an empty round.
+			store, err := archive.Open(filepath.Join(dir, "arch"), archive.Options{Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := store.Load(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap.Partials = nil
+			if err := store.WriteRound(snap); err != nil {
+				t.Fatal(err)
+			}
+			nd = boot()
+			defer nd.stop(t)
+			if _, err := nd.cl.ShardState(ctx); err == nil || !strings.Contains(err.Error(), "409") {
+				t.Fatalf("pull on a round restored without partial states: %v, want 409", err)
+			}
+		})
 	}
 }

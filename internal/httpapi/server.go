@@ -149,8 +149,9 @@ type Server struct {
 	// round must still open one.
 	durable bool
 	// restored marks a server whose serving plane came from an archive
-	// snapshot rather than live collection: the round is finalized but the
-	// collector is empty and no WAL segment backs it.
+	// snapshot rather than live collection: the round is finalized, no WAL
+	// segment backs it, and the collector holds the snapshot's partial
+	// counts, sealed (none if the snapshot carried none).
 	restored bool
 	// store archives finalized rounds; nil = archiving disabled. segments
 	// names the WAL segment chain: a segment is deleted only once the store
@@ -794,8 +795,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		st.RoundsRetained = len(store.Rounds())
 	}
 	st.Rejected += col.Rejected()
-	// A restored round's collector is empty; the snapshot's count is the
-	// round's report total.
+	// A finalized round reports its aggregate's population, which a
+	// restored round's collector may not hold.
 	if st.Finalized {
 		st.Reports = finalN
 	} else {

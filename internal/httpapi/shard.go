@@ -34,6 +34,14 @@ func (s *Server) handleShardState(w http.ResponseWriter, _ *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server shutting down"))
 		return
 	}
+	// An archived round always holds reports, so a restored round whose
+	// collector is empty came from a snapshot without partial states:
+	// exporting it would drop the round's reports out of the merge.
+	if s.restored && s.col.N() == 0 {
+		s.mu.Unlock()
+		s.writeError(w, http.StatusConflict, fmt.Errorf("round %d was restored from an archive snapshot without partial states; its counts cannot be exported", s.round))
+		return
+	}
 	col := s.col
 	// Seal under s.mu: report handlers hold s.mu across Check → WAL append →
 	// Add, so no report can land in the WAL after the seal yet miss the

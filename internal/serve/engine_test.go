@@ -393,7 +393,7 @@ func denseFit(m *estimate.Matrix, cons []estimate.Constraint, threshold float64,
 // match answers served from the reference matrices.
 func TestEngineMatchesDenseFitOnBenchmarkPlan(t *testing.T) {
 	schema := dataset.MixedSchema(6, 256, 2, 16)
-	opts := core.Options{Strategy: core.OHG, Epsilon: 1.2, Seed: 1201, StreamingAggregation: true}
+	opts := core.Options{Strategy: core.OHG, Epsilon: 1.2, Seed: 1201}
 	col, err := core.NewCollector(schema, 5_000_000, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -127,71 +127,13 @@ func protoByte(p fo.Protocol) (byte, error) {
 	}
 }
 
-// AppendFrame encodes the reports as one binary frame appended to dst
-// (which may be nil) and returns the extended slice. Every report is
+// AppendFrame encodes the reports as one v1 (FELIP) binary frame appended to
+// dst (which may be nil) and returns the extended slice. Every report is
 // validated to the same wire-level invariants ReportMessage.Validate
 // enforces, so an encoded frame never carries a report the server would
 // refuse for shape alone.
 func AppendFrame(dst []byte, reports []BatchReport) ([]byte, error) {
-	if len(reports) == 0 {
-		return nil, fmt.Errorf("wire: empty batch frame")
-	}
-	if len(reports) > MaxFrameReports {
-		return nil, fmt.Errorf("wire: batch of %d reports exceeds %d", len(reports), MaxFrameReports)
-	}
-	start := len(dst)
-	dst = append(dst, FrameMagic...)
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(reports)))
-	dst = append(dst, hdr[:]...) // count + paylen + crc, patched below
-	payloadStart := len(dst)
-
-	var fixed [18]byte // proto + group + value + seed + idlen
-	for i, br := range reports {
-		if br.ID == "" {
-			return nil, fmt.Errorf("wire: batch report %d missing report_id", i)
-		}
-		if len(br.ID) > MaxReportIDLen {
-			return nil, fmt.Errorf("wire: batch report %d report_id of %d bytes exceeds %d", i, len(br.ID), MaxReportIDLen)
-		}
-		if !utf8.ValidString(br.ID) {
-			return nil, fmt.Errorf("wire: batch report %d report_id is not valid UTF-8", i)
-		}
-		pb, err := protoByte(br.Report.Proto)
-		if err != nil {
-			return nil, fmt.Errorf("wire: batch report %d: %w", i, err)
-		}
-		if br.Report.Group < 0 {
-			return nil, fmt.Errorf("wire: batch report %d: negative group %d", i, br.Report.Group)
-		}
-		if br.Report.Value < 0 {
-			return nil, fmt.Errorf("wire: batch report %d: negative value %d", i, br.Report.Value)
-		}
-		fixed[0] = byte(len(br.ID))
-		dst = append(dst, fixed[0])
-		dst = append(dst, br.ID...)
-		fixed[0] = pb
-		binary.LittleEndian.PutUint32(fixed[1:5], uint32(br.Report.Group))
-		binary.LittleEndian.PutUint32(fixed[5:9], uint32(br.Report.Value))
-		if br.Report.Proto == fo.HR {
-			if br.Report.Seed > 1 {
-				return nil, fmt.Errorf("wire: batch report %d: HR sign bit %d outside {0,1}", i, br.Report.Seed)
-			}
-			fixed[9] = byte(br.Report.Seed)
-			dst = append(dst, fixed[:10]...)
-		} else {
-			binary.LittleEndian.PutUint64(fixed[9:17], br.Report.Seed)
-			dst = append(dst, fixed[:17]...)
-		}
-	}
-
-	payload := dst[payloadStart:]
-	if len(payload) > MaxFramePayload {
-		return nil, fmt.Errorf("wire: frame payload of %d bytes exceeds %d", len(payload), MaxFramePayload)
-	}
-	binary.LittleEndian.PutUint32(dst[start+len(FrameMagic)+4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+len(FrameMagic)+8:], crc32.ChecksumIEEE(payload))
-	return dst, nil
+	return AppendFrameMode(dst, fo.ModeFELIP, reports)
 }
 
 // EncodeFrame is AppendFrame into a fresh buffer.
@@ -203,12 +145,10 @@ func EncodeFrame(reports []BatchReport) ([]byte, error) {
 // mode. FELIP batches emit the v1 layout byte-for-byte — a mode-aware sender
 // talking to a v1 server (or shipping WAL bytes to a v1 follower) stays
 // wire-compatible — while SPL and RS+FD batches emit a v2 frame carrying the
-// mode and each record's attribute index.
+// mode and each record's attribute index. The two layouts differ only there:
+// v1 has no mode byte in its header and no attr in its records.
 func AppendFrameMode(dst []byte, mode fo.ReportMode, reports []BatchReport) ([]byte, error) {
-	if mode == fo.ModeFELIP {
-		return AppendFrame(dst, reports)
-	}
-	if mode != fo.ModeSPL && mode != fo.ModeRSFD {
+	if mode != fo.ModeFELIP && mode != fo.ModeSPL && mode != fo.ModeRSFD {
 		return nil, fmt.Errorf("wire: unknown report mode %v", mode)
 	}
 	if len(reports) == 0 {
@@ -217,15 +157,20 @@ func AppendFrameMode(dst []byte, mode fo.ReportMode, reports []BatchReport) ([]b
 	if len(reports) > MaxFrameReports {
 		return nil, fmt.Errorf("wire: batch of %d reports exceeds %d", len(reports), MaxFrameReports)
 	}
-	start := len(dst)
-	dst = append(dst, FrameMagicV2...)
-	dst = append(dst, byte(mode))
+	v2 := mode != fo.ModeFELIP
+	if v2 {
+		dst = append(dst, FrameMagicV2...)
+		dst = append(dst, byte(mode))
+	} else {
+		dst = append(dst, FrameMagic...)
+	}
+	countAt := len(dst)
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(reports)))
 	dst = append(dst, hdr[:]...) // count + paylen + crc, patched below
 	payloadStart := len(dst)
 
-	var fixed [19]byte // proto + group + value + seed + attr
+	var rec [19]byte // proto + group + value + seed (HR: sign u8) + attr
 	for i, br := range reports {
 		if br.ID == "" {
 			return nil, fmt.Errorf("wire: batch report %d missing report_id", i)
@@ -246,34 +191,35 @@ func AppendFrameMode(dst []byte, mode fo.ReportMode, reports []BatchReport) ([]b
 		if br.Report.Value < 0 {
 			return nil, fmt.Errorf("wire: batch report %d: negative value %d", i, br.Report.Value)
 		}
-		if br.Attr < 0 || br.Attr > MaxFrameAttr {
+		if v2 && (br.Attr < 0 || br.Attr > MaxFrameAttr) {
 			return nil, fmt.Errorf("wire: batch report %d: attr %d outside [0,%d]", i, br.Attr, MaxFrameAttr)
 		}
 		dst = append(dst, byte(len(br.ID)))
 		dst = append(dst, br.ID...)
-		fixed[0] = pb
-		binary.LittleEndian.PutUint32(fixed[1:5], uint32(br.Report.Group))
-		binary.LittleEndian.PutUint32(fixed[5:9], uint32(br.Report.Value))
+		rec[0] = pb
+		binary.LittleEndian.PutUint32(rec[1:5], uint32(br.Report.Group))
+		binary.LittleEndian.PutUint32(rec[5:9], uint32(br.Report.Value))
+		tail := recordTail(br.Report.Proto, v2)
 		if br.Report.Proto == fo.HR {
 			if br.Report.Seed > 1 {
 				return nil, fmt.Errorf("wire: batch report %d: HR sign bit %d outside {0,1}", i, br.Report.Seed)
 			}
-			fixed[9] = byte(br.Report.Seed)
-			binary.LittleEndian.PutUint16(fixed[10:12], uint16(br.Attr))
-			dst = append(dst, fixed[:12]...)
+			rec[9] = byte(br.Report.Seed)
 		} else {
-			binary.LittleEndian.PutUint64(fixed[9:17], br.Report.Seed)
-			binary.LittleEndian.PutUint16(fixed[17:19], uint16(br.Attr))
-			dst = append(dst, fixed[:]...)
+			binary.LittleEndian.PutUint64(rec[9:17], br.Report.Seed)
 		}
+		if v2 {
+			binary.LittleEndian.PutUint16(rec[tail-2:tail], uint16(br.Attr))
+		}
+		dst = append(dst, rec[:tail]...)
 	}
 
 	payload := dst[payloadStart:]
 	if len(payload) > MaxFramePayload {
 		return nil, fmt.Errorf("wire: frame payload of %d bytes exceeds %d", len(payload), MaxFramePayload)
 	}
-	binary.LittleEndian.PutUint32(dst[start+len(FrameMagicV2)+5:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+len(FrameMagicV2)+9:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(dst[countAt+4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[countAt+8:], crc32.ChecksumIEEE(payload))
 	return dst, nil
 }
 
@@ -282,22 +228,31 @@ func EncodeFrameMode(mode fo.ReportMode, reports []BatchReport) ([]byte, error) 
 	return AppendFrameMode(nil, mode, reports)
 }
 
+// recordTail is a record's size after its id: proto + group + value + seed,
+// where an HR record carries one sign byte instead of the u64 seed, plus the
+// u16 attr in a v2 frame.
+func recordTail(proto fo.Protocol, v2 bool) int {
+	tail := 17
+	if proto == fo.HR {
+		tail = 10
+	}
+	if v2 {
+		tail += 2
+	}
+	return tail
+}
+
 // FrameSizeMode returns the exact encoded size of the frame EncodeFrameMode
 // would produce, without encoding — what a batcher charges its wire-byte
 // accounting per flush.
 func FrameSizeMode(mode fo.ReportMode, reports []BatchReport) int {
+	v2 := mode != fo.ModeFELIP
 	size := frameHeaderLen
-	attr := 0
-	if mode != fo.ModeFELIP {
-		attr = 2 // attr u16
+	if v2 {
 		size = frameHeaderLenV2
 	}
 	for _, br := range reports {
-		recTail := 17 // proto + group + value + seed
-		if br.Report.Proto == fo.HR {
-			recTail = 10 // proto + group + value + sign u8
-		}
-		size += 1 + len(br.ID) + recTail + attr
+		size += 1 + len(br.ID) + recordTail(br.Report.Proto, v2)
 	}
 	return size
 }
@@ -442,13 +397,7 @@ func (r *FrameReader) Next() bool {
 	}
 	// The record tail depends on the protocol just read: HR records are
 	// compact (one sign byte where the others carry a u64 seed).
-	tail := 17 // proto + group + value + seed
-	if proto == fo.HR {
-		tail = 10 // proto + group + value + sign u8
-	}
-	if r.v2 {
-		tail += 2 // + attr u16
-	}
+	tail := recordTail(proto, r.v2)
 	if off+tail > len(p) {
 		r.err = fmt.Errorf("wire: frame record %d: truncated %v record", r.next, proto)
 		return false

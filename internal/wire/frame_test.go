@@ -222,3 +222,22 @@ func TestFrameTrailingBytesRefused(t *testing.T) {
 		t.Fatalf("unexpected error: %v", r.Err())
 	}
 }
+
+// BenchmarkEncodeFrame times EncodeFrame, the encoder the load generators
+// use, on a 512-report FELIP batch of GRR and OLH records.
+func BenchmarkEncodeFrame(b *testing.B) {
+	reports := sampleBatch(512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame, err := EncodeFrame(reports)
+		if err != nil {
+			b.Fatal(err)
+		}
+		encodedFrame = frame
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reports)), "ns/report")
+}
+
+// encodedFrame keeps BenchmarkEncodeFrame's result live.
+var encodedFrame []byte

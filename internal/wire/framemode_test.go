@@ -172,3 +172,86 @@ func TestFrameModeUnknownModeByteRefused(t *testing.T) {
 		t.Fatalf("unknown mode byte accepted: %v", err)
 	}
 }
+
+// goldenV2Frame is a FELIPBF2 SPL frame recorded before the v1 and v2
+// encoders shared one loop: ids dev-a/dev-b/dev-c, groups 0/1/2, protocols
+// GRR/OLH/GRR, values 3/5/0, seeds 0/0x0123456789abcdef/7, attrs 0/1/300.
+const goldenV2Frame = "46454c495042463201030000004b00000070a3dd19056465762d61000000000003000000000000" +
+	"00000000000000056465762d62010100000005000000efcdab89674523010100056465762d630002" +
+	"0000000000000007000000000000002c01"
+
+func goldenV2Reports() []BatchReport {
+	return []BatchReport{
+		{ID: "dev-a", Attr: 0, Report: core.Report{Group: 0, Proto: fo.GRR, Value: 3, Seed: 0}},
+		{ID: "dev-b", Attr: 1, Report: core.Report{Group: 1, Proto: fo.OLH, Value: 5, Seed: 0x0123456789abcdef}},
+		{ID: "dev-c", Attr: 300, Report: core.Report{Group: 2, Proto: fo.GRR, Value: 0, Seed: 7}},
+	}
+}
+
+func TestFrameV2GoldenPinned(t *testing.T) {
+	frame, err := hex.DecodeString(goldenV2Frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenV2Reports()
+	var r FrameReader
+	n, err := r.Reset(frame)
+	if err != nil {
+		t.Fatalf("Reset on recorded v2 frame: %v", err)
+	}
+	if n != len(want) || r.Mode != fo.ModeSPL {
+		t.Fatalf("recorded frame: %d reports in mode %v, want %d in SPL", n, r.Mode, len(want))
+	}
+	for i := 0; r.Next(); i++ {
+		if string(r.ID) != want[i].ID || r.Report != want[i].Report || r.Attr != want[i].Attr {
+			t.Fatalf("record %d: id=%q rep=%+v attr=%d, want id=%q rep=%+v attr=%d",
+				i, r.ID, r.Report, r.Attr, want[i].ID, want[i].Report, want[i].Attr)
+		}
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	reencoded, err := EncodeFrameMode(fo.ModeSPL, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(reencoded) != goldenV2Frame {
+		t.Fatalf("v2 encoding drifted:\n  want %s\n  got  %x", goldenV2Frame, reencoded)
+	}
+	// RS+FD differs from SPL in the mode byte alone.
+	rsfd, err := EncodeFrameMode(fo.ModeRSFD, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[len(FrameMagicV2)] = byte(fo.ModeRSFD)
+	if !bytes.Equal(rsfd, frame) {
+		t.Fatalf("RS+FD frame is not the SPL golden with mode byte %d:\n  want %x\n  got  %x", fo.ModeRSFD, frame, rsfd)
+	}
+}
+
+// FrameSizeMode must predict every recorded frame's length exactly: it is
+// what a batcher charges its wire-byte accounting.
+func TestFrameSizeModeMatchesGoldens(t *testing.T) {
+	cases := []struct {
+		name    string
+		golden  string
+		mode    fo.ReportMode
+		reports []BatchReport
+	}{
+		{"v1", goldenV1Frame, fo.ModeFELIP, []BatchReport{
+			{ID: "dev-a", Report: core.Report{Group: 0, Proto: fo.GRR, Value: 3, Seed: 0}},
+			{ID: "dev-b", Report: core.Report{Group: 1, Proto: fo.OLH, Value: 5, Seed: 0x0123456789abcdef}},
+			{ID: "dev-c", Report: core.Report{Group: 2, Proto: fo.GRR, Value: 0, Seed: 7}},
+		}},
+		{"v1 HR", goldenHRFrame, fo.ModeFELIP, hrFrameReports()},
+		{"v2 HR", goldenHRModeFrame, fo.ModeSPL, []BatchReport{
+			{ID: "dev-a", Attr: 2, Report: core.Report{Group: 0, Proto: fo.HR, Value: 7, Seed: 1}},
+		}},
+		{"v2", goldenV2Frame, fo.ModeSPL, goldenV2Reports()},
+	}
+	for _, tc := range cases {
+		if got, want := FrameSizeMode(tc.mode, tc.reports), len(tc.golden)/2; got != want {
+			t.Errorf("%s golden: FrameSizeMode = %d, recorded frame is %d bytes", tc.name, got, want)
+		}
+	}
+}
