@@ -22,13 +22,19 @@ check:
 # byte-identical from the WAL; FuzzQueryAnswer feeds arbitrary WHERE strings
 # to the query parser and answers what it accepts through the serving engine
 # and a mask-scan reference; FuzzSegment feeds arbitrary and resealed WAL
-# segments to Open and VerifySegment and requires them to agree. A failing
-# input lands in the package's testdata/fuzz directory.
+# segments to Open and VerifySegment and requires them to agree; FuzzSnapshot
+# feeds arbitrary and resealed archive snapshots to Decode, requires what it
+# accepts to re-encode stably, and serves its aggregate; FuzzShardState feeds
+# arbitrary and resealed shard-state JSON to Verify and States and requires a
+# verified message to rebuild with its own checksum. A failing input lands in
+# the package's testdata/fuzz directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDedupIndex$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryAnswer$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSegment$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/reportlog
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/archive
+	$(GO) test -run '^$$' -fuzz '^FuzzShardState$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
 
 # The pipeline benchmark (bench/) is its own Go module, so ./... above never
 # compiles it: vet it and run its smoke test, so an API change that breaks the

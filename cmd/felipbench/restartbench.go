@@ -144,7 +144,7 @@ func runRestartBench(outPath string, reps int, smoke bool) error {
 			return err
 		}
 	}
-	if err := wal.Append(reportlog.FinalizeRecord(n)); err != nil {
+	if err := wal.Append(reportlog.FinalizeRecord(n, 0)); err != nil {
 		wal.Close()
 		return err
 	}

@@ -66,6 +66,11 @@ type RoundSnapshot struct {
 	PlanFingerprint uint32 `json:"plan_fingerprint"`
 	// Reports is the round's accepted-report total.
 	Reports int `json:"reports"`
+	// Rejected is the round's refused-submission count at its close, which a
+	// restart restores so a re-pulled shard state matches the first pull.
+	// Absent when zero, so a round without rejections writes the snapshot it
+	// always did.
+	Rejected int `json:"rejected,omitempty"`
 	// Partials carries the per-grid exact integer count vectors
 	// (fo.PartialState) the estimates were computed from, in group order.
 	// They make an archived round re-mergeable (a coordinator can re-derive
@@ -241,11 +246,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			st.logf("archive: skipping snapshot %s: %v", e.Name(), err)
 			continue
 		}
-		if snap.Round != round {
-			corrupt.Inc()
-			st.logf("archive: skipping snapshot %s: payload claims round %d", e.Name(), snap.Round)
-			continue
-		}
 		st.rounds[round] = roundMeta{reports: snap.Reports, bytes: size}
 	}
 	st.publishGauges()
@@ -261,7 +261,8 @@ func (st *Store) logf(format string, args ...any) {
 	}
 }
 
-// readFile loads and validates one snapshot file.
+// readFile loads and validates one snapshot file: its envelope, and the
+// round its payload claims.
 func (st *Store) readFile(round int) (RoundSnapshot, int64, error) {
 	b, err := os.ReadFile(filepath.Join(st.dir, fileName(round)))
 	if err != nil {
@@ -271,7 +272,22 @@ func (st *Store) readFile(round int) (RoundSnapshot, int64, error) {
 	if err != nil {
 		return RoundSnapshot{}, 0, err
 	}
+	if snap.Round != round {
+		return RoundSnapshot{}, 0, fmt.Errorf("archive: snapshot file for round %d claims round %d", round, snap.Round)
+	}
 	return snap, int64(len(b)), nil
+}
+
+// load reads one round's snapshot file and refuses another plan's.
+func (st *Store) load(round int) (RoundSnapshot, error) {
+	snap, _, err := st.readFile(round)
+	if err != nil {
+		return RoundSnapshot{}, err
+	}
+	if err := st.checkPlan(snap); err != nil {
+		return RoundSnapshot{}, err
+	}
+	return snap, nil
 }
 
 // checkPlan refuses snapshots from a drifted configuration.
@@ -409,14 +425,7 @@ func (st *Store) Load(round int) (RoundSnapshot, error) {
 	if !ok {
 		return RoundSnapshot{}, fmt.Errorf("archive: round %d is not archived", round)
 	}
-	snap, _, err := st.readFile(round)
-	if err != nil {
-		return RoundSnapshot{}, err
-	}
-	if err := st.checkPlan(snap); err != nil {
-		return RoundSnapshot{}, err
-	}
-	return snap, nil
+	return st.load(round)
 }
 
 // publishGauges refreshes the store-level metrics.

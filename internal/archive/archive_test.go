@@ -136,6 +136,7 @@ func TestArchivedEngineBitIdentical(t *testing.T) {
 	}{
 		{"GRR", fo.GRR, true},
 		{"OLH", fo.OLH, true},
+		{"HR", fo.HR, true},
 		{"OUE", fo.OUE, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

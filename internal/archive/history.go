@@ -66,14 +66,8 @@ func (st *Store) Engine(round int) (*serve.Engine, error) {
 // openEngine restores one round's engine from disk and prepays its response
 // matrices, so historical queries never pay an Algorithm-3 fit inline.
 func (st *Store) openEngine(round int) (*serve.Engine, error) {
-	snap, _, err := st.readFile(round)
+	snap, err := st.load(round)
 	if err != nil {
-		return nil, err
-	}
-	if snap.Round != round {
-		return nil, fmt.Errorf("archive: snapshot file for round %d claims round %d", round, snap.Round)
-	}
-	if err := st.checkPlan(snap); err != nil {
 		return nil, err
 	}
 	eng, err := serve.FromSnapshot(snap.Aggregate)

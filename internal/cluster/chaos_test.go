@@ -223,9 +223,10 @@ func TestClusterChaosShardCrashBitIdentical(t *testing.T) {
 }
 
 // TestShardStateRepullAfterCrashIsIdentical drills the narrower invariant
-// directly: seal a durable shard, pull its state, crash and restart it from
-// the WAL, and pull again — the two messages must match checksum-for-checksum
-// (only the replay counter, excluded from the checksum, may differ).
+// directly: seal a durable shard that refused some reports, pull its state,
+// crash and restart it from the WAL, and pull again — the two messages must
+// match checksum-for-checksum, rejected count included (only the replay
+// counter, excluded from the checksum, may differ).
 func TestShardStateRepullAfterCrashIsIdentical(t *testing.T) {
 	const n = 600
 	schema := dataset.MixedSchema(2, 32, 2, 4)
@@ -277,12 +278,19 @@ func TestShardStateRepullAfterCrashIsIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Reports for a group the plan lacks are refused and counted.
+	const refused = 3
+	for i := 0; i < refused; i++ {
+		if _, err := cl.ReportWithID(ctx, fmt.Sprintf("bad-%d", i), core.Report{Group: 99, Proto: specs[0].Proto}); err == nil {
+			t.Fatal("report for group 99 accepted")
+		}
+	}
 	first, err := cl.ShardState(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Reports != n || first.WALReplayed != 0 {
-		t.Fatalf("first pull: %d reports, %d replayed", first.Reports, first.WALReplayed)
+	if first.Reports != n || first.Rejected != refused || first.WALReplayed != 0 {
+		t.Fatalf("first pull: %d reports, %d rejected, %d replayed", first.Reports, first.Rejected, first.WALReplayed)
 	}
 	// A pull seals the round: fresh reports must now be refused.
 	id, rep := deviceReport(t, specs, opts.Epsilon, ds, 0, 999)
@@ -301,9 +309,9 @@ func TestShardStateRepullAfterCrashIsIdentical(t *testing.T) {
 	if second.WALReplayed != n {
 		t.Fatalf("restarted shard replayed %d records, want %d", second.WALReplayed, n)
 	}
-	if second.Checksum != first.Checksum || second.Reports != first.Reports || second.Round != first.Round {
-		t.Fatalf("re-pulled state differs: first %08x/%d, second %08x/%d",
-			first.Checksum, first.Reports, second.Checksum, second.Reports)
+	if second.Checksum != first.Checksum || second.Reports != first.Reports || second.Rejected != first.Rejected || second.Round != first.Round {
+		t.Fatalf("re-pulled state differs: first %08x/%d reports/%d rejected, second %08x/%d/%d",
+			first.Checksum, first.Reports, first.Rejected, second.Checksum, second.Reports, second.Rejected)
 	}
 	// And a third pull from the same process serves the cache, verbatim.
 	third, err := cl.ShardState(ctx)

@@ -33,13 +33,11 @@ type Report struct {
 	Group int
 	// Proto is the grid's frequency-oracle protocol.
 	Proto fo.Protocol
-	// Value is the GRR report (perturbed cell index) when Proto == GRR, the
-	// GRR-perturbed hash when Proto == OLH, or the Hadamard row index when
-	// Proto == HR.
+	// Value and Seed are the protocol's (value, seed) report pair (see
+	// fo.Perturber): the perturbed cell for GRR, the perturbed hash and its
+	// hash function for OLH, the Hadamard row and its sign bit for HR.
 	Value int
-	// Seed identifies the OLH hash function when Proto == OLH. For HR it
-	// carries the reported sign bit: 0 for +1, 1 for −1.
-	Seed uint64
+	Seed  uint64
 }
 
 // ModeReport is one wire-level submission under a reporting mode: the ε-LDP
@@ -66,9 +64,8 @@ type Client struct {
 	// the amplified ε' under RS+FD.
 	eps float64
 	rng *fo.Rand
-	grr map[int]*fo.GRRClient
-	olh map[int]*fo.OLHClient
-	hr  map[int]*fo.HRClient
+	// perturbers holds each group's client, built on the group's first report.
+	perturbers []fo.Perturber
 }
 
 // NewClient builds a FELIP-mode client from the published plan. seed controls
@@ -91,13 +88,11 @@ func NewModeClient(specs []GridSpec, mode fo.ReportMode, eps float64, seed uint6
 		seed = fo.AutoSeed()
 	}
 	return &Client{
-		specs: specs,
-		mode:  mode,
-		eps:   fo.ReportEpsilon(mode, eps, len(specs)),
-		rng:   fo.NewRand(seed),
-		grr:   make(map[int]*fo.GRRClient),
-		olh:   make(map[int]*fo.OLHClient),
-		hr:    make(map[int]*fo.HRClient),
+		specs:      specs,
+		mode:       mode,
+		eps:        fo.ReportEpsilon(mode, eps, len(specs)),
+		rng:        fo.NewRand(seed),
+		perturbers: make([]fo.Perturber, len(specs)),
 	}, nil
 }
 
@@ -170,59 +165,19 @@ func (c *Client) PerturbAll(group int, record func(attr int) int) ([]ModeReport,
 // perturbCell perturbs one grid cell under the client's per-report budget.
 func (c *Client) perturbCell(group, cell int) (Report, error) {
 	spec := c.specs[group]
-	switch spec.Proto {
-	case fo.GRR:
-		cl, ok := c.grr[group]
-		if !ok {
-			var err error
-			cl, err = fo.NewGRRClient(c.eps, spec.L())
-			if err != nil {
-				return Report{}, err
-			}
-			c.grr[group] = cl
-		}
-		v, err := cl.Perturb(cell, c.rng)
-		if err != nil {
+	p := c.perturbers[group]
+	if p == nil {
+		var err error
+		if p, err = fo.NewPerturber(spec.Proto, c.eps, spec.L()); err != nil {
 			return Report{}, err
 		}
-		return Report{Group: group, Proto: fo.GRR, Value: v}, nil
-	case fo.OLH:
-		cl, ok := c.olh[group]
-		if !ok {
-			var err error
-			cl, err = fo.NewOLHClient(c.eps, spec.L())
-			if err != nil {
-				return Report{}, err
-			}
-			c.olh[group] = cl
-		}
-		rep, err := cl.Perturb(cell, c.rng)
-		if err != nil {
-			return Report{}, err
-		}
-		return Report{Group: group, Proto: fo.OLH, Value: int(rep.Value), Seed: rep.Seed}, nil
-	case fo.HR:
-		cl, ok := c.hr[group]
-		if !ok {
-			var err error
-			cl, err = fo.NewHRClient(c.eps, spec.L())
-			if err != nil {
-				return Report{}, err
-			}
-			c.hr[group] = cl
-		}
-		rep, err := cl.Perturb(cell, c.rng)
-		if err != nil {
-			return Report{}, err
-		}
-		var sign uint64
-		if rep.Sign < 0 {
-			sign = 1
-		}
-		return Report{Group: group, Proto: fo.HR, Value: rep.Row, Seed: sign}, nil
-	default:
-		return Report{}, fmt.Errorf("core: plan uses unsupported report protocol %v", spec.Proto)
+		c.perturbers[group] = p
 	}
+	value, seed, err := p.PerturbReport(cell, c.rng)
+	if err != nil {
+		return Report{}, err
+	}
+	return Report{Group: group, Proto: spec.Proto, Value: value, Seed: seed}, nil
 }
 
 // Collector is the incremental server side of FELIP: it publishes the grid
@@ -237,16 +192,12 @@ type Collector struct {
 	// FELIP, ε/m under SPL, the amplified ε' under RS+FD. Aggregators,
 	// validation and partial-state checks all run at this budget.
 	reportEps float64
-	// olhG is the OLH hash range at reportEps: every OLH report's value must
-	// fall in [0, olhG).
-	olhG int
+	// aggs holds each grid's aggregator, in plan order.
+	aggs []fo.Aggregator
 
 	mu        sync.Mutex
 	nextGroup int
 	rng       *fo.Rand
-	grrAggs   map[int]*fo.GRRAggregator
-	olhAggs   map[int]*fo.OLHAggregator
-	hrAggs    map[int]*fo.HRAggregator
 	added     int
 	rejected  int
 	finalized bool
@@ -291,30 +242,24 @@ func NewCollector(schema *domain.Schema, n int, opts Options) (*Collector, error
 		opts:      opts,
 		specs:     specs,
 		reportEps: reportEps,
-		olhG:      fo.OptimalG(reportEps),
+		aggs:      make([]fo.Aggregator, len(specs)),
 		rng:       fo.NewRand(opts.Seed),
-		grrAggs:   make(map[int]*fo.GRRAggregator),
-		olhAggs:   make(map[int]*fo.OLHAggregator),
-		hrAggs:    make(map[int]*fo.HRAggregator),
 	}
 	for g, spec := range specs {
-		switch spec.Proto {
-		case fo.GRR:
-			c.grrAggs[g] = fo.NewGRRAggregator(reportEps, spec.L())
-		case fo.OLH:
+		switch {
+		case spec.Proto == fo.OLH:
 			// Fold as reports arrive: the grid's memory stays O(L) however
 			// many reports the round takes, and the close folds at most one
 			// partial batch.
-			c.olhAggs[g] = fo.NewOLHAggregatorStreaming(reportEps, spec.L())
-		case fo.HR:
+			c.aggs[g] = fo.NewOLHAggregatorStreaming(reportEps, spec.L())
+		case spec.Proto == fo.HR && opts.Mode == fo.ModeRSFD:
 			// RS+FD's fake-data inversion has no HR form (the planner never
 			// emits one; only a forced protocol can get here).
-			if opts.Mode == fo.ModeRSFD {
-				return nil, fmt.Errorf("core: HR grids are not supported under RS+FD reporting")
-			}
-			c.hrAggs[g] = fo.NewHRAggregator(reportEps, spec.L())
+			return nil, fmt.Errorf("core: HR grids are not supported under RS+FD reporting")
 		default:
-			return nil, fmt.Errorf("core: plan uses unsupported report protocol %v", spec.Proto)
+			if c.aggs[g], err = fo.NewAggregator(spec.Proto, reportEps, spec.L()); err != nil {
+				return nil, fmt.Errorf("core: grid %d: %w", g, err)
+			}
 		}
 	}
 	return c, nil
@@ -370,29 +315,10 @@ func (c *Collector) validateLocked(rep Report) error {
 	if rep.Group < 0 || rep.Group >= len(c.specs) {
 		return fmt.Errorf("core: report for unknown group %d", rep.Group)
 	}
-	spec := c.specs[rep.Group]
-	if rep.Proto != spec.Proto {
-		return fmt.Errorf("core: group %d expects %v reports, got %v", rep.Group, spec.Proto, rep.Proto)
+	if want := c.specs[rep.Group].Proto; rep.Proto != want {
+		return fmt.Errorf("core: group %d expects %v reports, got %v", rep.Group, want, rep.Proto)
 	}
-	switch spec.Proto {
-	case fo.GRR:
-		if rep.Value < 0 || rep.Value >= spec.L() {
-			return fmt.Errorf("core: GRR report %d outside [0,%d)", rep.Value, spec.L())
-		}
-	case fo.OLH:
-		if rep.Value < 0 || rep.Value >= c.olhG {
-			return fmt.Errorf("core: OLH report %d outside [0,%d)", rep.Value, c.olhG)
-		}
-	case fo.HR:
-		k := fo.HRPaddedSize(spec.L())
-		if rep.Value < 0 || rep.Value >= k {
-			return fmt.Errorf("core: HR row %d outside [0,%d)", rep.Value, k)
-		}
-		if rep.Seed > 1 {
-			return fmt.Errorf("core: HR sign bit %d outside {0,1}", rep.Seed)
-		}
-	}
-	return nil
+	return c.aggs[rep.Group].CheckReport(rep.Value, rep.Seed)
 }
 
 // Check validates a report against the plan without recording it. A durable
@@ -411,14 +337,7 @@ func (c *Collector) Add(rep Report) error {
 	if err := c.checkLocked(rep); err != nil {
 		return err
 	}
-	switch c.specs[rep.Group].Proto {
-	case fo.GRR:
-		c.grrAggs[rep.Group].Add(rep.Value)
-	case fo.OLH:
-		c.olhAggs[rep.Group].Add(fo.OLHReport{Seed: rep.Seed, Value: uint8(rep.Value)})
-	case fo.HR:
-		c.hrAggs[rep.Group].Add(fo.HRReport{Row: rep.Value, Sign: hrSign(rep.Seed)})
-	}
+	c.aggs[rep.Group].AddReport(rep.Value, rep.Seed)
 	c.added++
 	return nil
 }
@@ -438,24 +357,10 @@ func (c *Collector) Rejected() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := c.rejected
-	for _, agg := range c.grrAggs {
-		total += agg.Rejected()
-	}
-	for _, agg := range c.olhAggs {
-		total += agg.Rejected()
-	}
-	for _, agg := range c.hrAggs {
+	for _, agg := range c.aggs {
 		total += agg.Rejected()
 	}
 	return total
-}
-
-// hrSign maps the wire sign bit (Report.Seed) back to the HR report sign.
-func hrSign(bit uint64) int8 {
-	if bit == 0 {
-		return 1
-	}
-	return -1
 }
 
 // GroupCounts returns the number of reports accepted so far per group. The
@@ -464,16 +369,9 @@ func hrSign(bit uint64) int8 {
 func (c *Collector) GroupCounts() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	counts := make([]int, len(c.specs))
-	for g, spec := range c.specs {
-		switch spec.Proto {
-		case fo.GRR:
-			counts[g] = c.grrAggs[g].N()
-		case fo.OLH:
-			counts[g] = c.olhAggs[g].N()
-		case fo.HR:
-			counts[g] = c.hrAggs[g].N()
-		}
+	counts := make([]int, len(c.aggs))
+	for g, agg := range c.aggs {
+		counts[g] = agg.N()
 	}
 	return counts
 }
@@ -525,28 +423,14 @@ func (c *Collector) ExportPartials() ([]fo.PartialState, error) {
 	c.finalized = true // seal: Add/Check refuse, count vectors are frozen
 	done := make(chan struct{})
 	c.exportDone = done
-	specs := c.specs
-	grrAggs := c.grrAggs
-	olhAggs := c.olhAggs
-	hrAggs := c.hrAggs
 	c.mu.Unlock()
 
 	// The per-grid exports run outside c.mu (an OLH export folds any pending
 	// reports, O(pending·L)) so N, GroupCounts and Rejected stay live.
-	states := make([]fo.PartialState, len(specs))
+	states := make([]fo.PartialState, len(c.aggs))
 	var err error
-	for g, spec := range specs {
-		switch spec.Proto {
-		case fo.GRR:
-			states[g], err = grrAggs[g].ExportState()
-		case fo.OLH:
-			states[g], err = olhAggs[g].ExportState()
-		case fo.HR:
-			states[g], err = hrAggs[g].ExportState()
-		default:
-			err = fmt.Errorf("core: plan uses unsupported report protocol %v", spec.Proto)
-		}
-		if err != nil {
+	for g, agg := range c.aggs {
+		if states[g], err = agg.ExportState(); err != nil {
 			states = nil
 			break
 		}
@@ -585,16 +469,7 @@ func (c *Collector) ImportPartials(states []fo.PartialState) error {
 		total += st.N
 	}
 	for g, st := range states {
-		var err error
-		switch c.specs[g].Proto {
-		case fo.GRR:
-			err = c.grrAggs[g].ImportState(st)
-		case fo.OLH:
-			err = c.olhAggs[g].ImportState(st)
-		case fo.HR:
-			err = c.hrAggs[g].ImportState(st)
-		}
-		if err != nil {
+		if err := c.aggs[g].ImportState(st); err != nil {
 			// Check passed above; this is unreachable short of a bug.
 			return fmt.Errorf("core: grid %d: %w", g, err)
 		}
@@ -632,9 +507,6 @@ func (c *Collector) Finalize() (*Aggregator, error) {
 	c.finalDone = done
 	added := c.added
 	specs := c.specs
-	grrAggs := c.grrAggs
-	olhAggs := c.olhAggs
-	hrAggs := c.hrAggs
 	c.mu.Unlock()
 
 	if hook := testHookFinalizeEstimation; hook != nil {
@@ -644,51 +516,24 @@ func (c *Collector) Finalize() (*Aggregator, error) {
 	start := time.Now()
 	groupNs := make([]int, len(specs))
 	freqs, err := estimateGrids(len(specs), func(g int) ([]float64, error) {
+		agg, L := c.aggs[g], specs[g].L()
+		if c.opts.Longitudinal == nil && c.opts.Mode != fo.ModeRSFD {
+			groupNs[g] = agg.N()
+			return agg.Estimates(), nil
+		}
+		// Longitudinal and RS+FD rounds estimate from the raw counts: the
+		// standard estimator at the report budget is biased by the two-stage
+		// chain (memoization at ε_perm composed with the per-round stage) and
+		// by the fake-data mix, so the counts are exported and inverted.
+		st, err := agg.ExportState()
+		if err != nil {
+			return nil, err
+		}
+		groupNs[g] = st.N
 		if c.opts.Longitudinal != nil {
-			// Longitudinal estimates invert the two-stage chain from the raw
-			// counts: the composed channel is GRR(ε_1), but the inversion is
-			// derived from the chain the clients actually ran (memoization at
-			// ε_perm composed with the per-round stage).
-			st, err := grrAggs[g].ExportState()
-			if err != nil {
-				return nil, err
-			}
-			groupNs[g] = st.N
-			return longitudinal.Estimates(*c.opts.Longitudinal, specs[g].L(), st.Counts, st.N)
+			return longitudinal.Estimates(*c.opts.Longitudinal, L, st.Counts, st.N)
 		}
-		if c.opts.Mode == fo.ModeRSFD {
-			// RS+FD estimates from the raw support counts: the standard
-			// estimator at ε' is biased by the fake-data mix, so the
-			// aggregator's counts are exported and inverted instead.
-			var st fo.PartialState
-			var err error
-			switch specs[g].Proto {
-			case fo.GRR:
-				st, err = grrAggs[g].ExportState()
-			case fo.OLH:
-				st, err = olhAggs[g].ExportState()
-			default:
-				return nil, fmt.Errorf("core: plan uses unsupported report protocol %v", specs[g].Proto)
-			}
-			if err != nil {
-				return nil, err
-			}
-			groupNs[g] = st.N
-			return fo.RSFDEstimates(specs[g].Proto, c.opts.Epsilon, specs[g].L(), len(specs), st.Counts, st.N)
-		}
-		switch specs[g].Proto {
-		case fo.GRR:
-			groupNs[g] = grrAggs[g].N()
-			return grrAggs[g].Estimates(), nil
-		case fo.OLH:
-			groupNs[g] = olhAggs[g].N()
-			return olhAggs[g].Estimates(), nil
-		case fo.HR:
-			groupNs[g] = hrAggs[g].N()
-			return hrAggs[g].Estimates(), nil
-		default:
-			return nil, fmt.Errorf("core: plan uses unsupported report protocol %v", specs[g].Proto)
-		}
+		return fo.RSFDEstimates(specs[g].Proto, c.opts.Epsilon, L, len(specs), st.Counts, st.N)
 	})
 	var agg *Aggregator
 	if err == nil {

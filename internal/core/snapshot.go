@@ -119,16 +119,9 @@ func Restore(s Snapshot) (*Aggregator, error) {
 		var02:  make(map[[2]int]float64),
 	}
 	for i, gs := range s.Grids {
-		var proto fo.Protocol
-		switch gs.Proto {
-		case "GRR":
-			proto = fo.GRR
-		case "OLH":
-			proto = fo.OLH
-		case "OUE":
-			proto = fo.OUE
-		default:
-			return nil, fmt.Errorf("core: grid %d: unknown protocol %q", i, gs.Proto)
+		proto, err := fo.ParseProtocol(gs.Proto)
+		if err != nil {
+			return nil, fmt.Errorf("core: grid %d: %w", i, err)
 		}
 		if gs.AttrX < 0 || gs.AttrX >= schema.Len() {
 			return nil, fmt.Errorf("core: grid %d: attr_x %d out of range", i, gs.AttrX)

@@ -210,33 +210,14 @@ func runMegaDomainCell(cfg MegaDomainConfig, md *dataset.MegaDomain, truth []flo
 	// The frame-capable oracles ship real batched binary frames and meter
 	// the encoded bytes, headers included.
 	r := fo.NewRand(cfg.Seed + uint64(L) + uint64(eps*1000))
-	var (
-		grrClient *fo.GRRClient
-		olhClient *fo.OLHClient
-		hrClient  *fo.HRClient
-		grrAgg    *fo.GRRAggregator
-		olhAgg    *fo.OLHAggregator
-		hrAgg     *fo.HRAggregator
-		err       error
-	)
-	switch proto {
-	case fo.GRR:
-		if grrClient, err = fo.NewGRRClient(eps, L); err != nil {
-			return cell, err
-		}
-		grrAgg = fo.NewGRRAggregator(eps, L)
-	case fo.OLH:
-		if olhClient, err = fo.NewOLHClient(eps, L); err != nil {
-			return cell, err
-		}
-		olhAgg = fo.NewOLHAggregator(eps, L)
-	case fo.HR:
-		if hrClient, err = fo.NewHRClient(eps, L); err != nil {
-			return cell, err
-		}
-		hrAgg = fo.NewHRAggregator(eps, L)
+	client, err := fo.NewPerturber(proto, eps, L)
+	if err != nil {
+		return cell, err
 	}
-
+	agg, err := fo.NewAggregator(proto, eps, L)
+	if err != nil {
+		return cell, err
+	}
 	batch := make([]wire.BatchReport, 0, cfg.BatchReports)
 	var frameBuf []byte
 	flush := func() error {
@@ -252,34 +233,12 @@ func runMegaDomainCell(cfg MegaDomainConfig, md *dataset.MegaDomain, truth []flo
 		return nil
 	}
 	for i, v := range md.Values {
-		var rep core.Report
-		switch proto {
-		case fo.GRR:
-			out, err := grrClient.Perturb(v, r)
-			if err != nil {
-				return cell, err
-			}
-			grrAgg.Add(out)
-			rep = core.Report{Group: 0, Proto: fo.GRR, Value: out}
-		case fo.OLH:
-			out, err := olhClient.Perturb(v, r)
-			if err != nil {
-				return cell, err
-			}
-			olhAgg.Add(out)
-			rep = core.Report{Group: 0, Proto: fo.OLH, Value: int(out.Value), Seed: out.Seed}
-		case fo.HR:
-			out, err := hrClient.Perturb(v, r)
-			if err != nil {
-				return cell, err
-			}
-			hrAgg.Add(out)
-			var sign uint64
-			if out.Sign < 0 {
-				sign = 1
-			}
-			rep = core.Report{Group: 0, Proto: fo.HR, Value: out.Row, Seed: sign}
+		value, seed, err := client.PerturbReport(v, r)
+		if err != nil {
+			return cell, err
 		}
+		agg.AddReport(value, seed)
+		rep := core.Report{Group: 0, Proto: proto, Value: value, Seed: seed}
 		batch = append(batch, wire.BatchReport{ID: megaID(i), Report: rep})
 		if len(batch) == cfg.BatchReports {
 			if err := flush(); err != nil {
@@ -291,22 +250,12 @@ func runMegaDomainCell(cfg MegaDomainConfig, md *dataset.MegaDomain, truth []flo
 		return cell, err
 	}
 	cell.BytesPerUser = float64(cell.WireBytes) / float64(cfg.N)
-	tail := 17
-	if proto == fo.HR {
-		tail = 10
-	}
-	cell.RecordBytes = float64(1 + len(megaID(0)) + tail)
+	// One record's bytes: a one-report frame less the empty frame's header.
+	one := []wire.BatchReport{{ID: megaID(0), Report: core.Report{Proto: proto}}}
+	cell.RecordBytes = float64(wire.FrameSizeMode(fo.ModeFELIP, one) - wire.FrameSizeMode(fo.ModeFELIP, nil))
 
-	var est []float64
 	t0 := time.Now()
-	switch proto {
-	case fo.GRR:
-		est = grrAgg.Estimates()
-	case fo.OLH:
-		est = olhAgg.Estimates()
-	case fo.HR:
-		est = hrAgg.Estimates()
-	}
+	est := agg.Estimates()
 	cell.EstimateMillis = float64(time.Since(t0).Microseconds()) / 1000
 	cell.MSE = mseOver(est, truth)
 	return cell, nil

@@ -86,61 +86,13 @@ func (p *PartialFetch) Injected() int {
 	return p.injected
 }
 
-// Blackout is a fault-injecting http.RoundTripper that simulates a crashed
-// shard at the transport layer: between Kill and Revive every request to a
-// host matching the killed prefix fails as a refused connection. Tests pair
-// it with a real server restart (new process state, WAL replay) to drill the
-// full crash-recovery path. Safe for concurrent use.
-type Blackout struct {
-	base http.RoundTripper
-
-	mu   sync.Mutex
-	dead map[string]bool
-}
-
-// NewBlackout wraps base (nil = http.DefaultTransport).
-func NewBlackout(base http.RoundTripper) *Blackout {
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	return &Blackout{base: base, dead: make(map[string]bool)}
-}
-
-// Kill makes every request to the given host (as in req.URL.Host) fail.
-func (b *Blackout) Kill(host string) {
-	b.mu.Lock()
-	b.dead[host] = true
-	b.mu.Unlock()
-}
-
-// Revive restores the host.
-func (b *Blackout) Revive(host string) {
-	b.mu.Lock()
-	delete(b.dead, host)
-	b.mu.Unlock()
-}
-
-// RoundTrip implements http.RoundTripper.
-func (b *Blackout) RoundTrip(req *http.Request) (*http.Response, error) {
-	b.mu.Lock()
-	dead := b.dead[req.URL.Host]
-	b.mu.Unlock()
-	if dead {
-		if req.Body != nil {
-			req.Body.Close()
-		}
-		return nil, fmt.Errorf("faultinject: connection to %s refused (host down)", req.URL.Host)
-	}
-	return b.base.RoundTrip(req)
-}
-
 // PathBlackout is a fault-injecting http.RoundTripper that drops only the
-// requests whose URL path contains a blocked substring — the partial-failure
-// sibling of Blackout. It drills the failure modes a whole-host blackout
-// cannot: a shard whose ingest is alive but whose heartbeats are lost (the
-// asymmetric partition that makes a coordinator promote a healthy primary's
-// follower), or a follower whose replication pulls stall while everything
-// else flows (a lagging follower at promotion time). Safe for concurrent use.
+// requests whose URL path contains a blocked substring, answering each as a
+// refused connection. It drills partial failures: a shard whose ingest is
+// alive but whose heartbeats are lost (the asymmetric partition that makes a
+// coordinator promote a healthy primary's follower), or a follower whose
+// replication pulls stall while everything else flows (a lagging follower at
+// promotion time). Safe for concurrent use.
 type PathBlackout struct {
 	base http.RoundTripper
 

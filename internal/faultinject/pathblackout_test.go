@@ -8,8 +8,7 @@ import (
 )
 
 // TestPathBlackoutDropsOnlyMatchingPaths: the asymmetric partition — one
-// endpoint dark, the rest of the host flowing — is exactly what distinguishes
-// PathBlackout from the host-level Blackout.
+// endpoint dark, the rest of the same host flowing.
 func TestPathBlackoutDropsOnlyMatchingPaths(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok")

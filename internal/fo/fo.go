@@ -9,8 +9,11 @@
 // estimates for every value in the domain. All oracles here satisfy ε-LDP.
 //
 // The package exposes, per protocol, a Client type (Ψ) and an Aggregator type
-// (Φ) so that the user-side and server-side code paths are explicit, plus the
-// Estimate convenience helper that simulates a full collection round.
+// (Φ) so that the user-side and server-side code paths are explicit. GRR, OLH
+// and HR also implement the Perturber and Aggregator interfaces over the
+// wire's (value, seed) report pair (oracle.go), through which every caller
+// outside the package reaches them. Estimate simulates a full collection
+// round.
 package fo
 
 import (
@@ -103,44 +106,32 @@ func ChooseByVariance(eps float64, L int) Protocol {
 // Estimate is the path used by the FELIP engines and baselines; tests also
 // exercise the Client/Aggregator pairs directly.
 func Estimate(p Protocol, eps float64, L int, values []int, seed uint64) ([]float64, error) {
-	switch p {
-	case GRR:
-		c, err := NewGRRClient(eps, L)
-		if err != nil {
-			return nil, err
-		}
-		agg := NewGRRAggregator(eps, L)
-		r := NewRand(seed)
-		for _, v := range values {
-			rep, err := c.Perturb(v, r)
-			if err != nil {
-				return nil, err
-			}
-			agg.Add(rep)
-		}
-		return agg.Estimates(), nil
-	case OLH:
-		c, err := NewOLHClient(eps, L)
-		if err != nil {
-			return nil, err
-		}
-		agg := NewOLHAggregator(eps, L)
-		r := NewRand(seed)
-		for _, v := range values {
-			rep, err := c.Perturb(v, r)
-			if err != nil {
-				return nil, err
-			}
-			agg.Add(rep)
-		}
-		return agg.Estimates(), nil
-	case OUE:
+	agg, err := simulate(p, eps, L, values, seed)
+	if err != nil {
+		return nil, err
+	}
+	return agg.Estimates(), nil
+}
+
+// folded is what a simulated round leaves: an aggregator that estimates and
+// exports its counts.
+type folded interface {
+	Estimates() []float64
+	ExportState() (PartialState, error)
+}
+
+// simulate is the one simulation loop: every value is perturbed under eps by
+// the protocol's client, on one Rand seeded with seed, and folded into a
+// fresh aggregator (the buffered OLH one, which folds once at the end). OUE,
+// whose report has no (value, seed) form, keeps its typed pair.
+func simulate(p Protocol, eps float64, L int, values []int, seed uint64) (folded, error) {
+	r := NewRand(seed)
+	if p == OUE {
 		c, err := NewOUEClient(eps, L)
 		if err != nil {
 			return nil, err
 		}
 		agg := NewOUEAggregator(eps, L)
-		r := NewRand(seed)
 		for _, v := range values {
 			rep, err := c.Perturb(v, r)
 			if err != nil {
@@ -148,25 +139,24 @@ func Estimate(p Protocol, eps float64, L int, values []int, seed uint64) ([]floa
 			}
 			agg.Add(rep)
 		}
-		return agg.Estimates(), nil
-	case HR:
-		c, err := NewHRClient(eps, L)
+		return agg, nil
+	}
+	c, err := NewPerturber(p, eps, L)
+	if err != nil {
+		return nil, err
+	}
+	agg, err := NewAggregator(p, eps, L)
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range values {
+		value, s, err := c.PerturbReport(v, r)
 		if err != nil {
 			return nil, err
 		}
-		agg := NewHRAggregator(eps, L)
-		r := NewRand(seed)
-		for _, v := range values {
-			rep, err := c.Perturb(v, r)
-			if err != nil {
-				return nil, err
-			}
-			agg.Add(rep)
-		}
-		return agg.Estimates(), nil
-	default:
-		return nil, fmt.Errorf("fo: unknown protocol %v", p)
+		agg.AddReport(value, s)
 	}
+	return agg, nil
 }
 
 func validate(eps float64, L int) error {

@@ -70,6 +70,13 @@ func (c *GRRClient) Perturb(v int, r *Rand) (int, error) {
 	return x, nil
 }
 
+// PerturbReport is Perturb in the (value, seed) pair form: the reported
+// cell, seed 0.
+func (c *GRRClient) PerturbReport(v int, r *Rand) (int, uint64, error) {
+	x, err := c.Perturb(v, r)
+	return x, 0, err
+}
+
 // GRRAggregator is the server-side algorithm Φ_GRR: it counts reports and
 // converts counts into unbiased frequency estimates (paper Eq 1). It is not
 // safe for concurrent use; the collector serializes access.
@@ -86,16 +93,27 @@ func NewGRRAggregator(eps float64, L int) *GRRAggregator {
 	return &GRRAggregator{eps: eps, l: L, counts: make([]int64, L)}
 }
 
-// Add records one user report. A report outside [0, L) cannot have been
-// produced by Ψ_GRR; it is counted as rejected rather than silently
+// Add records one user report; it is AddReport with seed 0.
+func (a *GRRAggregator) Add(report int) { a.AddReport(report, 0) }
+
+// CheckReport accepts a reported cell in [0, L); the seed is unused.
+func (a *GRRAggregator) CheckReport(value int, _ uint64) error {
+	if value < 0 || value >= a.l {
+		return fmt.Errorf("fo: GRR report %d outside [0,%d)", value, a.l)
+	}
+	return nil
+}
+
+// AddReport records one user report. A report outside [0, L) cannot have
+// been produced by Ψ_GRR; it is counted as rejected rather than silently
 // discarded, so malformed-client traffic stays visible to operators.
-func (a *GRRAggregator) Add(report int) {
-	if report < 0 || report >= a.l {
+func (a *GRRAggregator) AddReport(value int, seed uint64) {
+	if a.CheckReport(value, seed) != nil {
 		a.rejected++
 		grrRejectedTotal.Inc()
 		return
 	}
-	a.counts[report]++
+	a.counts[value]++
 	a.n++
 }
 
@@ -104,24 +122,6 @@ func (a *GRRAggregator) N() int { return a.n }
 
 // Rejected returns the number of out-of-range reports Add refused.
 func (a *GRRAggregator) Rejected() int { return a.rejected }
-
-// Merge adds another aggregator's counts into this one, exactly. Both must
-// share ε and L. The other aggregator is left unchanged.
-func (a *GRRAggregator) Merge(other *GRRAggregator) error {
-	if other == a {
-		return fmt.Errorf("fo: cannot merge a GRR aggregator with itself")
-	}
-	if a.eps != other.eps || a.l != other.l {
-		return fmt.Errorf("fo: merging incompatible GRR aggregators (eps %v/%v, L %d/%d)",
-			a.eps, other.eps, a.l, other.l)
-	}
-	for v, c := range other.counts {
-		a.counts[v] += c
-	}
-	a.n += other.n
-	a.rejected += other.rejected
-	return nil
-}
 
 // Estimates returns the unbiased frequency estimate for every domain value:
 // Φ_GRR(v) = (C(v)/n − q)/(p − q). Estimates may be negative; post-processing

@@ -129,10 +129,20 @@ func (c *HRClient) Perturb(v int, r *Rand) (HRReport, error) {
 	return HRReport{Row: j, Sign: b}, nil
 }
 
+// PerturbReport is Perturb in the (value, seed) pair form: the row and the
+// sign bit (0 for +1, 1 for −1).
+func (c *HRClient) PerturbReport(v int, r *Rand) (int, uint64, error) {
+	rep, err := c.Perturb(v, r)
+	var bit uint64
+	if rep.Sign < 0 {
+		bit = 1
+	}
+	return rep.Row, bit, err
+}
+
 // Kernel instruments (see internal/metrics), surfaced by /v1/status.
 var (
 	hrEstimateTimer = metrics.GetTimer("fo.hr.estimate")
-	hrMerges        = metrics.GetCounter("fo.hr.merges")
 	hrRejectedTotal = metrics.GetCounter("fo.hr.rejected")
 	hrStateImports  = metrics.GetCounter("fo.hr.state_imports")
 )
@@ -182,20 +192,44 @@ func (a *HRAggregator) L() int { return a.l }
 // K returns the padded (power-of-two) Hadamard order.
 func (a *HRAggregator) K() int { return a.k }
 
-// Add folds one report into the per-row sign counters. Reports with an
-// out-of-range row or a sign outside {+1, −1} are rejected and counted.
+// Add folds one report; it is AddReport in the typed form. A sign outside
+// {+1, −1} has no sign bit and is rejected.
 func (a *HRAggregator) Add(rep HRReport) {
+	bit := uint64(2)
+	switch rep.Sign {
+	case 1:
+		bit = 0
+	case -1:
+		bit = 1
+	}
+	a.AddReport(rep.Row, bit)
+}
+
+// CheckReport accepts a row in [0, K) and a sign bit in {0, 1}.
+func (a *HRAggregator) CheckReport(row int, bit uint64) error {
+	if row < 0 || row >= a.k {
+		return fmt.Errorf("fo: HR row %d outside [0,%d)", row, a.k)
+	}
+	if bit > 1 {
+		return fmt.Errorf("fo: HR sign bit %d outside {0,1}", bit)
+	}
+	return nil
+}
+
+// AddReport folds one report into the per-row sign counters. Reports
+// CheckReport refuses are rejected and counted.
+func (a *HRAggregator) AddReport(row int, bit uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if rep.Row < 0 || rep.Row >= a.k || (rep.Sign != 1 && rep.Sign != -1) {
+	if a.CheckReport(row, bit) != nil {
 		a.rejected++
 		hrRejectedTotal.Inc()
 		return
 	}
-	if rep.Sign > 0 {
-		a.plus[rep.Row]++
+	if bit == 0 {
+		a.plus[row]++
 	} else {
-		a.minus[rep.Row]++
+		a.minus[row]++
 	}
 	a.n++
 }
@@ -212,36 +246,6 @@ func (a *HRAggregator) Rejected() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.rejected
-}
-
-// Merge folds another aggregator's counts into this one, exactly: integer
-// sign counts from disjoint report streams sum to the counts one
-// aggregator seeing both streams would hold, so merged estimates are
-// bit-identical to single-node aggregation.
-func (a *HRAggregator) Merge(other *HRAggregator) error {
-	if other == a {
-		return fmt.Errorf("fo: cannot merge an HR aggregator with itself")
-	}
-	if a.eps != other.eps || a.l != other.l {
-		return fmt.Errorf("fo: merging incompatible HR aggregators (eps %v vs %v, L %d vs %d)",
-			a.eps, other.eps, a.l, other.l)
-	}
-	other.mu.Lock()
-	plus := append([]int64(nil), other.plus...)
-	minus := append([]int64(nil), other.minus...)
-	n, rejected := other.n, other.rejected
-	other.mu.Unlock()
-
-	a.mu.Lock()
-	for j := range plus {
-		a.plus[j] += plus[j]
-		a.minus[j] += minus[j]
-	}
-	a.n += n
-	a.rejected += rejected
-	a.mu.Unlock()
-	hrMerges.Inc()
-	return nil
 }
 
 // fwht applies the in-place fast Walsh–Hadamard transform (Sylvester

@@ -163,8 +163,9 @@ func TestHREmpiricalVarianceMatchesFormula(t *testing.T) {
 	}
 }
 
-// Merge is exact: two aggregators over disjoint streams merge to the state
-// one aggregator over the union holds, bit for bit.
+// The merge is exact: two aggregators over disjoint streams merge
+// (ExportState, ImportState) to the state one aggregator over the union
+// holds, bit for bit.
 func TestHRMergeBitIdentical(t *testing.T) {
 	const (
 		eps = 0.9
@@ -191,7 +192,7 @@ func TestHRMergeBitIdentical(t *testing.T) {
 			right.Add(rep)
 		}
 	}
-	if err := left.Merge(right); err != nil {
+	if err := mergeInto(left, right); err != nil {
 		t.Fatal(err)
 	}
 	if left.N() != whole.N() {
@@ -203,13 +204,10 @@ func TestHRMergeBitIdentical(t *testing.T) {
 			t.Fatalf("merged estimate[%d] = %v, single %v", v, a[v], b[v])
 		}
 	}
-	if err := left.Merge(left); err == nil {
-		t.Error("self-merge accepted")
-	}
-	if err := left.Merge(NewHRAggregator(eps, L+1)); err == nil {
+	if err := mergeInto(left, NewHRAggregator(eps, L+1)); err == nil {
 		t.Error("merge of incompatible L accepted")
 	}
-	if err := left.Merge(NewHRAggregator(eps+0.1, L)); err == nil {
+	if err := mergeInto(left, NewHRAggregator(eps+0.1, L)); err == nil {
 		t.Error("merge of incompatible eps accepted")
 	}
 }

@@ -108,13 +108,19 @@ func (c *OLHClient) Perturb(v int, r *Rand) (OLHReport, error) {
 	return OLHReport{Seed: seed, Value: uint8(rep)}, nil
 }
 
+// PerturbReport is Perturb in the (value, seed) pair form: the perturbed hash
+// and the hash function's seed.
+func (c *OLHClient) PerturbReport(v int, r *Rand) (int, uint64, error) {
+	rep, err := c.Perturb(v, r)
+	return int(rep.Value), rep.Seed, err
+}
+
 // Kernel instruments (see internal/metrics): fold throughput and estimation
 // latency, surfaced by the HTTP API's /v1/status.
 var (
 	olhFoldTimer     = metrics.GetTimer("fo.olh.fold")
 	olhFoldReports   = metrics.GetCounter("fo.olh.fold_reports")
 	olhEstimateTimer = metrics.GetTimer("fo.olh.estimate")
-	olhMerges        = metrics.GetCounter("fo.olh.merges")
 	olhRejectedTotal = metrics.GetCounter("fo.olh.rejected")
 )
 
@@ -142,9 +148,9 @@ const streamFoldBatch = 512
 //
 // Because the support counts are integers and every report's contribution is
 // folded exactly once, the kernel is bit-deterministic: buffered, streaming,
-// parallel, and k-way Merge'd aggregations of the same report multiset all
-// produce float-for-float identical estimates, equal to the sequential
-// reference (OLHReferenceEstimates).
+// parallel, and k-way merged (ExportState/ImportState) aggregations of the
+// same report multiset all produce float-for-float identical estimates, equal
+// to the sequential reference (OLHReferenceEstimates).
 //
 // An OLHAggregator is safe for concurrent use. Reports added concurrently
 // with an Estimates call may or may not be included in that call's output.
@@ -194,11 +200,24 @@ func (a *OLHAggregator) tablesLocked() ([]uint64, fastMod) {
 	return a.pre, a.fm
 }
 
-// Add records one user report. A report whose perturbed value lies outside
-// [0, g) cannot have been produced by Ψ_OLH; it is counted as rejected
-// (never silently folded, which would bias every estimate downward).
-func (a *OLHAggregator) Add(rep OLHReport) {
-	if uint64(rep.Value) >= uint64(a.g) {
+// Add records one user report; it is AddReport in the typed form.
+func (a *OLHAggregator) Add(rep OLHReport) { a.AddReport(int(rep.Value), rep.Seed) }
+
+// CheckReport accepts a perturbed hash in [0, g) under any seed.
+func (a *OLHAggregator) CheckReport(value int, _ uint64) error {
+	if value < 0 || value >= a.g {
+		return fmt.Errorf("fo: OLH report %d outside [0,%d)", value, a.g)
+	}
+	return nil
+}
+
+// AddReport records one user report. A report whose perturbed value lies
+// outside [0, g) cannot have been produced by Ψ_OLH; it is counted as
+// rejected (never silently folded, which would bias every estimate
+// downward). The range is checked before the value is narrowed to the
+// kernel's byte, so an out-of-range value is never truncated into range.
+func (a *OLHAggregator) AddReport(value int, seed uint64) {
+	if a.CheckReport(value, seed) != nil {
 		a.mu.Lock()
 		a.rejected++
 		a.mu.Unlock()
@@ -206,7 +225,7 @@ func (a *OLHAggregator) Add(rep OLHReport) {
 		return
 	}
 	a.mu.Lock()
-	a.pending = append(a.pending, rep)
+	a.pending = append(a.pending, OLHReport{Seed: seed, Value: uint8(value)})
 	if a.foldAt == 0 || len(a.pending) < a.foldAt {
 		a.mu.Unlock()
 		return
@@ -315,50 +334,6 @@ func (a *OLHAggregator) Rejected() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.rejected
-}
-
-// Merge folds another aggregator's state into this one, exactly: the merged
-// aggregator estimates as if it had received every report both shards did.
-// Both must share ε and L. The other aggregator is left unchanged; it must
-// not have an Estimates call in flight.
-func (a *OLHAggregator) Merge(other *OLHAggregator) error {
-	if other == a {
-		return fmt.Errorf("fo: cannot merge an OLH aggregator with itself")
-	}
-	if a.eps != other.eps || a.l != other.l {
-		return fmt.Errorf("fo: merging incompatible OLH aggregators (eps %v/%v, L %d/%d)",
-			a.eps, other.eps, a.l, other.l)
-	}
-	other.mu.Lock()
-	if other.inflight > 0 {
-		other.mu.Unlock()
-		return fmt.Errorf("fo: cannot merge an OLH aggregator with estimation in flight")
-	}
-	pending := append([]OLHReport(nil), other.pending...)
-	var support []int64
-	if other.support != nil {
-		support = append([]int64(nil), other.support...)
-	}
-	folded := other.folded
-	rejected := other.rejected
-	other.mu.Unlock()
-
-	a.mu.Lock()
-	a.pending = append(a.pending, pending...)
-	if support != nil {
-		if a.support == nil {
-			a.support = support
-		} else {
-			for v, c := range support {
-				a.support[v] += c
-			}
-		}
-	}
-	a.folded += folded
-	a.rejected += rejected
-	a.mu.Unlock()
-	olhMerges.Inc()
-	return nil
 }
 
 // Estimates returns the unbiased frequency estimate for every domain value.

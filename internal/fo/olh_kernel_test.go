@@ -109,13 +109,13 @@ func TestOLHMergeEquivalence(t *testing.T) {
 		for j, rep := range reports {
 			shards[j%k].Add(rep)
 		}
-		// Fold one shard completely before merging: Merge must combine
+		// Fold one shard completely before merging: the merge must combine
 		// support vectors and pending buffers interchangeably.
 		shards[0].Estimates()
 
 		merged := NewOLHAggregator(eps, L)
 		for _, sh := range shards {
-			if err := merged.Merge(sh); err != nil {
+			if err := mergeInto(merged, sh); err != nil {
 				t.Fatalf("k=%d: merge: %v", k, err)
 			}
 		}
@@ -131,16 +131,25 @@ func TestOLHMergeEquivalence(t *testing.T) {
 	}
 }
 
+// mergeInto is the one merge: export the source's state and import it.
+func mergeInto(dst, src Aggregator) error {
+	st, err := src.ExportState()
+	if err != nil {
+		return err
+	}
+	return dst.ImportState(st)
+}
+
 func TestOLHMergeRejectsMismatch(t *testing.T) {
 	a := NewOLHAggregator(1.0, 64)
-	if err := a.Merge(a); err == nil {
-		t.Error("self-merge accepted")
-	}
-	if err := a.Merge(NewOLHAggregator(1.0, 65)); err == nil {
+	if err := mergeInto(a, NewOLHAggregator(1.0, 65)); err == nil {
 		t.Error("L mismatch accepted")
 	}
-	if err := a.Merge(NewOLHAggregator(1.5, 64)); err == nil {
+	if err := mergeInto(a, NewOLHAggregator(1.5, 64)); err == nil {
 		t.Error("eps mismatch accepted")
+	}
+	if err := mergeInto(a, NewGRRAggregator(1.0, 64)); err == nil {
+		t.Error("protocol mismatch accepted")
 	}
 }
 
@@ -229,7 +238,7 @@ func TestGRRMergeEquivalence(t *testing.T) {
 	}
 	merged := NewGRRAggregator(eps, L)
 	for _, sh := range shards {
-		if err := merged.Merge(sh); err != nil {
+		if err := mergeInto(merged, sh); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +248,7 @@ func TestGRRMergeEquivalence(t *testing.T) {
 			t.Fatalf("estimate[%d]: merged %v != single %v", v, got[v], want[v])
 		}
 	}
-	if err := merged.Merge(NewGRRAggregator(eps, L+1)); err == nil {
+	if err := mergeInto(merged, NewGRRAggregator(eps, L+1)); err == nil {
 		t.Error("L mismatch accepted")
 	}
 }
@@ -263,7 +272,11 @@ func TestOUEMergeEquivalence(t *testing.T) {
 	}
 	merged := NewOUEAggregator(eps, L)
 	for _, sh := range shards {
-		if err := merged.Merge(sh); err != nil {
+		st, err := sh.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := merged.ImportState(st); err != nil {
 			t.Fatal(err)
 		}
 	}

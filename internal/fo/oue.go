@@ -109,24 +109,6 @@ func (a *OUEAggregator) N() int { return a.n }
 // Rejected returns the number of mismatched reports Add refused.
 func (a *OUEAggregator) Rejected() int { return a.rejected }
 
-// Merge adds another aggregator's counts into this one, exactly. Both must
-// share ε and L. The other aggregator is left unchanged.
-func (a *OUEAggregator) Merge(other *OUEAggregator) error {
-	if other == a {
-		return fmt.Errorf("fo: cannot merge an OUE aggregator with itself")
-	}
-	if a.eps != other.eps || a.l != other.l {
-		return fmt.Errorf("fo: merging incompatible OUE aggregators (eps %v/%v, L %d/%d)",
-			a.eps, other.eps, a.l, other.l)
-	}
-	for v, c := range other.counts {
-		a.counts[v] += c
-	}
-	a.n += other.n
-	a.rejected += other.rejected
-	return nil
-}
-
 // Estimates returns the unbiased frequency estimate for every domain value:
 // (C(v)/n − q)/(p − q) with p = 1/2, q = 1/(e^ε+1).
 func (a *OUEAggregator) Estimates() []float64 {

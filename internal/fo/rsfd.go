@@ -30,10 +30,15 @@ func RSFDPQ(proto Protocol, epsAmp float64, L int) (p, q float64, err error) {
 	if err := validate(epsAmp, L); err != nil {
 		return 0, 0, err
 	}
+	return rsfdPQ(proto, epsAmp, float64(L))
+}
+
+// rsfdPQ is RSFDPQ at a continuous domain size, for RSFDVarianceCont.
+func rsfdPQ(proto Protocol, epsAmp, L float64) (p, q float64, err error) {
 	ee := math.Exp(epsAmp)
 	switch proto {
 	case GRR:
-		return ee / (ee + float64(L) - 1), 1 / (ee + float64(L) - 1), nil
+		return ee / (ee + L - 1), 1 / (ee + L - 1), nil
 	case OLH:
 		g := float64(OptimalG(epsAmp))
 		return ee / (ee + g - 1), 1 / g, nil
@@ -87,17 +92,8 @@ func RSFDVariance(proto Protocol, eps float64, L, m, n int) float64 {
 // fractional cell counts. At integer L it matches RSFDVariance exactly —
 // the expressions are identical, so the floats agree bit for bit.
 func RSFDVarianceCont(proto Protocol, eps, L float64, m, n int) float64 {
-	ee := math.Exp(AmplifiedEpsilon(eps, m))
-	var p, q float64
-	switch proto {
-	case GRR:
-		p, q = ee/(ee+L-1), 1/(ee+L-1)
-	case OLH:
-		g := float64(OptimalG(AmplifiedEpsilon(eps, m)))
-		p, q = ee/(ee+g-1), 1/g
-	case OUE:
-		p, q = 0.5, 1/(ee+1)
-	default:
+	p, q, err := rsfdPQ(proto, AmplifiedEpsilon(eps, m), L)
+	if err != nil {
 		return math.Inf(1)
 	}
 	mf := float64(m)
@@ -112,61 +108,18 @@ func RSFDVarianceCont(proto Protocol, eps, L float64, m, n int) float64 {
 // makes the round deterministic.
 func EstimateRSFD(proto Protocol, eps float64, L, m int, values []int, seed uint64) ([]float64, error) {
 	epsAmp := AmplifiedEpsilon(eps, m)
-	st, err := rsfdFold(proto, epsAmp, L, values, seed)
+	// The standard client/aggregator pair folds at the amplified budget; only
+	// the inversion of the raw support counts is RS+FD's own.
+	if _, _, err := RSFDPQ(proto, epsAmp, L); err != nil {
+		return nil, err
+	}
+	agg, err := simulate(proto, epsAmp, L, values, seed)
+	if err != nil {
+		return nil, err
+	}
+	st, err := agg.ExportState()
 	if err != nil {
 		return nil, err
 	}
 	return RSFDEstimates(proto, eps, L, m, st.Counts, st.N)
-}
-
-// rsfdFold runs the standard client/aggregator pair at the amplified budget
-// and exports the raw support counts.
-func rsfdFold(proto Protocol, epsAmp float64, L int, values []int, seed uint64) (PartialState, error) {
-	r := NewRand(seed)
-	switch proto {
-	case GRR:
-		c, err := NewGRRClient(epsAmp, L)
-		if err != nil {
-			return PartialState{}, err
-		}
-		agg := NewGRRAggregator(epsAmp, L)
-		for _, v := range values {
-			rep, err := c.Perturb(v, r)
-			if err != nil {
-				return PartialState{}, err
-			}
-			agg.Add(rep)
-		}
-		return agg.ExportState()
-	case OLH:
-		c, err := NewOLHClient(epsAmp, L)
-		if err != nil {
-			return PartialState{}, err
-		}
-		agg := NewOLHAggregator(epsAmp, L)
-		for _, v := range values {
-			rep, err := c.Perturb(v, r)
-			if err != nil {
-				return PartialState{}, err
-			}
-			agg.Add(rep)
-		}
-		return agg.ExportState()
-	case OUE:
-		c, err := NewOUEClient(epsAmp, L)
-		if err != nil {
-			return PartialState{}, err
-		}
-		agg := NewOUEAggregator(epsAmp, L)
-		for _, v := range values {
-			rep, err := c.Perturb(v, r)
-			if err != nil {
-				return PartialState{}, err
-			}
-			agg.Add(rep)
-		}
-		return agg.ExportState()
-	default:
-		return PartialState{}, fmt.Errorf("fo: unknown protocol %v", proto)
-	}
 }

@@ -208,12 +208,12 @@ func (a *HRAggregator) ImportState(st PartialState) error {
 }
 
 // olhStateImports counts partial-state imports process-wide (the cluster
-// coordinator's merge path; Merge covers in-process shard merges).
+// coordinator's merge path, and every other merge).
 var olhStateImports = metrics.GetCounter("fo.olh.state_imports")
 
 // ExportState folds any pending reports and snapshots the support-count
-// state. Like Merge, it must not run concurrently with an Estimates call on
-// the same aggregator; the shard seals its round before exporting.
+// state. It must not run concurrently with an Estimates call on the same
+// aggregator; the shard seals its round before exporting.
 func (a *OLHAggregator) ExportState() (PartialState, error) {
 	a.mu.Lock()
 	batch := a.pending

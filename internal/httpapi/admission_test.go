@@ -372,3 +372,30 @@ func TestBatchOversizedFrameChargesBothCounters(t *testing.T) {
 			st.Rejected, st.ModeRejected, claimed, claimed)
 	}
 }
+
+// TestBatchOUEFrameRefused: a frame holding an OUE record is malformed, not a
+// report the plan refuses: the frame is answered 400 and each report it
+// claims is charged to rejected once.
+func TestBatchOUEFrameRefused(t *testing.T) {
+	srv, _, cl := newAdmissionNode(t, fo.ModeFELIP)
+	p := validProbe(srv.col.Specs(), fo.ModeFELIP, "oue-1", 0)
+	frame, err := wire.EncodeFrame([]wire.BatchReport{{ID: p.id, Report: p.rep}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hdr = 20 // "FELIPBF1" | count | paylen | crc
+	frame[hdr+1+len(p.id)] = byte(fo.OUE)
+	binary.LittleEndian.PutUint32(frame[16:], crc32.ChecksumIEEE(frame[hdr:]))
+
+	before := countersOf(t, cl)
+	if _, status, err := srv.IngestFrame(frame); err == nil || status != http.StatusBadRequest {
+		t.Fatalf("OUE frame: status %d, err %v; want 400", status, err)
+	}
+	after := countersOf(t, cl)
+	if got := after.Rejected - before.Rejected; got != 1 {
+		t.Errorf("rejected moved by %d for a refused 1-report frame, want 1", got)
+	}
+	if after.Reports != before.Reports {
+		t.Errorf("refused frame counted %d reports", after.Reports-before.Reports)
+	}
+}

@@ -31,24 +31,23 @@ func (s *Server) UseArchive(store *archive.Store, segments *reportlog.Segments) 
 	return nil
 }
 
-// archiveRound persists one finalized round. Failures are logged, not
+// archiveRound persists one finalized round with its rejected count and the
+// collector's exact pre-estimation integer counts. Failures are logged, not
 // returned: the round's WAL segment still holds it, and reclaimSegments
 // keeps a segment whose round the archive lacks, so finalize must not fail
-// because the archive did. col, when non-nil, contributes the round's exact
-// pre-estimation integer counts.
-func (s *Server) archiveRound(col *core.Collector, agg *core.Aggregator, round int) {
+// because the archive did.
+func (s *Server) archiveRound(col *core.Collector, agg *core.Aggregator, round, rejected int) {
 	snap := archive.RoundSnapshot{
 		Round:           round,
 		PlanFingerprint: s.plan.Fingerprint(),
 		Reports:         agg.N(),
+		Rejected:        rejected,
 		Aggregate:       agg.Snapshot(),
 	}
-	if col != nil {
-		if parts, err := col.ExportPartials(); err != nil {
-			s.logf("httpapi: exporting round %d partial states for archive: %v", round, err)
-		} else {
-			snap.Partials = wire.GridStates(parts)
-		}
+	if parts, err := col.ExportPartials(); err != nil {
+		s.logf("httpapi: exporting round %d partial states for archive: %v", round, err)
+	} else {
+		snap.Partials = wire.GridStates(parts)
 	}
 	if err := s.store.WriteRound(snap); err != nil {
 		s.logf("httpapi: archiving round %d: %v", round, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"felip/internal/reportlog"
+	"felip/internal/serve"
 )
 
 // Recover brings a fresh server up from its durable files and leaves it
@@ -12,10 +13,10 @@ import (
 // opens: 1, or the round a cluster registration names.
 //
 // With an archive attached (UseArchive) that holds rounds, the newest
-// archived round is served through the archive's engine, its collector
-// holds the snapshot's partial counts, sealed, for a repeated state pull,
-// and only the segments after it are replayed. Otherwise the chain is
-// replayed from its first segment, and with no segment at all the server
+// archived round is served from one read of its snapshot: its engine, its
+// rejected count, and its partial counts, sealed in the collector for a
+// repeated state pull. Only the segments after it are replayed. Otherwise
+// the chain is replayed from its first segment, and with no segment at all the server
 // opens round joinRound. The replayed chain must be contiguous: a missing
 // segment is an error that names it. Every round the replay re-finalizes is archived, and
 // only then are segments deleted, by the one rule the live close also
@@ -38,15 +39,9 @@ func (s *Server) Recover(segs *reportlog.Segments, joinRound int) error {
 	}
 	if s.store != nil {
 		if latest := s.store.LatestRound(); latest > 0 {
-			eng, err := s.store.Engine(latest)
-			if err == nil {
-				err = s.importArchivedLocked(latest)
-			}
-			if err != nil {
+			if err := s.restoreArchivedLocked(latest); err != nil {
 				return fmt.Errorf("httpapi: restoring archived round %d: %w", latest, err)
 			}
-			s.round, s.agg, s.finalN, s.restored = latest, eng.Aggregator(), eng.Aggregator().N(), true
-			s.qp.Serve(eng, latest)
 			s.logf("httpapi: restored round %d from archive %s", latest, s.store.Dir())
 		}
 	}
@@ -54,7 +49,7 @@ func (s *Server) Recover(segs *reportlog.Segments, joinRound int) error {
 		if !s.restored {
 			s.round = joinRound
 		}
-		return nil
+		return s.qp.Warmup()
 	}
 	s.segments = segs
 	s.durable = true
@@ -122,31 +117,42 @@ func (s *Server) Recover(segs *reportlog.Segments, joinRound int) error {
 		}
 		if s.agg != nil && s.store != nil {
 			// Re-finalized by the replay, so newer than every archived round.
-			s.archiveRound(s.col, s.agg, r)
+			s.archiveRound(s.col, s.agg, r, s.roundRejectedLocked())
 		}
 	}
 	s.reclaimSegments()
 	return s.qp.Warmup()
 }
 
-// importArchivedLocked loads an archived round's exact partial counts into
-// the server's collector and seals it, so a state pull on the restored round
-// re-exports the counts the round was closed with. A snapshot without partial
-// states leaves the collector empty, and handleShardState refuses to export
-// it. Callers hold s.mu.
-func (s *Server) importArchivedLocked(round int) error {
+// restoreArchivedLocked serves an archived round from one read of its
+// snapshot: the engine (left cold; Recover warms the served engine last),
+// the round's rejected count, and its exact partial counts, imported into
+// the server's collector and sealed so a state pull on the restored round
+// re-exports the counts the round was closed with. A snapshot without
+// partial states leaves the collector empty, and handleShardState refuses to
+// export it. Callers hold s.mu.
+func (s *Server) restoreArchivedLocked(round int) error {
 	snap, err := s.store.Load(round)
 	if err != nil {
 		return err
 	}
+	eng, err := serve.FromSnapshot(snap.Aggregate)
+	if err != nil {
+		return err
+	}
 	states, err := snap.PartialStates(s.col.ReportEpsilon())
-	if err != nil || states == nil {
+	if err != nil {
 		return err
 	}
-	if err := s.col.ImportPartials(states); err != nil {
-		return err
+	if states != nil {
+		if err := s.col.ImportPartials(states); err != nil {
+			return err
+		}
+		s.col.Seal()
 	}
-	s.col.Seal()
+	s.restoreRejectedLocked(snap.Rejected)
+	s.round, s.agg, s.finalN, s.restored = round, eng.Aggregator(), eng.Aggregator().N(), true
+	s.qp.Serve(eng, round)
 	return nil
 }
 

@@ -258,13 +258,14 @@ func TestRecoverRefusesServerInUse(t *testing.T) {
 	}
 }
 
-// TestRestoredShardRepullsSealedRound: a durable shard with an archive is
-// sealed by a state pull, then restarted twice. The first restart replays the
-// round from its WAL, archives it and deletes the segment; the second serves
-// the round from the archive alone. A coordinator that re-pulls after either
-// restart must receive the first pull's report count and checksum; a round
-// whose snapshot lost its partial states refuses the pull with 409. SPL runs
-// too: its reports are perturbed at ε/m, not at the round's ε.
+// TestRestoredShardRepullsSealedRound: a durable shard with an archive takes
+// its reports and three malformed ones, is sealed by a state pull, then is
+// restarted twice. The first restart replays the round from its WAL,
+// archives it and deletes the segment; the second serves the round from the
+// archive alone. A coordinator that re-pulls after either restart must
+// receive the first pull's report count, rejected count and checksum; a
+// round whose snapshot lost its partial states refuses the pull with 409.
+// SPL runs too: its reports are perturbed at ε/m, not at the round's ε.
 func TestRestoredShardRepullsSealedRound(t *testing.T) {
 	const n = 200
 	ctx := context.Background()
@@ -310,12 +311,20 @@ func TestRestoredShardRepullsSealedRound(t *testing.T) {
 					sent++
 				}
 			}
+			// Reports for a group the plan lacks: refused, and counted.
+			const refused = 3
+			for i := 0; i < refused; i++ {
+				bad := core.ModeReport{Report: core.Report{Group: 99, Proto: specs[0].Proto}, Attr: specs[0].AttrX}
+				if _, err := nd.cl.ReportModeWithID(ctx, fmt.Sprintf("bad-%d", i), mode, bad); err == nil || !strings.Contains(err.Error(), "400") {
+					t.Fatalf("report for group 99: %v, want 400", err)
+				}
+			}
 			first, err := nd.cl.ShardState(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if first.Reports != sent {
-				t.Fatalf("first pull: %d reports, want %d", first.Reports, sent)
+			if first.Reports != sent || first.Rejected != refused {
+				t.Fatalf("first pull: %d reports, %d rejected; want %d and %d", first.Reports, first.Rejected, sent, refused)
 			}
 			for restart := 1; restart <= 2; restart++ {
 				nd.stop(t)
@@ -324,9 +333,9 @@ func TestRestoredShardRepullsSealedRound(t *testing.T) {
 				if err != nil {
 					t.Fatalf("pull after restart %d: %v", restart, err)
 				}
-				if again.Reports != first.Reports || again.Checksum != first.Checksum {
-					t.Fatalf("pull after restart %d: %d reports, checksum %d; first pull: %d reports, checksum %d",
-						restart, again.Reports, again.Checksum, first.Reports, first.Checksum)
+				if again.Reports != first.Reports || again.Rejected != first.Rejected || again.Checksum != first.Checksum {
+					t.Fatalf("pull after restart %d: %d reports, %d rejected, checksum %d; first pull: %d reports, %d rejected, checksum %d",
+						restart, again.Reports, again.Rejected, again.Checksum, first.Reports, first.Rejected, first.Checksum)
 				}
 			}
 			if got := existing(t, segs); len(got) != 0 {
@@ -354,5 +363,65 @@ func TestRestoredShardRepullsSealedRound(t *testing.T) {
 				t.Fatalf("pull on a round restored without partial states: %v, want 409", err)
 			}
 		})
+	}
+}
+
+// TestRecoverRestoresArchivedHRRound: a server whose grids are all forced to
+// HR archives its finalized round and restarts from the archive through
+// Recover. The restored round must answer bit-identically to the live one,
+// on the serving plane and historically (?round=1).
+func TestRecoverRestoresArchivedHRRound(t *testing.T) {
+	const n = 900
+	ctx := context.Background()
+	dir := t.TempDir()
+	segs := reportlog.NewSegments(filepath.Join(dir, "round.wal"))
+	hr := fo.HR
+	boot := func() *recoverNode {
+		srv, err := NewServer(dataset.MixedSchema(2, 32, 2, 4), n, core.Options{Strategy: core.OHG, Epsilon: 1.2, Seed: 17, ForceProtocol: &hr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.SetLogger(t.Logf)
+		store, err := archive.Open(filepath.Join(dir, "arch"), archive.Options{PlanFingerprint: srv.PlanFingerprint(), Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.UseArchive(store, segs); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Recover(segs, 1); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		return &recoverNode{srv: srv, ts: ts, cl: Dial(ts.URL, ts.Client())}
+	}
+
+	nd := boot()
+	nd.collect(t, n, 19, false)
+	wheres := []string{"num0=0..15", "num0=8..23; cat0=0,1", "num0=4..27; num1=2..19; cat1=1,3"}
+	want := make([]float64, len(wheres))
+	for i, where := range wheres {
+		resp, err := nd.cl.Query(ctx, where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = resp.Estimate
+	}
+	nd.stop(t)
+
+	nd = boot()
+	defer nd.stop(t)
+	for i, where := range wheres {
+		resp, err := nd.cl.Query(ctx, where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist, err := nd.cl.QueryRound(ctx, 1, where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Estimate != want[i] || hist.Estimate != want[i] {
+			t.Fatalf("%q after restart: served %v, round 1 %v; live %v", where, resp.Estimate, hist.Estimate, want[i])
+		}
 	}
 }

@@ -126,6 +126,8 @@ type Server struct {
 	// wireRejected counts report submissions refused before reaching the
 	// collector (malformed body, failed wire validation, oversized,
 	// idempotency-key conflicts). The collector counts plan-level rejects.
+	// A restart restores a closed round's whole count here from its seal
+	// record or snapshot (restoreRejectedLocked).
 	wireRejected int
 	// modeAccepted/modeRejected split the round's accepted and refused report
 	// submissions by the reporting mode they claimed on the wire (display
@@ -285,6 +287,7 @@ func (s *Server) replayLocked(records []reportlog.Record) error {
 			s.modeAccepted[s.mode.String()]++
 			s.walReplayed++
 		case reportlog.TypeFinalize:
+			s.restoreRejectedLocked(rec.Rejected)
 			if rec.Reports == 0 && s.col.N() == 0 {
 				// The round was sealed empty. There is no aggregate to rebuild
 				// (Finalize refuses a round of zero reports) — seal the
@@ -303,6 +306,15 @@ func (s *Server) replayLocked(records []reportlog.Record) error {
 	}
 	return nil
 }
+
+// roundRejectedLocked is the round's refused-submission count: the wire-level
+// refusals plus the collector's. Caller holds s.mu.
+func (s *Server) roundRejectedLocked() int { return s.wireRejected + s.col.Rejected() }
+
+// restoreRejectedLocked sets the round's refused-submission count to the one
+// a seal record or snapshot carries; the collector's own count is part of it.
+// Caller holds s.mu.
+func (s *Server) restoreRejectedLocked(total int) { s.wireRejected = total - s.col.Rejected() }
 
 // finalizeReplayLocked re-closes the current round during startup replay —
 // no query traffic exists yet, so estimating under the lock is fine — and
@@ -604,8 +616,9 @@ func (s *Server) finalize() (int, error) {
 		settle()
 		return 0, err
 	}
+	rejected := s.roundRejectedLocked()
 	if s.wal != nil {
-		if err := s.wal.Append(reportlog.FinalizeRecord(agg.N())); err != nil {
+		if err := s.wal.Append(reportlog.FinalizeRecord(agg.N(), rejected)); err != nil {
 			s.finalErr = fmt.Errorf("persisting finalization: %w", err)
 			settle()
 			return 0, s.finalErr
@@ -627,7 +640,7 @@ func (s *Server) finalize() (int, error) {
 	// finalize record is already synced, so a crash anywhere in here replays;
 	// and a segment is deleted only once the archive holds its round.
 	if store != nil {
-		s.archiveRound(col, agg, round)
+		s.archiveRound(col, agg, round, rejected)
 		s.reclaimSegments()
 	}
 	return n, nil

@@ -18,8 +18,9 @@ import (
 // restarted mid-merge — answers the identical bytes, so the pull is safe to
 // repeat any number of times.
 //
-// A shard that crashed after sealing replays its WAL and, on the next pull,
-// re-exports the same report set into the same counts: the message differs
+// A shard that crashed after sealing replays its WAL (or restores the round
+// from its archive) and, on the next pull, re-exports the same report set
+// into the same counts with the same rejected count: the message differs
 // only in WALReplayed, which is excluded from the checksum.
 func (s *Server) handleShardState(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
@@ -59,15 +60,17 @@ func (s *Server) handleShardState(w http.ResponseWriter, _ *http.Request) {
 
 	s.mu.Lock()
 	if s.shardState == nil {
+		rejected := s.roundRejectedLocked()
 		// Persist the seal so a crashed shard that already advanced rounds can
 		// replay this round as closed — including an empty round, whose
-		// FinalizeRecord(0) is what lets a replay chain cross an idle round
-		// (replay seals the collector instead of estimating; see replayLocked).
-		// s.agg != nil means the round already finalized and s.sealedEmpty
-		// means the empty seal was already replayed — either way the record is
-		// in the log.
+		// finalize record of 0 reports is what lets a replay chain cross an
+		// idle round (replay seals the collector instead of estimating; see
+		// replayLocked). The record carries the rejected count, which replay
+		// restores, so a re-pull answers the same message. s.agg != nil means
+		// the round already finalized and s.sealedEmpty means the empty seal
+		// was already replayed — either way the record is in the log.
 		if s.wal != nil && s.agg == nil && !s.sealedEmpty {
-			err := s.wal.Append(reportlog.FinalizeRecord(col.N()))
+			err := s.wal.Append(reportlog.FinalizeRecord(col.N(), rejected))
 			if err == nil {
 				err = s.wal.Sync()
 			}
@@ -79,7 +82,7 @@ func (s *Server) handleShardState(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 		msg := wire.NewShardStateMessage(s.shardID, s.round, s.opts.Epsilon, col.Mode(),
-			col.Longitudinal(), s.wireRejected+col.Rejected(), s.walReplayed, states)
+			col.Longitudinal(), rejected, s.walReplayed, states)
 		s.shardState = &msg
 	}
 	msg := *s.shardState

@@ -16,7 +16,7 @@ func TestAppendBatchReplaysLikeSingles(t *testing.T) {
 		ReportRecord("", 1, "GRR", 0, 0), // empty id: still a legal record here
 		ReportRecord(`needs "escaping"\and`+string(rune(0x01)), 2, "OUE", 7, 9),
 		ReportRecord("unicode-α-β", 1, "OLH", 2, 77),
-		FinalizeRecord(4),
+		FinalizeRecord(4, 0),
 	}
 
 	batchPath := tmpLog(t)

@@ -22,10 +22,10 @@ import (
 func FuzzSegment(f *testing.F) {
 	dir := f.TempDir()
 	for i, recs := range [][]Record{
-		{ReportRecord("dev-1", 0, "GRR", 3, 0), ReportRecord("dev-2", 4, "OLH", 17, 9001), FinalizeRecord(2)},
+		{ReportRecord("dev-1", 0, "GRR", 3, 0), ReportRecord("dev-2", 4, "OLH", 17, 9001), FinalizeRecord(2, 0)},
 		{ReportRecordMode("dev-3", 1, "GRR", 2, 0, "SPL"), ReportRecordMode("dev-4", 2, "HR", 5, 77, "RS+FD")},
-		{ReportRecordLongitudinal("dev-5", 3, "GRR", 1, 0), FinalizeRecord(1)},
-		{FinalizeRecord(0)},
+		{ReportRecordLongitudinal("dev-5", 3, "GRR", 1, 0), FinalizeRecord(1, 3)},
+		{FinalizeRecord(0, 0)},
 	} {
 		path := filepath.Join(dir, "seed.wal")
 		os.Remove(path)

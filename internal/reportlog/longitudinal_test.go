@@ -16,7 +16,7 @@ func TestLongitudinalRecordWriterParity(t *testing.T) {
 		ReportRecordLongitudinal("dev-0-r1", 0, "GRR", 3, 0),
 		ReportRecordLongitudinal("dev-1-r1", 2, "GRR", 0, 7),
 		ReportRecord("one-shot", 1, "GRR", 5, 0),
-		FinalizeRecord(3),
+		FinalizeRecord(3, 0),
 	}
 
 	var buf []byte

@@ -55,6 +55,10 @@ type Record struct {
 	Longitudinal bool `json:"longitudinal,omitempty"`
 	// Reports is the accepted-report count at finalization (TypeFinalize).
 	Reports int `json:"reports,omitempty"`
+	// Rejected is the round's refused-submission count when it closed
+	// (TypeFinalize), which replay restores. Absent when zero, so a round
+	// without rejections writes the record it always did.
+	Rejected int `json:"rejected,omitempty"`
 }
 
 // File is the storage a Log writes through; *os.File satisfies it. It is a
@@ -320,7 +324,8 @@ func ReportRecordLongitudinal(id string, group int, proto string, value int, see
 	return Record{Type: TypeReport, ReportID: id, Group: group, Proto: proto, Value: value, Seed: seed, Longitudinal: true}
 }
 
-// FinalizeRecord builds the Record closing a round of n accepted reports.
-func FinalizeRecord(n int) Record {
-	return Record{Type: TypeFinalize, Reports: n}
+// FinalizeRecord builds the Record closing a round of n accepted reports
+// and rejected refused submissions.
+func FinalizeRecord(n, rejected int) Record {
+	return Record{Type: TypeFinalize, Reports: n, Rejected: rejected}
 }

@@ -44,7 +44,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("fresh log replayed %d records", len(recs))
 	}
 	appendReports(t, l, 0, 100)
-	if err := l.Append(FinalizeRecord(100)); err != nil {
+	if err := l.Append(FinalizeRecord(100, 0)); err != nil {
 		t.Fatal(err)
 	}
 	pos := l.Pos()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"math"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"felip/internal/dataset"
 	"felip/internal/domain"
 	"felip/internal/estimate"
+	"felip/internal/fo"
 	"felip/internal/metrics"
 	"felip/internal/query"
 )
@@ -134,6 +136,42 @@ func TestEngineFromRestoredSnapshot(t *testing.T) {
 		if errW == nil && math.Abs(got-want) > 10/float64(agg.N()) {
 			t.Errorf("query %v: restored engine %v vs live reference %v", q, got, want)
 		}
+	}
+}
+
+// A snapshot restores every protocol a plan can hold: a round with every grid
+// forced to GRR, OLH, HR or OUE, serialized as JSON and served through
+// FromSnapshot, answers bit-identically to the engine of the live round.
+func TestFromSnapshotEveryProtocol(t *testing.T) {
+	ds := dataset.NewNormal().Generate(testSchema(), 4000, 505)
+	queries := workload(t, ds.Schema(), 24, 506)
+	for _, proto := range []fo.Protocol{fo.GRR, fo.OLH, fo.HR, fo.OUE} {
+		t.Run(proto.String(), func(t *testing.T) {
+			agg, err := core.Collect(ds, core.Options{Strategy: core.OHG, Epsilon: 1.2, Seed: 507, ForceProtocol: &proto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(agg.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap core.Snapshot
+			if err := json.Unmarshal(b, &snap); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := FromSnapshot(snap)
+			if err != nil {
+				t.Fatalf("restoring a %v round: %v", proto, err)
+			}
+			live := engineFor(t, agg)
+			for _, q := range queries {
+				want, errW := live.Answer(q)
+				got, errG := restored.Answer(q)
+				if (errW == nil) != (errG == nil) || got != want {
+					t.Fatalf("query %v: restored %v (%v), live %v (%v)", q, got, errG, want, errW)
+				}
+			}
+		})
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 //	payload count records, each:
 //	  idlen u8    report_id length (1..MaxReportIDLen)
 //	  id    idlen bytes, valid UTF-8
-//	  proto u8    0=GRR 1=OLH 2=OUE 3=HR
+//	  proto u8    0=GRR 1=OLH 3=HR (2 is reserved: OUE has no record)
 //	  group u32
 //	  value u32
 //	  seed  u64   (HR records: sign u8 instead — see below)
@@ -35,7 +35,10 @@ import (
 // (value) and a sign bit, so the u64 seed field shrinks to one sign byte
 // (0=+1, 1=−1) and an HR record tail is 10 bytes instead of 17. The
 // decoder branches on the proto byte it just read; records of the other
-// protocols keep their exact pre-HR byte layout.
+// protocols keep their exact pre-HR byte layout. A record carries an
+// oracle's (value, seed) report pair (fo.Perturber), which OUE's L-bit
+// report has no form of: the encoder refuses an OUE report and the decoder
+// refuses a frame holding proto byte 2, like an unknown protocol byte.
 //
 // The envelope discipline is the archive's FELIPSNP one — magic, explicit
 // length, checksum over the payload — so a torn or damaged frame is refused
@@ -60,7 +63,7 @@ const FrameMagic = "FELIPBF1"
 //	payload count records, each:
 //	  idlen u8    report_id length (1..MaxReportIDLen)
 //	  id    idlen bytes, valid UTF-8
-//	  proto u8    0=GRR 1=OLH 2=OUE 3=HR
+//	  proto u8    0=GRR 1=OLH 3=HR (2 is reserved: OUE has no record)
 //	  group u32
 //	  value u32
 //	  seed  u64   (HR records: sign u8 instead)
@@ -118,15 +121,6 @@ type BatchReportResponse struct {
 	Dispositions []int `json:"dispositions"`
 }
 
-func protoByte(p fo.Protocol) (byte, error) {
-	switch p {
-	case fo.GRR, fo.OLH, fo.OUE, fo.HR:
-		return byte(p), nil
-	default:
-		return 0, fmt.Errorf("wire: unknown protocol %v", p)
-	}
-}
-
 // AppendFrame encodes the reports as one v1 (FELIP) binary frame appended to
 // dst (which may be nil) and returns the extended slice. Every report is
 // validated to the same wire-level invariants ReportMessage.Validate
@@ -181,9 +175,8 @@ func AppendFrameMode(dst []byte, mode fo.ReportMode, reports []BatchReport) ([]b
 		if !utf8.ValidString(br.ID) {
 			return nil, fmt.Errorf("wire: batch report %d report_id is not valid UTF-8", i)
 		}
-		pb, err := protoByte(br.Report.Proto)
-		if err != nil {
-			return nil, fmt.Errorf("wire: batch report %d: %w", i, err)
+		if !br.Report.Proto.HasPairReport() {
+			return nil, fmt.Errorf("wire: batch report %d: %v reports have no frame record", i, br.Report.Proto)
 		}
 		if br.Report.Group < 0 {
 			return nil, fmt.Errorf("wire: batch report %d: negative group %d", i, br.Report.Group)
@@ -196,7 +189,7 @@ func AppendFrameMode(dst []byte, mode fo.ReportMode, reports []BatchReport) ([]b
 		}
 		dst = append(dst, byte(len(br.ID)))
 		dst = append(dst, br.ID...)
-		rec[0] = pb
+		rec[0] = byte(br.Report.Proto)
 		binary.LittleEndian.PutUint32(rec[1:5], uint32(br.Report.Group))
 		binary.LittleEndian.PutUint32(rec[5:9], uint32(br.Report.Value))
 		tail := recordTail(br.Report.Proto, v2)
@@ -391,8 +384,8 @@ func (r *FrameReader) Next() bool {
 		return false
 	}
 	proto := fo.Protocol(p[off])
-	if proto != fo.GRR && proto != fo.OLH && proto != fo.OUE && proto != fo.HR {
-		r.err = fmt.Errorf("wire: frame record %d: unknown protocol byte %d", r.next, p[off])
+	if !proto.HasPairReport() {
+		r.err = fmt.Errorf("wire: frame record %d: protocol byte %d carries no report", r.next, p[off])
 		return false
 	}
 	// The record tail depends on the protocol just read: HR records are
@@ -446,4 +439,4 @@ func (r *FrameReader) RecordBytes() int { return r.recBytes }
 // ProtoName returns the wire name of a frame protocol byte's protocol —
 // what WAL records and the wire-byte counters name it by, shared with the
 // JSON path.
-func ProtoName(p fo.Protocol) string { return protoName(p) }
+func ProtoName(p fo.Protocol) string { return p.String() }

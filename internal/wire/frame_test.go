@@ -241,3 +241,40 @@ func BenchmarkEncodeFrame(b *testing.B) {
 
 // encodedFrame keeps BenchmarkEncodeFrame's result live.
 var encodedFrame []byte
+
+// OUE's L-bit report has no (value, seed) pair, and no round can fold one:
+// the frame encoder refuses it, a frame holding proto byte 2 is refused like
+// one holding an unknown protocol byte, and a JSON report claiming "OUE"
+// fails validation. Partial states keep OUE (TestShardStateWireMergeEquivalence).
+func TestOUEReportsRefusedOnTheWire(t *testing.T) {
+	oue := []BatchReport{{ID: "dev-o", Report: core.Report{Group: 0, Proto: fo.OUE, Value: 3, Seed: 5}, Attr: 0}}
+	if _, err := EncodeFrame(oue); err == nil {
+		t.Error("v1 encoder accepted an OUE report")
+	}
+	if _, err := EncodeFrameMode(fo.ModeSPL, oue); err == nil {
+		t.Error("v2 encoder accepted an OUE report")
+	}
+
+	frame, err := EncodeFrame([]BatchReport{{ID: "dev-o", Report: core.Report{Group: 0, Proto: fo.GRR, Value: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hdr = 20 // "FELIPBF1" | count | paylen | crc
+	frame[hdr+1+len("dev-o")] = byte(fo.OUE)
+	binary.LittleEndian.PutUint32(frame[16:], crc32.ChecksumIEEE(frame[hdr:]))
+	var r FrameReader
+	if _, err := r.Reset(frame); err != nil {
+		t.Fatalf("resealed frame refused at its envelope: %v", err)
+	}
+	if r.Next() || r.Err() == nil {
+		t.Errorf("decoder accepted an OUE record: %+v", r.Report)
+	}
+
+	msg := ReportMessage{ReportID: "dev-o", Group: 0, Proto: "OUE", Value: 3}
+	if err := msg.Validate(); err == nil {
+		t.Error("JSON report claiming OUE validated")
+	}
+	if _, err := msg.Report(); err == nil {
+		t.Error("JSON report claiming OUE decoded")
+	}
+}

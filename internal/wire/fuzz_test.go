@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -124,4 +125,88 @@ func checkIDsThroughWAL(t *testing.T, wal *os.File, frame []byte) {
 			t.Fatalf("record %d: id %q comes back from the WAL as %q", i, recs[i].ReportID, rec.ReportID)
 		}
 	}
+}
+
+// shardStateSeeds builds shard-state messages the way state_test.go does:
+// one grid each of GRR, OLH and OUE counts, plus an SPL message, a
+// longitudinal one and an HR one, so every optional field is present in
+// some seed.
+func shardStateSeeds(tb testing.TB) []ShardStateMessage {
+	tb.Helper()
+	const eps, L = 1.1, 16
+	r := fo.NewRand(43)
+	grr, olh, oue := fo.NewGRRAggregator(eps, L), fo.NewOLHAggregator(eps, L), fo.NewOUEAggregator(eps, L)
+	hr := fo.NewHRAggregator(eps, L)
+	gc, _ := fo.NewGRRClient(eps, L)
+	oc, _ := fo.NewOLHClient(eps, L)
+	uc, _ := fo.NewOUEClient(eps, L)
+	hc, _ := fo.NewHRClient(eps, L)
+	for i := 0; i < 40; i++ {
+		x, _ := gc.Perturb(i%L, r)
+		grr.Add(x)
+		o, _ := oc.Perturb(i%L, r)
+		olh.Add(o)
+		u, _ := uc.Perturb(i%L, r)
+		oue.Add(u)
+		h, _ := hc.Perturb(i%L, r)
+		hr.Add(h)
+	}
+	var states []fo.PartialState
+	for _, agg := range []interface {
+		ExportState() (fo.PartialState, error)
+	}{grr, olh, oue, hr} {
+		st, err := agg.ExportState()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		states = append(states, st)
+	}
+	long := &fo.Longitudinal{EpsPerm: 2.2, Eps1: eps}
+	return []ShardStateMessage{
+		NewShardStateMessage("shard-0", 1, eps, fo.ModeFELIP, nil, 0, 0, states[:1]),
+		NewShardStateMessage("shard-0", 1, eps, fo.ModeFELIP, nil, 0, 0, states[1:2]),
+		NewShardStateMessage("shard-0", 1, eps, fo.ModeFELIP, nil, 0, 0, states[2:3]),
+		NewShardStateMessage("s1", 2, eps, fo.ModeFELIP, nil, 1, 0, states[:3]),
+		NewShardStateMessage("s2", 3, eps, fo.ModeSPL, nil, 2, 7, states[:2]),
+		NewShardStateMessage("s3", 4, eps, fo.ModeFELIP, long, 0, 0, states[:1]),
+		NewShardStateMessage("s4", 5, eps, fo.ModeFELIP, nil, 3, 0, states[3:]),
+	}
+}
+
+// FuzzShardState feeds arbitrary JSON to the shard-state message a
+// coordinator pulls and merges, seeded with shardStateSeeds: each input as
+// given, and once more with its checksum recomputed, so mutations reach the
+// fields behind the checksum. Verify and States must never panic, and a
+// message that verifies and decodes must keep its checksum when rebuilt by
+// NewShardStateMessage from its own fields and states: the message is a
+// function of the sealed round, which is what lets a coordinator re-pull it.
+func FuzzShardState(f *testing.F) {
+	for _, msg := range shardStateSeeds(f) {
+		b, err := json.Marshal(msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m ShardStateMessage
+		if json.Unmarshal(data, &m) != nil {
+			return
+		}
+		for _, resealed := range []bool{false, true} {
+			if resealed {
+				m.Checksum = m.Sum()
+			}
+			verr := m.Verify()
+			states, serr := m.States()
+			if verr != nil || serr != nil {
+				continue
+			}
+			mode, _ := m.ReportMode() // Verify proved the mode parses
+			again := NewShardStateMessage(m.ShardID, m.Round, m.Epsilon, mode, m.Longitudinal, m.Rejected, m.WALReplayed, states)
+			if again.Checksum != m.Checksum {
+				t.Fatalf("verified message %+v rebuilds with checksum %08x, claims %08x", m, again.Checksum, m.Checksum)
+			}
+		}
+	})
 }

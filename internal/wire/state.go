@@ -76,7 +76,7 @@ func GridStates(states []fo.PartialState) []GridStateDTO {
 	for g, st := range states {
 		out = append(out, GridStateDTO{
 			Group:    g,
-			Proto:    protoName(st.Proto),
+			Proto:    st.Proto.String(),
 			L:        st.L,
 			N:        st.N,
 			Rejected: st.Rejected,
@@ -95,7 +95,7 @@ func ParseGridStates(grids []GridStateDTO, eps float64) ([]fo.PartialState, erro
 		if g.Group != i {
 			return nil, fmt.Errorf("wire: grid state %d carries group %d; grids must be dense and ordered", i, g.Group)
 		}
-		proto, err := protoFromName(g.Proto)
+		proto, err := fo.ParseProtocol(g.Proto)
 		if err != nil {
 			return nil, fmt.Errorf("wire: grid state %d: %w", i, err)
 		}
@@ -180,9 +180,10 @@ func (m ShardStateMessage) Sum() uint32 {
 	return h.Sum32()
 }
 
-// Verify checks the wire-format version and the checksum. A coordinator
-// verifies before decoding: a state damaged in transit or produced by an
-// incompatible shard must never reach the merge.
+// Verify checks the wire-format version, the checksum, that Reports is the
+// sum of the grids' report counts, and the mode and longitudinal fields. A
+// coordinator verifies before decoding: a state damaged in transit or
+// produced by an incompatible shard must never reach the merge.
 func (m ShardStateMessage) Verify() error {
 	if m.Version != ShardStateVersion {
 		return fmt.Errorf("wire: shard state version %d, want %d", m.Version, ShardStateVersion)
@@ -190,8 +191,20 @@ func (m ShardStateMessage) Verify() error {
 	if got := m.Sum(); got != m.Checksum {
 		return fmt.Errorf("wire: shard %q state checksum %08x, message claims %08x", m.ShardID, got, m.Checksum)
 	}
-	if _, err := fo.ParseReportMode(m.Mode); err != nil {
+	n := 0
+	for _, g := range m.Grids {
+		n += g.N
+	}
+	if n != m.Reports {
+		return fmt.Errorf("wire: shard %q state claims %d reports, its grids hold %d", m.ShardID, m.Reports, n)
+	}
+	// The checksum covers the mode as spelled, so only the spelling a shard
+	// writes (ModeName) is accepted: an alias would verify, yet a re-pull of
+	// the same round would carry another checksum.
+	if mode, err := fo.ParseReportMode(m.Mode); err != nil {
 		return fmt.Errorf("wire: shard %q state: %w", m.ShardID, err)
+	} else if ModeName(mode) != m.Mode {
+		return fmt.Errorf("wire: shard %q state: mode %q is spelled %q on the wire", m.ShardID, m.Mode, ModeName(mode))
 	}
 	if err := m.Longitudinal.Validate(); err != nil {
 		return fmt.Errorf("wire: shard %q state: %w", m.ShardID, err)
@@ -205,27 +218,8 @@ func (m ShardStateMessage) ReportMode() (fo.ReportMode, error) {
 	return fo.ParseReportMode(m.Mode)
 }
 
-// States decodes the per-grid partial aggregates, in group order. The grids
-// must be dense (group g at index g) — the shape the collector exports and
-// the only shape the coordinator can merge positionally.
+// States decodes the per-grid partial aggregates, in group order (see
+// ParseGridStates), at the message's ε.
 func (m ShardStateMessage) States() ([]fo.PartialState, error) {
-	out := make([]fo.PartialState, len(m.Grids))
-	for i, g := range m.Grids {
-		if g.Group != i {
-			return nil, fmt.Errorf("wire: shard state grid %d carries group %d; grids must be dense and ordered", i, g.Group)
-		}
-		proto, err := protoFromName(g.Proto)
-		if err != nil {
-			return nil, fmt.Errorf("wire: shard state grid %d: %w", i, err)
-		}
-		out[i] = fo.PartialState{
-			Proto:    proto,
-			Epsilon:  m.Epsilon,
-			L:        g.L,
-			N:        g.N,
-			Rejected: g.Rejected,
-			Counts:   append([]int64(nil), g.Counts...),
-		}
-	}
-	return out, nil
+	return ParseGridStates(m.Grids, m.Epsilon)
 }

@@ -132,21 +132,15 @@ type BatchQueryResponse struct {
 	Results []BatchQueryItem `json:"results"`
 }
 
-func protoName(p fo.Protocol) string { return p.String() }
-
-func protoFromName(s string) (fo.Protocol, error) {
-	switch s {
-	case "GRR":
-		return fo.GRR, nil
-	case "OLH":
-		return fo.OLH, nil
-	case "OUE":
-		return fo.OUE, nil
-	case "HR":
-		return fo.HR, nil
-	default:
-		return 0, fmt.Errorf("wire: unknown protocol %q", s)
+// reportProto parses a report's protocol name. Only an oracle whose report
+// is the (value, seed) pair travels as a report: OUE's L-bit report has no
+// wire form, and no round could fold one.
+func reportProto(name string) (fo.Protocol, error) {
+	p, err := fo.ParseProtocol(name)
+	if err == nil && !p.HasPairReport() {
+		err = fmt.Errorf("wire: %v reports have no wire form", p)
 	}
+	return p, err
 }
 
 // NewPlanMessage encodes a schema and grid plan for publication under the
@@ -167,7 +161,7 @@ func NewPlanMessage(schema *domain.Schema, eps float64, mode fo.ReportMode, long
 			AttrX:   sp.AttrX,
 			AttrY:   sp.AttrY,
 			BoundsX: sp.AxisX.Boundaries(),
-			Proto:   protoName(sp.Proto),
+			Proto:   sp.Proto.String(),
 		}
 		if !sp.Is1D() {
 			dto.BoundsY = sp.AxisY.Boundaries()
@@ -258,7 +252,7 @@ func (m PlanMessage) Specs() ([]core.GridSpec, error) {
 	}
 	specs := make([]core.GridSpec, 0, len(m.Grids))
 	for i, dto := range m.Grids {
-		proto, err := protoFromName(dto.Proto)
+		proto, err := fo.ParseProtocol(dto.Proto)
 		if err != nil {
 			return nil, fmt.Errorf("wire: grid %d: %w", i, err)
 		}
@@ -293,7 +287,7 @@ func (m PlanMessage) Specs() ([]core.GridSpec, error) {
 // NewReportMessage encodes a core report for the wire under the given
 // idempotency key (see NewReportID).
 func NewReportMessage(id string, r core.Report) ReportMessage {
-	return ReportMessage{ReportID: id, Group: r.Group, Proto: protoName(r.Proto), Value: r.Value, Seed: r.Seed}
+	return ReportMessage{ReportID: id, Group: r.Group, Proto: r.Proto.String(), Value: r.Value, Seed: r.Seed}
 }
 
 // NewModeReportMessage encodes one mode-produced report: FELIP reports stay
@@ -346,7 +340,7 @@ func (m ReportMessage) Validate() error {
 	if len(m.ReportID) > MaxReportIDLen {
 		return fmt.Errorf("wire: report_id of %d bytes exceeds %d", len(m.ReportID), MaxReportIDLen)
 	}
-	if _, err := protoFromName(m.Proto); err != nil {
+	if _, err := reportProto(m.Proto); err != nil {
 		return err
 	}
 	if m.Group < 0 {
@@ -374,7 +368,7 @@ func (m ReportMessage) Validate() error {
 
 // Report decodes the wire message into a core report.
 func (m ReportMessage) Report() (core.Report, error) {
-	proto, err := protoFromName(m.Proto)
+	proto, err := reportProto(m.Proto)
 	if err != nil {
 		return core.Report{}, err
 	}
