@@ -51,22 +51,30 @@ func BenchmarkOLHEstimatesReference(b *testing.B) {
 }
 
 // BenchmarkOLHStreamingAdd measures the fold-at-Add path: per-report cost of
-// the memory-bounded mode.
+// the memory-bounded mode. ε = 1 gives g = 4, which folds with a mask; ε = 1.2
+// (the pipeline benchmark's) gives g = 5, which folds with modMatch.
 func BenchmarkOLHStreamingAdd(b *testing.B) {
-	const L = 1024
-	reports := benchOLHReports(b, 1.0, L, 100_000)
-	b.ResetTimer()
-	agg := NewOLHAggregatorStreaming(1.0, L)
-	for i := 0; i < b.N; i++ {
-		agg.Add(reports[i%len(reports)])
+	for _, eps := range []float64{1, 1.2} {
+		for _, L := range []int{16, 64, 256, 1024} {
+			b.Run(fmt.Sprintf("eps=%g/L=%d", eps, L), func(b *testing.B) {
+				reports := benchOLHReports(b, eps, L, 100_000)
+				agg := NewOLHAggregatorStreaming(eps, L)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					agg.Add(reports[i%len(reports)])
+				}
+			})
+		}
 	}
 }
 
-func BenchmarkFastMod(b *testing.B) {
-	fm := newFastMod(5)
+// BenchmarkModMatch and BenchmarkHardwareMod answer the kernel's question,
+// h mod 5 = v, with the match test and with the hardware remainder.
+func BenchmarkModMatch(b *testing.B) {
+	m := newModMatch(5)
 	var acc uint64
 	for i := 0; i < b.N; i++ {
-		acc += fm.mod(uint64(i) * 0x9E3779B97F4A7C15)
+		acc += m.match(uint64(i)*0x9E3779B97F4A7C15, uint64(i)&3)
 	}
 	sinkU64 = acc
 }
@@ -75,7 +83,9 @@ func BenchmarkHardwareMod(b *testing.B) {
 	d := uint64(5)
 	var acc uint64
 	for i := 0; i < b.N; i++ {
-		acc += (uint64(i) * 0x9E3779B97F4A7C15) % d
+		if (uint64(i)*0x9E3779B97F4A7C15)%d == uint64(i)&3 {
+			acc++
+		}
 	}
 	sinkU64 = acc
 }

@@ -167,7 +167,7 @@ type OLHAggregator struct {
 	rejected int         // out-of-range reports refused by Add
 	foldAt   int         // fold when len(pending) reaches this (0: only at Estimates)
 	pre      []uint64    // premultiplied per-value hash constants, built lazily
-	fm       fastMod     // exact multiply-based reduction mod g
+	mm       modMatch    // exact hash-match test mod g
 }
 
 // NewOLHAggregator returns an empty buffered aggregator for domain size L:
@@ -188,16 +188,16 @@ func NewOLHAggregatorStreaming(eps float64, L int) *OLHAggregator {
 
 // tablesLocked lazily builds the shared fold tables. Callers hold a.mu; the
 // returned slices are read-only after publication.
-func (a *OLHAggregator) tablesLocked() ([]uint64, fastMod) {
+func (a *OLHAggregator) tablesLocked() ([]uint64, modMatch) {
 	if a.pre == nil {
 		pre := make([]uint64, a.l)
 		for v := range pre {
 			pre[v] = (uint64(v) + 1) * 0xD6E8FEB86659FD93
 		}
-		a.fm = newFastMod(uint64(a.g))
+		a.mm = newModMatch(uint64(a.g))
 		a.pre = pre
 	}
-	return a.pre, a.fm
+	return a.pre, a.mm
 }
 
 // Add records one user report; it is AddReport in the typed form.
@@ -231,23 +231,23 @@ func (a *OLHAggregator) AddReport(value int, seed uint64) {
 		return
 	}
 	batch := a.pending
-	a.pending = nil
+	a.pending = make([]OLHReport, 0, a.foldAt)
 	a.inflight += len(batch)
-	pre, fm := a.tablesLocked()
+	pre, mm := a.tablesLocked()
 	a.mu.Unlock()
-	a.foldBatch(batch, pre, fm)
+	a.foldBatch(batch, pre, mm)
 }
 
 // foldBatch folds a checked-out batch into the support vector. The heavy
 // O(len(batch)·L) sweep runs outside a.mu so N, Rejected and concurrent Adds
 // stay responsive; only the final integer merge takes the lock.
-func (a *OLHAggregator) foldBatch(batch []OLHReport, pre []uint64, fm fastMod) {
+func (a *OLHAggregator) foldBatch(batch []OLHReport, pre []uint64, mm modMatch) {
 	if len(batch) == 0 {
 		return
 	}
 	start := time.Now()
 	local := make([]int64, a.l)
-	foldReports(local, batch, pre, fm)
+	foldReports(local, batch, pre, mm)
 	a.mu.Lock()
 	if a.support == nil {
 		a.support = local
@@ -268,13 +268,13 @@ func (a *OLHAggregator) foldBatch(batch []OLHReport, pre []uint64, fm fastMod) {
 // disjoint ranges, so they share the read-only report slice but never write
 // the same element — no per-worker copies, no merge step, and integer
 // addition keeps the outcome independent of scheduling.
-func foldReports(support []int64, reports []OLHReport, pre []uint64, fm fastMod) {
+func foldReports(support []int64, reports []OLHReport, pre []uint64, mm modMatch) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(support) {
 		workers = len(support)
 	}
 	if workers < 2 || len(reports)*len(support) < foldParallelMin {
-		foldRange(support, reports, pre, fm)
+		foldRange(support, reports, pre, mm)
 		return
 	}
 	step := (len(support) + workers - 1) / workers
@@ -284,7 +284,7 @@ func foldReports(support []int64, reports []OLHReport, pre []uint64, fm fastMod)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			foldRange(support[lo:hi], reports, pre[lo:hi], fm)
+			foldRange(support[lo:hi], reports, pre[lo:hi], mm)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -292,16 +292,16 @@ func foldReports(support []int64, reports []OLHReport, pre []uint64, fm fastMod)
 
 // foldRange is the sequential inner kernel over one domain range. It computes
 // exactly olhHash(seed, v, g) == value per pair, with the (v+1)·C multiply
-// precomputed in pre and the mod-g division replaced by the exact
-// multiply-based reduction — bit-identical support counts, several times
-// fewer cycles per hash. The match test is branchless: a hash matches with
-// probability 1/g, far too often for the branch predictor, so the hit is
-// computed arithmetically ((d−1)>>63 is 1 iff d == 0, exact because
-// d = hash mod g XOR value < 2^63).
-func foldRange(support []int64, reports []OLHReport, pre []uint64, fm fastMod) {
+// precomputed in pre and the mod-g division replaced by modMatch's exact
+// test — bit-identical support counts, several times fewer cycles per hash.
+// Both match tests are branchless: a hash matches with probability 1/g, far
+// too often for the branch predictor. For a power-of-two g the hit is
+// (d−1)>>63, which is 1 iff d == 0, exact because d = hash mod g XOR value
+// < 2^63.
+func foldRange(support []int64, reports []OLHReport, pre []uint64, mm modMatch) {
 	pre = pre[:len(support)]
-	if fm.pow2 {
-		mask := fm.mask
+	if mm.mask != 0 {
+		mask := mm.mask
 		for _, rep := range reports {
 			seed := rep.Seed
 			val := uint64(rep.Value)
@@ -316,8 +316,7 @@ func foldRange(support []int64, reports []OLHReport, pre []uint64, fm fastMod) {
 		seed := rep.Seed
 		val := uint64(rep.Value)
 		for v, pv := range pre {
-			d := fm.mod(splitmix64(seed^pv)) ^ val
-			support[v] += int64((d - 1) >> 63)
+			support[v] += int64(mm.match(splitmix64(seed^pv), val))
 		}
 	}
 }
@@ -345,9 +344,9 @@ func (a *OLHAggregator) Estimates() []float64 {
 	batch := a.pending
 	a.pending = nil
 	a.inflight += len(batch)
-	pre, fm := a.tablesLocked()
+	pre, mm := a.tablesLocked()
 	a.mu.Unlock()
-	a.foldBatch(batch, pre, fm)
+	a.foldBatch(batch, pre, mm)
 
 	out := make([]float64, a.l)
 	a.mu.Lock()

@@ -83,6 +83,24 @@ func TestOLHStreamingMatchesBuffered(t *testing.T) {
 	}
 }
 
+// TestOLHStreamingFoldAllocs: a streaming aggregator starts each pending
+// buffer at a fold's capacity, so one fold's worth of Adds allocates that
+// buffer and the fold's local support vector, not a buffer regrown from
+// zero. The domain is small enough that the fold runs on one goroutine.
+func TestOLHStreamingFoldAllocs(t *testing.T) {
+	const eps, L = 1.2, 64
+	reports := genOLHReports(t, eps, L, streamFoldBatch, 5)
+	agg := NewOLHAggregatorStreaming(eps, L)
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, rep := range reports {
+			agg.Add(rep)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("%d streaming Adds allocate %.1f times, want at most 2", streamFoldBatch, allocs)
+	}
+}
+
 // TestOLHMergeEquivalence is the merge-equivalence property: sharding the
 // report stream k ways, folding some shards eagerly, and merging must be
 // bit-for-bit the same as one aggregator seeing every report.

@@ -219,9 +219,9 @@ func (a *OLHAggregator) ExportState() (PartialState, error) {
 	batch := a.pending
 	a.pending = nil
 	a.inflight += len(batch)
-	pre, fm := a.tablesLocked()
+	pre, mm := a.tablesLocked()
 	a.mu.Unlock()
-	a.foldBatch(batch, pre, fm)
+	a.foldBatch(batch, pre, mm)
 
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -108,21 +108,26 @@ func (p Params) noiseRSFD(proto fo.Protocol, L float64) float64 {
 	return fo.RSFDVarianceCont(proto, p.Epsilon, L, p.M, p.N)
 }
 
+// noise returns the per-cell squared noise error of a grid with L total
+// cells under proto: GRR's and HR's models, and OLH's for any other
+// protocol.
+func (p Params) noise(proto fo.Protocol, L float64) float64 {
+	switch proto {
+	case fo.GRR:
+		return p.noiseGRR(L)
+	case fo.HR:
+		return p.noiseHR()
+	default:
+		return p.noiseOLH(L)
+	}
+}
+
 // Err1D returns the expected squared error of a 1-D numerical grid with l
 // cells answering a range of selectivity rx (Eqs 3–4): (α₁/l)² bias plus
 // l·rx cells of noise.
 func (p Params) Err1D(proto fo.Protocol, rx, l float64) float64 {
 	bias := p.Alpha1 / l
-	var noise float64
-	switch proto {
-	case fo.GRR:
-		noise = p.noiseGRR(l)
-	case fo.HR:
-		noise = p.noiseHR()
-	default:
-		noise = p.noiseOLH(l)
-	}
-	return bias*bias + l*rx*noise
+	return bias*bias + l*rx*p.noise(proto, l)
 }
 
 // Err2DNumNum returns the expected squared error of a numerical×numerical 2-D
@@ -131,16 +136,7 @@ func (p Params) Err1D(proto fo.Protocol, rx, l float64) float64 {
 // lx·rx·ly·ry cells of noise.
 func (p Params) Err2DNumNum(proto fo.Protocol, rx, ry, lx, ly float64) float64 {
 	bias := 2 * p.Alpha2 * (lx*rx + ly*ry) / (lx * ly)
-	var noise float64
-	switch proto {
-	case fo.GRR:
-		noise = p.noiseGRR(lx * ly)
-	case fo.HR:
-		noise = p.noiseHR()
-	default:
-		noise = p.noiseOLH(lx * ly)
-	}
-	return bias*bias + lx*rx*ly*ry*noise
+	return bias*bias + lx*rx*ly*ry*p.noise(proto, lx*ly)
 }
 
 // Err2DCatNum returns the expected squared error of a categorical×numerical
@@ -149,28 +145,12 @@ func (p Params) Err2DNumNum(proto fo.Protocol, rx, ry, lx, ly float64) float64 {
 // non-uniformity: (2α₂·ry/lx)².
 func (p Params) Err2DCatNum(proto fo.Protocol, rx, ry, lx, ly float64) float64 {
 	bias := 2 * p.Alpha2 * ry / lx
-	var noise float64
-	switch proto {
-	case fo.GRR:
-		noise = p.noiseGRR(lx * ly)
-	case fo.HR:
-		noise = p.noiseHR()
-	default:
-		noise = p.noiseOLH(lx * ly)
-	}
-	return bias*bias + lx*rx*ly*ry*noise
+	return bias*bias + lx*rx*ly*ry*p.noise(proto, lx*ly)
 }
 
 // ErrExact returns the expected squared error of a grid with no binning
 // (categorical 1-D with L=d, or categorical×categorical with L=dx·dy):
 // pure noise over the L·r cells a query touches, no bias.
 func (p Params) ErrExact(proto fo.Protocol, r, L float64) float64 {
-	switch proto {
-	case fo.GRR:
-		return L * r * p.noiseGRR(L)
-	case fo.HR:
-		return L * r * p.noiseHR()
-	default:
-		return L * r * p.noiseOLH(L)
-	}
+	return L * r * p.noise(proto, L)
 }

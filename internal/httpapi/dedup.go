@@ -2,8 +2,8 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/maphash"
-	"unsafe"
 
 	"felip/internal/core"
 	"felip/internal/wire"
@@ -15,15 +15,16 @@ import (
 // must be exact, and it grows with every report, so it must be small and
 // cheap for the garbage collector.
 //
-// Layout. Each id's bytes are appended to an arena of fixed-size chunks.
-// The ids are spread over dedupShards open-addressing tables by the top
-// byte of their hash; a table's slot holds the payload key packed into 16
-// bytes and one word that locates the id in the arena and carries its
-// length and 16 further hash bits. Neither the slots nor the chunks hold a
-// pointer, so the collector never scans them.
+// Layout. Each entry — the id's bytes, then its payload in a compact
+// encoding — is appended to an arena of fixed-size chunks. The ids are
+// spread over dedupShards open-addressing tables by the top byte of their
+// hash; a table's slot is one word that locates the entry in the arena and
+// carries the id's length and 16 further hash bits. Neither the slots nor
+// the chunks hold a pointer, so the collector never scans them.
 //
 // Exactness. A probe skips a slot whose hash bits or length differ; one
-// that matches both is confirmed by comparing the id bytes.
+// that matches both is confirmed by comparing the id bytes. Only then is the
+// payload decoded, so a fresh id never reads one.
 //
 // Growth. A table doubles when it passes 3/4 full, rehashing only its own
 // ids — about 1/256 of the index — so no insert pays for the whole index.
@@ -33,10 +34,12 @@ import (
 // seed need not persist, because a restart rebuilds the index from the WAL.
 
 const (
-	dedupShardBits = 8
-	dedupShards    = 1 << dedupShardBits
-	dedupMinSlots  = 256 // 6 KiB; smaller tables would add an allocation every few dozen ids while the index is small
-	dedupChunkBits = 16  // 64 KiB arena chunks
+	dedupShardBits  = 8
+	dedupShards     = 1 << dedupShardBits
+	dedupMinSlots   = 256 // 2 KiB; smaller tables would add an allocation every few dozen ids while the index is small
+	dedupChunkBits  = 16  // 64 KiB arena chunks
+	dedupSlotBytes  = 8
+	dedupMaxPayload = 18 // two 5-byte uvarints and a seed
 )
 
 // packedKey is a report's payload as the index stores it. Two reports are
@@ -60,16 +63,27 @@ func packKey(rep core.Report) (packedKey, bool) {
 	return packedKey{seed: rep.Seed, value: uint32(rep.Value), group: uint32(rep.Group)<<8 | uint32(rep.Proto)}, true
 }
 
-// dedupSlot is one table entry. ref is the id's arena offset in the high 40
-// bits, 16 hash bits, and the id's length in the low 8; zero marks an empty
-// slot (stored ids are never empty).
-type dedupSlot struct {
-	key packedKey
-	ref uint64
+// appendKey appends key's arena encoding to b: uvarint(group),
+// uvarint(value), then the seed as 8 little-endian bytes. The encoding is at
+// most dedupMaxPayload bytes.
+func appendKey(b []byte, key packedKey) []byte {
+	b = binary.AppendUvarint(b, uint64(key.group))
+	b = binary.AppendUvarint(b, uint64(key.value))
+	return binary.LittleEndian.AppendUint64(b, key.seed)
 }
 
+// decodeKey reads the key appendKey wrote at the start of b.
+func decodeKey(b []byte) packedKey {
+	group, n := binary.Uvarint(b)
+	value, m := binary.Uvarint(b[n:])
+	return packedKey{seed: binary.LittleEndian.Uint64(b[n+m:]), value: uint32(value), group: uint32(group)}
+}
+
+// dedupShard is one open-addressing table. A slot holds its entry's arena
+// offset in the high 40 bits, 16 hash bits, and the id's length in the low
+// 8; zero marks an empty slot (stored ids are never empty).
 type dedupShard struct {
-	slots []dedupSlot // length a power of two, or nil
+	slots []uint64 // length a power of two, or nil
 	used  int
 }
 
@@ -101,12 +115,14 @@ func (x *dedupIndex) get(id []byte) (packedKey, bool) {
 	want := probeBits(h, len(id))
 	mask := uint64(len(sh.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		s := &sh.slots[i]
-		if s.ref == 0 {
+		ref := sh.slots[i]
+		if ref == 0 {
 			return packedKey{}, false
 		}
-		if s.ref&(1<<24-1) == want && bytes.Equal(x.idAt(s.ref), id) {
-			return s.key, true
+		if ref&(1<<24-1) == want {
+			if e := x.entry(ref); bytes.Equal(e[:len(id)], id) {
+				return decodeKey(e[len(id):]), true
+			}
 		}
 	}
 }
@@ -119,24 +135,24 @@ func (x *dedupIndex) put(id []byte, key packedKey) {
 	if (sh.used+1)*4 > len(sh.slots)*3 {
 		x.grow(sh)
 	}
-	sh.insert(h, dedupSlot{key: key, ref: x.store(id)<<24 | probeBits(h, len(id))})
+	sh.insert(h, x.store(id, key)<<24|probeBits(h, len(id)))
 	x.n++
 }
 
-// probeBits is the part of a slot's ref a probe compares before the bytes:
-// 16 hash bits above the length. The hash bits sit clear of those that
-// choose the shard and the slot.
+// probeBits is the part of a slot a probe compares before the bytes: 16
+// hash bits above the length. The hash bits sit clear of those that choose
+// the shard and the slot.
 func probeBits(h uint64, n int) uint64 {
 	return (h>>40&0xffff)<<8 | uint64(n)
 }
 
-func (sh *dedupShard) insert(h uint64, s dedupSlot) {
+func (sh *dedupShard) insert(h uint64, ref uint64) {
 	mask := uint64(len(sh.slots) - 1)
 	i := h & mask
-	for sh.slots[i].ref != 0 {
+	for sh.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
-	sh.slots[i] = s
+	sh.slots[i] = ref
 	sh.used++
 }
 
@@ -144,32 +160,35 @@ func (sh *dedupShard) insert(h uint64, s dedupSlot) {
 func (x *dedupIndex) grow(sh *dedupShard) {
 	old := sh.slots
 	size := max(2*len(old), dedupMinSlots)
-	sh.slots, sh.used = make([]dedupSlot, size), 0
+	sh.slots, sh.used = make([]uint64, size), 0
 	x.nslots += size - len(old)
-	for _, s := range old {
-		if s.ref != 0 {
-			sh.insert(maphash.Bytes(x.seed, x.idAt(s.ref)), s)
+	for _, ref := range old {
+		if ref != 0 {
+			sh.insert(maphash.Bytes(x.seed, x.entry(ref)[:ref&0xff]), ref)
 		}
 	}
 }
 
-// store appends id to the arena and returns its offset. An id never spans
-// two chunks.
-func (x *dedupIndex) store(id []byte) uint64 {
+// store appends id and its encoded key to the arena and returns the entry's
+// offset. An entry never spans two chunks.
+func (x *dedupIndex) store(id []byte, key packedKey) uint64 {
+	var buf [dedupMaxPayload]byte
+	payload := appendKey(buf[:0], key)
 	last := len(x.chunks) - 1
-	if last < 0 || len(x.chunks[last])+len(id) > 1<<dedupChunkBits {
+	if last < 0 || len(x.chunks[last])+len(id)+len(payload) > 1<<dedupChunkBits {
 		x.chunks = append(x.chunks, make([]byte, 0, 1<<dedupChunkBits))
 		last++
 	}
 	off := uint64(last)<<dedupChunkBits | uint64(len(x.chunks[last]))
-	x.chunks[last] = append(x.chunks[last], id...)
+	x.chunks[last] = append(append(x.chunks[last], id...), payload...)
 	return off
 }
 
-func (x *dedupIndex) idAt(ref uint64) []byte {
+// entry returns the arena from ref's entry to the end of its chunk: the id's
+// bytes, its encoded key, then any later entries.
+func (x *dedupIndex) entry(ref uint64) []byte {
 	off := ref >> 24
-	start := off & (1<<dedupChunkBits - 1)
-	return x.chunks[off>>dedupChunkBits][start : start+ref&0xff]
+	return x.chunks[off>>dedupChunkBits][off&(1<<dedupChunkBits-1):]
 }
 
 // len returns the number of stored ids.
@@ -178,5 +197,5 @@ func (x *dedupIndex) len() int { return x.n }
 // sizeBytes returns the memory the index has allocated: its slots and its
 // arena chunks.
 func (x *dedupIndex) sizeBytes() int64 {
-	return int64(x.nslots)*int64(unsafe.Sizeof(dedupSlot{})) + int64(len(x.chunks))<<dedupChunkBits
+	return int64(x.nslots)*dedupSlotBytes + int64(len(x.chunks))<<dedupChunkBits
 }

@@ -1,14 +1,16 @@
 package httpapi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math/rand/v2"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
-	"unsafe"
+	"time"
 
 	"felip/internal/core"
 	"felip/internal/fo"
@@ -28,10 +30,35 @@ func checkAgrees(t testing.TB, x *dedupIndex, ref map[string]packedKey, id []byt
 	}
 }
 
+// varintEdges holds 0, 2^32−1 and the values on each side of a uvarint
+// width boundary (2^7k−1 and 2^7k) below 2^32.
+var varintEdges = []uint32{0, 1<<7 - 1, 1 << 7, 1<<14 - 1, 1 << 14, 1<<21 - 1, 1 << 21, 1<<28 - 1, 1 << 28, 1<<32 - 1}
+
+// randomKey draws a payload key whose fields often sit at the edges of the
+// arena encoding: seed 0 and extreme nonzero seeds, and value and group at
+// every uvarint width boundary.
+func randomKey(rng *rand.Rand) packedKey {
+	key := packedKey{seed: rng.Uint64(), value: rng.Uint32(), group: rng.Uint32()}
+	switch rng.IntN(4) {
+	case 0:
+		key.seed = 0
+	case 1:
+		key.seed = []uint64{1, 1 << 63, ^uint64(0)}[rng.IntN(3)]
+	}
+	if rng.IntN(2) == 0 {
+		key.value = varintEdges[rng.IntN(len(varintEdges))]
+	}
+	if rng.IntN(2) == 0 {
+		key.group = varintEdges[rng.IntN(len(varintEdges))]
+	}
+	return key
+}
+
 // TestDedupIndexMatchesMap drives the index and a map through the same
 // inserts — random ids of every legal length, ids sharing prefixes, ids that
-// differ only in length — until every shard has grown several times, and
-// requires get, put and len to agree after every step.
+// differ only in length, each under a key from randomKey — until every
+// shard has grown several times, and requires get, put and len to agree
+// after every step.
 func TestDedupIndexMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 1))
 	x := newDedupIndex()
@@ -68,7 +95,7 @@ func TestDedupIndexMatchesMap(t *testing.T) {
 		id := []byte(nextID())
 		checkAgrees(t, x, ref, id)
 		if _, had := ref[string(id)]; !had {
-			key := packedKey{seed: rng.Uint64(), value: rng.Uint32(), group: rng.Uint32()}
+			key := randomKey(rng)
 			x.put(id, key)
 			ref[string(id)] = key
 			ids = append(ids, string(id))
@@ -118,9 +145,9 @@ func TestDedupIndexComparesBytesOnProbeMatch(t *testing.T) {
 	// Both ids sit in one shard with identical probe bits.
 	sh := &x.shards[maphash.Bytes(x.seed, []byte(a))>>(64-dedupShardBits)]
 	var refs []uint64
-	for _, s := range sh.slots {
-		if s.ref != 0 {
-			refs = append(refs, s.ref&(1<<24-1))
+	for _, ref := range sh.slots {
+		if ref != 0 {
+			refs = append(refs, ref&(1<<24-1))
 		}
 	}
 	if len(refs) != 2 || refs[0] != refs[1] {
@@ -143,13 +170,22 @@ func TestDedupIndexLooksUpAnyLength(t *testing.T) {
 // FuzzDedupIndex decodes a sequence of operations from the input and runs
 // them against the index and a map: the two always agree, and no input
 // panics. Each operation is an opcode byte, a length byte and that many id
-// bytes; opcode bit 0 inserts the id, bit 1 inserts 200 ids derived from it
-// (so short inputs still fill the index), and any other opcode only looks
-// the id up. A table's first doubling needs 193 ids in one shard, beyond
-// what an input reaches; TestDedupIndexMatchesMap covers growth.
+// bytes; an inserting operation then takes its key from the next 16 bytes
+// (seed u64, value u32 and group u32, little-endian, zero-padded at the end
+// of the input). Opcode bit 0 inserts the id, bit 1 inserts 200 ids derived
+// from it (so short inputs still fill the index), and any other opcode only
+// looks the id up. A table's first doubling needs 193 ids in one shard,
+// beyond what an input reaches; TestDedupIndexMatchesMap covers growth.
 func FuzzDedupIndex(f *testing.F) {
-	f.Add([]byte("\x01\x03abc\x00\x03abc\x01\x04abcd\x02\x01z\x00\x02ab"))
-	f.Add([]byte("\x03\x80" + string(make([]byte, 128)) + "\x00\x81"))
+	key := func(seed uint64, value, group uint32) string {
+		b := binary.LittleEndian.AppendUint64(nil, seed)
+		b = binary.LittleEndian.AppendUint32(b, value)
+		return string(binary.LittleEndian.AppendUint32(b, group))
+	}
+	f.Add([]byte("\x01\x03abc" + key(1, 3, 0) + "\x00\x03abc\x01\x04abcd" + key(1, 4, 1) +
+		"\x02\x01z" + key(2, 1, 2) + "\x00\x02ab"))
+	f.Add([]byte("\x03\x80" + string(make([]byte, 128)) + key(0, 0, 0) + "\x00\x81"))
+	f.Add([]byte("\x01\x01a" + key(0, 1<<31, 1<<32-1) + "\x01\x01b" + key(1<<64-1, 1<<32-1, 1<<6) + "\x00\x01a"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x := newDedupIndex()
 		ref := make(map[string]packedKey)
@@ -167,7 +203,16 @@ func FuzzDedupIndex(f *testing.F) {
 			op, n := data[0], min(int(data[1]), len(data)-2)
 			id := data[2 : 2+n]
 			data = data[2+n:]
-			key := packedKey{seed: uint64(op), value: uint32(n), group: uint32(len(ref))}
+			var key packedKey
+			if op&3 != 0 {
+				var kb [16]byte
+				data = data[copy(kb[:], data):]
+				key = packedKey{
+					seed:  binary.LittleEndian.Uint64(kb[:8]),
+					value: binary.LittleEndian.Uint32(kb[8:12]),
+					group: binary.LittleEndian.Uint32(kb[12:]),
+				}
+			}
 			switch {
 			case op&1 != 0:
 				put(id, key)
@@ -183,6 +228,51 @@ func FuzzDedupIndex(f *testing.F) {
 			checkAgrees(t, x, ref, []byte(id))
 		}
 	})
+}
+
+// BenchmarkDedupIndex admits 5M device-style ids ("d" and a decimal, as the
+// pipeline benchmark's devices send) in 512-id batches, as admission does:
+// every get of a batch, then every put, each under an OLH-shaped key. It
+// reports the time per id, the index's allocated bytes per entry, and the
+// slowest and 99th-percentile batch. One iteration is the whole 5M ids, so
+// run it with -benchtime 1x:
+//
+//	go test -run '^$' -bench BenchmarkDedupIndex -benchtime 1x ./internal/httpapi
+func BenchmarkDedupIndex(b *testing.B) {
+	const total, perBatch = 5_000_000, 512
+	rng := rand.New(rand.NewPCG(24, 1))
+	ids := make([][]byte, perBatch)
+	keys := make([]packedKey, perBatch)
+	var x *dedupIndex
+	var busy time.Duration
+	var batches []time.Duration
+	for range b.N {
+		x, busy, batches = newDedupIndex(), 0, batches[:0]
+		for next := 0; next < total; next += perBatch {
+			n := min(perBatch, total-next)
+			for i := range n {
+				ids[i] = strconv.AppendInt(append(ids[i][:0], 'd'), int64(next+i), 10)
+				keys[i] = packedKey{seed: rng.Uint64(), value: rng.Uint32N(5), group: rng.Uint32N(34)<<8 | uint32(fo.OLH)}
+			}
+			start := time.Now()
+			for _, id := range ids[:n] {
+				if _, ok := x.get(id); ok {
+					b.Fatalf("fresh id %q found", id)
+				}
+			}
+			for i, id := range ids[:n] {
+				x.put(id, keys[i])
+			}
+			d := time.Since(start)
+			busy += d
+			batches = append(batches, d)
+		}
+	}
+	slices.Sort(batches)
+	b.ReportMetric(float64(busy.Nanoseconds())/total, "ns/id")
+	b.ReportMetric(float64(x.sizeBytes())/float64(x.len()), "B/entry")
+	b.ReportMetric(float64(batches[len(batches)-1].Microseconds())/1e3, "worst-batch-ms")
+	b.ReportMetric(float64(batches[len(batches)*99/100].Microseconds())/1e3, "p99-batch-ms")
 }
 
 // TestDedupRetryWithUnpackablePayloadIsConflict: a retry of a stored id with
@@ -277,8 +367,9 @@ func TestIngestFrameAllocsPerReport(t *testing.T) {
 
 // TestStatusReportsDedupBytes: /v1/status carries the index's allocated
 // bytes beside its entry count, within the per-entry bound DESIGN.md §14
-// states: 64 bytes of slots per entry plus its id bytes (and under 0.2%
-// chunk slack), plus a fixed 1.6 MiB of minimum tables and one chunk.
+// states: 22 bytes of slots per entry, plus its id bytes and at most 18
+// payload bytes in the arena (and under 0.3% chunk slack), plus a fixed
+// 576 KiB of minimum tables and one chunk.
 func TestStatusReportsDedupBytes(t *testing.T) {
 	srv, ts, _ := newAdmissionNode(t, fo.ModeFELIP)
 	var st struct {
@@ -306,8 +397,9 @@ func TestStatusReportsDedupBytes(t *testing.T) {
 	}
 	getJSON(t, ts.URL+"/v1/status", &st)
 	n := len(frames) * perFrame
-	fixed := dedupShards*dedupMinSlots*int64(unsafe.Sizeof(dedupSlot{})) + 1<<dedupChunkBits
-	bound := int64(64*n) + int64(idBytes)*(1<<dedupChunkBits)/(1<<dedupChunkBits-wire.MaxReportIDLen) + fixed
+	fixed := int64(dedupShards*dedupMinSlots*dedupSlotBytes + 1<<dedupChunkBits)
+	arena := int64(idBytes + dedupMaxPayload*n)
+	bound := int64(22*n) + arena*(1<<dedupChunkBits)/(1<<dedupChunkBits-wire.MaxReportIDLen-dedupMaxPayload) + fixed
 	t.Logf("%d entries: dedup_bytes=%d (%.1f per entry), bound %d", st.DedupEntries, st.DedupBytes,
 		float64(st.DedupBytes)/float64(n), bound)
 	if st.DedupEntries != n || st.DedupBytes <= 0 || st.DedupBytes > bound {
