@@ -77,21 +77,25 @@ bench-smoke:
 
 # Cluster chaos drill: kill a durable shard mid-round, restart it from its
 # WAL, truncate the coordinator's state pulls, and require bit-identical
-# answers — under the race detector.
+# answers; and require the coordinator to mount none of its merged round's
+# ingest, assignment, shard-state or replication routes — under the race
+# detector.
 chaos-cluster:
-	$(GO) test -race -run 'TestClusterChaos|TestShardStateRepullAfterCrash' -v ./internal/cluster
+	$(GO) test -race -run 'TestClusterChaos|TestShardStateRepullAfterCrash|TestCoordinatorServesNoIngestRoutes' -v ./internal/cluster
 
 # Archive chaos drill: corrupted and torn snapshots skipped on open, a crash
 # in the window between snapshot fsync and WAL truncation recovered without
 # double-counting, a coordinator kill -9 survived with bit-identical
-# current and historical answers, a segment chain with a gap refused, rounds
+# current and historical answers, a coordinator's snapshots byte-identical
+# to a single node's over the same reports, a segment chain with a gap
+# refused, rounds
 # replayed from a WAL-only history archived on the first start with an
 # archive, a round whose snapshot failed keeping its segment, and a shard
 # restored from its archive re-exporting its sealed round's exact counts —
 # under the race detector.
 chaos-archive:
 	$(GO) test -race -v \
-		-run 'TestOpenSkipsCorruptSnapshots|TestEnvelopeRejectsDamage|TestCrashBetweenSnapshotAndTruncate|TestArchiveRestartSnapshotPlusTail|TestCoordinatorArchiveRestart|TestRecoverRefusesChainGap|TestRecoverArchivesEveryReplayedRound|TestFailedSnapshotKeepsSegment|TestRestoredShardRepullsSealedRound' \
+		-run 'TestOpenSkipsCorruptSnapshots|TestEnvelopeRejectsDamage|TestCrashBetweenSnapshotAndTruncate|TestArchiveRestartSnapshotPlusTail|TestCoordinatorArchiveRestart|TestCoordinatorSnapshotMatchesSingleNode|TestRecoverRefusesChainGap|TestRecoverArchivesEveryReplayedRound|TestFailedSnapshotKeepsSegment|TestRestoredShardRepullsSealedRound' \
 		./internal/archive ./internal/httpapi ./internal/cluster
 
 # Failover chaos drill: kill a primary mid-round with its WAL shipped to a

@@ -292,9 +292,12 @@ func main() {
 }
 
 // runCoordinator starts the cluster merge coordinator: no local ingest, no
-// WAL — its durable state is the shards' — just the round lifecycle and the
-// merged query plane. With -archive, each merged round is also snapshotted so
-// a restarted coordinator re-serves its rounds without re-pulling the shards.
+// WAL — its durable state is the shards' — just membership, the shard round
+// walk and the merged round, an httpapi.Server fed shard states instead of
+// reports. With -archive, that server snapshots each merged round, and a
+// restarted coordinator comes up through its Recover (logging "httpapi:
+// restored round N from archive DIR"), re-serving its rounds without
+// re-pulling the shards.
 func runCoordinator(schema *domain.Schema, planN int, opts core.Options, addr, shards, walPath, archiveDir string, retain, simulate int, seed uint64, beatTTL time.Duration) {
 	if walPath != "" {
 		log.Fatal("felipserver: the coordinator keeps no report log; -wal belongs on the shards")
@@ -314,16 +317,15 @@ func runCoordinator(schema *domain.Schema, planN int, opts core.Options, addr, s
 	}
 	var store *archive.Store
 	if archiveDir != "" {
-		// The plan is deterministic in the flags, so a throwaway collector
+		// The plan is deterministic in the flags, so a throwaway server
 		// yields the fingerprint the store must match.
-		col, err := core.NewCollector(schema, planN, opts)
+		probe, err := httpapi.NewServer(schema, planN, opts)
 		if err != nil {
 			log.Fatal("felipserver: ", err)
 		}
-		fp := wire.NewPlanMessage(schema, col.Epsilon(), col.Mode(), col.Longitudinal(), col.Specs()).Fingerprint()
 		store, err = archive.Open(archiveDir, archive.Options{
 			RetainRounds:    retain,
-			PlanFingerprint: fp,
+			PlanFingerprint: probe.PlanFingerprint(),
 			Logf:            log.Printf,
 		})
 		if err != nil {

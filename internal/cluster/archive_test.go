@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"felip/internal/archive"
@@ -189,6 +192,119 @@ func TestCoordinatorArchiveRestart(t *testing.T) {
 		}
 		if resp.Estimate != want1[i] {
 			t.Fatalf("round-1 after second restore: %q = %v, want %v", where, resp.Estimate, want1[i])
+		}
+	}
+}
+
+// TestCoordinatorSnapshotMatchesSingleNode pins the one snapshot writer: a
+// 3-shard coordinator with an archive and a standalone server with an archive
+// take the same reports for two rounds, and each round's snapshot file must
+// be byte-identical across the two.
+func TestCoordinatorSnapshotMatchesSingleNode(t *testing.T) {
+	const (
+		k       = 3
+		n       = 1500
+		devSeed = 611
+	)
+	schema := dataset.MixedSchema(2, 32, 2, 4)
+	ds := dataset.NewNormal().Generate(schema, n, 613)
+	opts := core.Options{Strategy: core.OHG, Epsilon: 1.4, Seed: 617}
+	ctx := context.Background()
+
+	single, err := httpapi.NewServer(schema, n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single.SetLogger(t.Logf)
+	openStore := func() (*archive.Store, string) {
+		dir := t.TempDir()
+		st, err := archive.Open(dir, archive.Options{PlanFingerprint: single.PlanFingerprint(), Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, dir
+	}
+	singleStore, singleDir := openStore()
+	if err := single.UseArchive(singleStore, nil); err != nil {
+		t.Fatal(err)
+	}
+	singleTS := httptest.NewServer(single.Handler())
+	t.Cleanup(singleTS.Close)
+	singleCl := httpapi.Dial(singleTS.URL, singleTS.Client())
+
+	var bases []string
+	for i := 0; i < k; i++ {
+		srv, err := httpapi.NewServer(schema, n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.SetLogger(t.Logf)
+		srv.SetShardID(fmt.Sprintf("shard-%d", i))
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		bases = append(bases, ts.URL)
+	}
+	coordStore, coordDir := openStore()
+	coord, err := New(Config{
+		Schema:  schema,
+		N:       n,
+		Opts:    opts,
+		Shards:  bases,
+		Archive: coordStore,
+		Retry:   fastRetry(4),
+		Logf:    t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(coord.Handler())
+	t.Cleanup(coordTS.Close)
+	cl := NewClient(coordTS.URL, bases, nil, fastRetry(4))
+
+	plan, err := singleCl.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := plan.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 2; round++ {
+		if round > 1 {
+			if got, err := singleCl.NextRound(ctx); err != nil || got != round {
+				t.Fatalf("single nextround: %d, %v", got, err)
+			}
+			if got, err := cl.NextRound(ctx); err != nil || got != round {
+				t.Fatalf("cluster nextround: %d, %v", got, err)
+			}
+		}
+		for row := 0; row < n; row++ {
+			id, rep := deviceReport(t, specs, opts.Epsilon, ds, row, devSeed+uint64(round)*100000)
+			if _, err := singleCl.ReportWithID(ctx, id, rep); err != nil {
+				t.Fatalf("single row %d: %v", row, err)
+			}
+			if _, err := cl.ReportWithID(ctx, id, rep); err != nil {
+				t.Fatalf("cluster row %d: %v", row, err)
+			}
+		}
+		if got, err := singleCl.Finalize(ctx); err != nil || got != n {
+			t.Fatalf("single finalize round %d: %d, %v", round, got, err)
+		}
+		if got, err := cl.Finalize(ctx); err != nil || got != n {
+			t.Fatalf("cluster finalize round %d: %d, %v", round, got, err)
+		}
+		name := fmt.Sprintf("round-%06d.snap", round)
+		want, err := os.ReadFile(filepath.Join(singleDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(coordDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: the coordinator's %s (%d bytes) differs from the single node's (%d bytes)",
+				round, name, len(got), len(want))
 		}
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"felip/internal/core"
 	"felip/internal/dataset"
+	"felip/internal/faultinject"
 	"felip/internal/httpapi"
 )
 
@@ -275,6 +277,91 @@ func TestClusterBitIdenticalToSingleNode(t *testing.T) {
 		if clusterR2[i] != singleR2[i] {
 			t.Fatalf("round 2 query %q: cluster %v != single %v (not bit-identical)",
 				clusterQueries[i], clusterR2[i], singleR2[i])
+		}
+	}
+}
+
+// TestCoordinatorServesNoIngestRoutes: the merged round takes shard states,
+// never reports, so the coordinator mounts none of its server's ingest,
+// assignment, shard-state or replication routes; the round's read routes
+// answer as on a single node.
+func TestCoordinatorServesNoIngestRoutes(t *testing.T) {
+	h := newHarness(t, 1, 100, core.Options{Strategy: core.OHG, Epsilon: 1.4, Seed: 619}, nil, fastRetry(2))
+	for _, route := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodPost, "/v1/report", http.StatusNotFound},
+		{http.MethodPost, "/v1/reports", http.StatusNotFound},
+		{http.MethodGet, "/v1/assign", http.StatusNotFound},
+		{http.MethodPost, "/v1/shard/state", http.StatusNotFound},
+		{http.MethodGet, "/v1/replica/wal", http.StatusNotFound},
+		{http.MethodGet, "/v1/plan", http.StatusOK},
+		{http.MethodGet, "/v1/healthz", http.StatusOK},
+	} {
+		req, err := http.NewRequest(route.method, h.coordTS.URL+route.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := h.coordTS.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != route.want {
+			t.Errorf("%s %s on the coordinator: %d, want %d", route.method, route.path, resp.StatusCode, route.want)
+		}
+	}
+}
+
+// TestAdvanceRoundRetryWalksStragglers: the coordinator walks every shard to
+// the next round before its merged round advances, so an advance that fails
+// mid-walk leaves the coordinator where it was, and the retry walks the
+// shards the failed attempt did not reach.
+func TestAdvanceRoundRetryWalksStragglers(t *testing.T) {
+	const (
+		k       = 2
+		n       = 300
+		devSeed = 623
+	)
+	schema := dataset.MixedSchema(2, 32, 2, 4)
+	ds := dataset.NewNormal().Generate(schema, n, 625)
+	opts := core.Options{Strategy: core.OHG, Epsilon: 1.4, Seed: 627}
+	ctx := context.Background()
+	blackout := faultinject.NewPathBlackout(nil)
+	h := newHarness(t, k, n, opts, &http.Client{Transport: blackout}, fastRetry(2))
+	plan, err := h.client.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := plan.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row := 0; row < n; row++ {
+		id, rep := deviceReport(t, specs, opts.Epsilon, ds, row, devSeed)
+		if _, err := h.client.ReportWithID(ctx, id, rep); err != nil {
+			t.Fatalf("row %d: %v", row, err)
+		}
+	}
+	if got, err := h.coord.FinalizeRound(ctx); err != nil || got != n {
+		t.Fatalf("finalize: %d, %v", got, err)
+	}
+
+	blackout.Block("/v1/nextround")
+	if _, err := h.coord.AdvanceRound(ctx, 2); err == nil {
+		t.Fatal("advance succeeded with no shard reachable")
+	}
+	if got := h.coord.Round(); got != 1 {
+		t.Fatalf("a failed walk moved the coordinator to round %d", got)
+	}
+	blackout.Unblock("/v1/nextround")
+	if got, err := h.coord.AdvanceRound(ctx, 2); err != nil || got != 2 {
+		t.Fatalf("retried advance: %d, %v", got, err)
+	}
+	for i, srv := range h.shardSrvs {
+		if got := srv.Round(); got != 2 {
+			t.Fatalf("shard %d in round %d after the retried advance", i, got)
 		}
 	}
 }

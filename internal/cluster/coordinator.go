@@ -17,7 +17,6 @@ import (
 	"felip/internal/fo"
 	"felip/internal/httpapi"
 	"felip/internal/metrics"
-	"felip/internal/serve"
 	"felip/internal/wire"
 )
 
@@ -47,10 +46,10 @@ type Config struct {
 	// transitions are idempotent, so retrying is always safe.
 	Retry httpapi.RetryPolicy
 	// Archive, when non-nil, persists every merged round: the coordinator
-	// restores the newest archived round at startup (answers stay
-	// bit-identical across a kill -9) and serves historical queries from the
-	// store. The store should be opened with the plan's fingerprint so a
-	// drifted configuration is refused.
+	// restores the newest archived round at startup (httpapi.Server.Recover;
+	// answers stay bit-identical across a kill -9) and serves historical
+	// queries from the store. The store should be opened with the plan's
+	// fingerprint so a drifted configuration is refused.
 	Archive *archive.Store
 	// Logf is the operational log (nil = log.Printf).
 	Logf func(format string, args ...any)
@@ -78,43 +77,32 @@ type ShardInfo struct {
 }
 
 // Coordinator drives collection rounds across a fleet of shard servers and
-// serves the merged result. One coordinator owns the round lifecycle:
-// FinalizeRound pulls every shard's sealed partial state, merges the integer
-// counts, estimates exactly once, and swaps the merged engine into its query
-// plane; NextRound then walks every shard to the next round idempotently. It
-// also owns the cluster's membership: shards register and heartbeat with it,
-// and when a primary's heartbeat lapses it promotes the shard's follower.
+// serves the merged result. The merged round itself is an httpapi.Server fed
+// shard states instead of reports: its plan, round cursor, close, archive,
+// restart and query endpoints are the server's. The coordinator does what
+// only it can: FinalizeRound pulls every shard's sealed partial state, checks
+// it, and hands the set to the server's FinalizeMerged, which merges the
+// integer counts and estimates exactly once; AdvanceRound walks every shard to
+// the next round idempotently before the server opens it. It also owns the
+// cluster's membership: shards register and heartbeat with it, and when a
+// primary's heartbeat lapses it promotes the shard's follower.
 type Coordinator struct {
-	schema *domain.Schema
-	planN  int
-	opts   core.Options
-	plan   wire.PlanMessage
-	// mode is the cluster's reporting mode, fixed by the plan. Every shard
-	// state pulled at finalize must claim it; a mixed-mode merge is refused.
-	mode fo.ReportMode
-	// long is the cluster's longitudinal two-stage configuration (nil =
-	// one-shot). Every shard state pulled at finalize must carry the identical
-	// budgets; a mixed longitudinal/one-shot merge is refused.
-	long  *fo.Longitudinal
+	// srv owns the merged round. Lock order: c.mu before srv's lock; srv
+	// never calls into the coordinator.
+	srv   *httpapi.Server
 	logf  func(format string, args ...any)
 	hc    *http.Client
 	retry httpapi.RetryPolicy
-	qp    *httpapi.QueryPlane
-	// store archives merged rounds; nil = archiving disabled.
-	store *archive.Store
 
 	// lifecycle serializes FinalizeRound/AdvanceRound so two operators cannot
-	// interleave round transitions; mu guards the snapshot fields plus the
-	// membership and the dial cache, and is never held across a network call.
+	// interleave round transitions; mu guards the fields below, and is never
+	// held across a network call.
 	lifecycle sync.Mutex
 	mu        sync.Mutex
-	round     int
-	finalized bool
 	// sealing is true while a FinalizeRound is pulling shard states: a shard
 	// registering in that window joins the NEXT round, so the in-flight
 	// seal's pull set never changes under it.
 	sealing   bool
-	finalN    int
 	shards    []ShardInfo
 	members   *Membership
 	failovers int64
@@ -125,9 +113,13 @@ type Coordinator struct {
 // empty — an elastic cluster starts bare and shards register themselves).
 // The plan is computed locally — deterministically identical to every
 // shard's — so devices may fetch it from the coordinator or any shard
-// interchangeably.
+// interchangeably. With cfg.Archive the merged round comes up through
+// httpapi.Server.Recover, the one restart path: the newest archived round is
+// served again, finalized, and if the cluster had already advanced past it
+// the next idempotent AdvanceRound catches the coordinator up (shards already
+// in the target round answer 200).
 func New(cfg Config) (*Coordinator, error) {
-	col, err := core.NewCollector(cfg.Schema, cfg.N, cfg.Opts)
+	srv, err := httpapi.NewServer(cfg.Schema, cfg.N, cfg.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -135,30 +127,25 @@ func New(cfg Config) (*Coordinator, error) {
 	if logf == nil {
 		logf = log.Printf
 	}
+	srv.SetLogger(logf)
+	if cfg.Archive != nil {
+		if err := srv.UseArchive(cfg.Archive, nil); err != nil {
+			return nil, err
+		}
+	}
+	if err := srv.Recover(nil, 1); err != nil {
+		return nil, err
+	}
 	c := &Coordinator{
-		schema:  cfg.Schema,
-		planN:   cfg.N,
-		opts:    cfg.Opts,
-		plan:    wire.NewPlanMessage(cfg.Schema, col.Epsilon(), col.Mode(), col.Longitudinal(), col.Specs()),
-		mode:    col.Mode(),
-		long:    col.Longitudinal(),
+		srv:     srv,
 		logf:    logf,
 		hc:      cfg.HTTPClient,
 		retry:   cfg.Retry,
-		qp:      httpapi.NewQueryPlane(cfg.Schema, logf),
-		round:   1,
 		members: newMembership(cfg.Clock, cfg.HeartbeatTimeout),
 		dials:   make(map[string]*httpapi.Client),
 	}
 	c.members.seed(cfg.Shards, 1)
 	c.updateMembershipGaugesLocked()
-	if cfg.Archive != nil {
-		c.store = cfg.Archive
-		c.qp.SetHistory(cfg.Archive)
-		if err := c.restoreLatest(); err != nil {
-			return nil, err
-		}
-	}
 	return c, nil
 }
 
@@ -172,60 +159,25 @@ func (c *Coordinator) dialLocked(base string) *httpapi.Client {
 	return cl
 }
 
-// restoreLatest rebuilds the serving plane from the newest archived merged
-// round, so a coordinator killed and restarted keeps answering — for the
-// restored round and every archived one — bit-identically to before the
-// crash. The round cursor lands on the restored round, finalized: if the
-// cluster had already advanced past it, the next idempotent AdvanceRound
-// simply catches the coordinator up (shards already in the target round
-// answer 200).
-func (c *Coordinator) restoreLatest() error {
-	latest := c.store.LatestRound()
-	if latest == 0 {
-		return nil
-	}
-	eng, err := c.store.Engine(latest)
-	if err != nil {
-		return fmt.Errorf("cluster: restoring archived round %d: %w", latest, err)
-	}
-	reports := eng.Aggregator().N()
-	c.mu.Lock()
-	c.round = latest
-	c.finalized = true
-	c.finalN = reports
-	c.mu.Unlock()
-	c.qp.Serve(eng, latest)
-	c.logf("cluster: restored round %d from archive (%d reports)", latest, reports)
-	return nil
+// shardTarget is one member shard a seal or round transition addresses.
+type shardTarget struct {
+	name, base string
+	cl         *httpapi.Client
 }
 
-// archiveRound persists the merged round. Failures are logged, not returned:
-// the shards' sealed states remain re-pullable, so a failed archive write
-// never loses the round — re-running finalize after a restart reproduces it
-// exactly.
-func (c *Coordinator) archiveRound(col *core.Collector, agg *core.Aggregator, round int) {
-	snap := archive.RoundSnapshot{
-		Round:           round,
-		PlanFingerprint: c.plan.Fingerprint(),
-		Reports:         agg.N(),
-		Aggregate:       agg.Snapshot(),
+// targetsLocked resolves the member shards in round's pull set. Caller holds
+// c.mu.
+func (c *Coordinator) targetsLocked(round int) []shardTarget {
+	set := c.members.pullSet(round)
+	targets := make([]shardTarget, len(set))
+	for i, m := range set {
+		targets[i] = shardTarget{name: m.name, base: m.base, cl: c.dialLocked(m.base)}
 	}
-	if parts, err := col.ExportPartials(); err != nil {
-		c.logf("cluster: exporting merged round %d partial states for archive: %v", round, err)
-	} else {
-		snap.Partials = wire.GridStates(parts)
-	}
-	if err := c.store.WriteRound(snap); err != nil {
-		c.logf("cluster: archiving merged round %d: %v", round, err)
-	}
+	return targets
 }
 
 // Round reports the collection round the cluster is in (1-based).
-func (c *Coordinator) Round() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.round
-}
+func (c *Coordinator) Round() int { return c.srv.Round() }
 
 // RegisterShard applies a shard (or follower) registration. A primary that
 // registers while a round is sealing — or after it sealed — joins the next
@@ -236,9 +188,10 @@ func (c *Coordinator) Round() int {
 func (c *Coordinator) RegisterShard(msg wire.RegisterMessage) (wire.RegisterResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	join := c.round
-	if c.sealing || c.finalized {
-		join = c.round + 1
+	st := c.srv.Status()
+	join := st.Round
+	if c.sealing || st.Finalized {
+		join++
 	}
 	epoch, joined, err := c.members.register(msg, join)
 	if err != nil {
@@ -266,7 +219,7 @@ func (c *Coordinator) Heartbeat(msg wire.HeartbeatMessage) (wire.HeartbeatRespon
 func (c *Coordinator) MembershipSnapshot() wire.MembershipMessage {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.members.snapshot(c.round)
+	return c.members.snapshot(c.srv.Round())
 }
 
 // Epoch reports the current membership epoch.
@@ -301,7 +254,7 @@ func (c *Coordinator) updateMembershipGaugesLocked() {
 func (c *Coordinator) CheckLiveness(ctx context.Context) ([]string, error) {
 	c.mu.Lock()
 	candidates := c.members.lapsed()
-	round := c.round
+	round := c.srv.Round()
 	clients := make([]*httpapi.Client, len(candidates))
 	for i, cand := range candidates {
 		clients[i] = c.dialLocked(cand.followerBase)
@@ -379,38 +332,31 @@ func describeLongitudinal(l *fo.Longitudinal) string {
 
 // FinalizeRound closes the round cluster-wide, exactly once: it pulls every
 // member shard's sealed partial-aggregate state (the first pull is what seals
-// the shard), verifies each message's checksum and round, merges the integer
-// count vectors into one collector, runs the estimation pipeline once over
-// the sums, and swaps the resulting engine into the query plane fully warmed.
-// Repeat calls return the same report count. The state pulls ride the
-// client's retry policy and honor ctx: the first pull to fail permanently
-// cancels its siblings, so one wedged or dead shard cannot hold the round
-// open past the caller's deadline. A failed finalize can simply be retried —
-// no shard state is consumed by a failed attempt.
+// the shard), verifies each message's checksum, round, mode and longitudinal
+// budgets, and hands the states to the merged round's FinalizeMerged, which
+// sums the integer count vectors, runs the estimation pipeline once over the
+// sums, serves the engine fully warmed and archives the round. Repeat calls
+// return the same report count. The state pulls ride the client's retry
+// policy and honor ctx: the first pull to fail permanently cancels its
+// siblings, so one wedged or dead shard cannot hold the round open past the
+// caller's deadline. A failed finalize can simply be retried — no shard state
+// is consumed by a failed attempt, and a refused merge imports nothing.
 func (c *Coordinator) FinalizeRound(ctx context.Context) (int, error) {
 	c.lifecycle.Lock()
 	defer c.lifecycle.Unlock()
 	c.mu.Lock()
-	if c.finalized {
-		n := c.finalN
+	st := c.srv.Status()
+	if st.Finalized {
 		c.mu.Unlock()
-		return n, nil
+		return st.Reports, nil
 	}
-	round := c.round
+	round := st.Round
 	c.sealing = true
-	set := c.members.pullSet(round)
-	if len(set) == 0 {
+	targets := c.targetsLocked(round)
+	if len(targets) == 0 {
 		c.sealing = false
 		c.mu.Unlock()
 		return 0, fmt.Errorf("cluster: no member shards to finalize round %d", round)
-	}
-	type target struct {
-		name, base string
-		cl         *httpapi.Client
-	}
-	targets := make([]target, len(set))
-	for i, m := range set {
-		targets[i] = target{name: m.name, base: m.base, cl: c.dialLocked(m.base)}
 	}
 	c.mu.Unlock()
 	defer func() {
@@ -431,7 +377,7 @@ func (c *Coordinator) FinalizeRound(ctx context.Context) (int, error) {
 	var wg sync.WaitGroup
 	for i, tg := range targets {
 		wg.Add(1)
-		go func(i int, tg target) {
+		go func(i int, tg shardTarget) {
 			defer wg.Done()
 			msgs[i], errs[i] = tg.cl.ShardState(pctx)
 			if errs[i] != nil {
@@ -446,10 +392,8 @@ func (c *Coordinator) FinalizeRound(ctx context.Context) (int, error) {
 		}
 	}
 
-	col, err := core.NewCollector(c.schema, c.planN, c.opts)
-	if err != nil {
-		return 0, err
-	}
+	states := make([][]fo.PartialState, len(msgs))
+	names := make([]string, len(msgs))
 	infos := make([]ShardInfo, len(msgs))
 	for i, msg := range msgs {
 		if msg.Round != round {
@@ -465,26 +409,23 @@ func (c *Coordinator) FinalizeRound(ctx context.Context) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("cluster: shard %q (%s): %w", targets[i].name, targets[i].base, err)
 		}
-		if shardMode != c.mode {
+		if shardMode.String() != st.Mode {
 			return 0, fmt.Errorf("cluster: shard %q (%s) ran round %d in mode %v; the cluster plan runs %v — refusing the mixed-mode merge",
-				targets[i].name, targets[i].base, round, shardMode, c.mode)
+				targets[i].name, targets[i].base, round, shardMode, st.Mode)
 		}
 		// Same discipline for the longitudinal plane: counts drawn through a
 		// memoized two-stage chain invert under (ε_perm, ε_1), not the one-shot
 		// channel, so a shard whose longitudinal parameters disagree with the
 		// plan's (or that ran one-shot against a longitudinal plan, or vice
 		// versa) cannot be summed into this round.
-		if !msg.Longitudinal.Equal(c.long) {
+		if !msg.Longitudinal.Equal(st.Longitudinal) {
 			return 0, fmt.Errorf("cluster: shard %q (%s) ran round %d with longitudinal parameters %v; the cluster plan has %v — refusing the merge",
-				targets[i].name, targets[i].base, round, describeLongitudinal(msg.Longitudinal), describeLongitudinal(c.long))
+				targets[i].name, targets[i].base, round, describeLongitudinal(msg.Longitudinal), describeLongitudinal(st.Longitudinal))
 		}
-		states, err := msg.States()
-		if err != nil {
+		if states[i], err = msg.States(); err != nil {
 			return 0, fmt.Errorf("cluster: shard %q (%s): %w", targets[i].name, targets[i].base, err)
 		}
-		if err := col.ImportPartials(states); err != nil {
-			return 0, fmt.Errorf("cluster: merging shard %q (%s): %w", targets[i].name, targets[i].base, err)
-		}
+		names[i] = targets[i].name
 		infos[i] = ShardInfo{
 			ID:          msg.ShardID,
 			Name:        targets[i].name,
@@ -498,18 +439,11 @@ func (c *Coordinator) FinalizeRound(ctx context.Context) (int, error) {
 			msg.ShardID, targets[i].base, round, msg.Reports, msg.Rejected, msg.WALReplayed)
 	}
 
-	agg, err := col.Finalize()
+	// A refused merge names its state set by index: set i is names[i]'s.
+	n, err := c.srv.FinalizeMerged(states)
 	if err != nil {
-		return 0, fmt.Errorf("cluster: finalizing merged round %d: %w", round, err)
+		return 0, fmt.Errorf("cluster: merging round %d from shards %v: %w", round, names, err)
 	}
-	eng, err := serve.NewEngine(agg)
-	if err == nil {
-		err = eng.Warmup()
-	}
-	if err != nil {
-		return 0, fmt.Errorf("cluster: building round %d engine: %w", round, err)
-	}
-
 	for i, info := range infos {
 		shardGauge(i, "reports").Set(int64(info.Reports))
 		shardGauge(i, "rejected").Set(int64(info.Rejected))
@@ -521,17 +455,9 @@ func (c *Coordinator) FinalizeRound(ctx context.Context) (int, error) {
 		shardGauge(i, "rejected."+info.Mode).Set(int64(info.Rejected))
 	}
 	c.mu.Lock()
-	c.finalized = true
-	c.finalN = agg.N()
 	c.shards = infos
 	c.mu.Unlock()
-	// Swap in after the snapshot fields: a status probe may briefly see
-	// finalized without a served round, never the reverse.
-	c.qp.Serve(eng, round)
-	if c.store != nil {
-		c.archiveRound(col, agg, round)
-	}
-	return agg.N(), nil
+	return n, nil
 }
 
 // AdvanceRound opens the next collection round cluster-wide. target names the
@@ -540,33 +466,26 @@ func (c *Coordinator) FinalizeRound(ctx context.Context) (int, error) {
 // driven with the same idempotent transition, so a coordinator that crashed
 // after advancing only some shards simply retries — shards already in the
 // target round answer 200 and the stragglers catch up. Shards that joined
-// for the next round are already there, and answer 200 the same way.
+// for the next round are already there, and answer 200 the same way. The
+// merged round advances last, so a walk that fails part-way leaves the
+// coordinator where it was and its retry walks the stragglers again.
 func (c *Coordinator) AdvanceRound(ctx context.Context, target int) (int, error) {
 	c.lifecycle.Lock()
 	defer c.lifecycle.Unlock()
-	c.mu.Lock()
-	cur, finalized := c.round, c.finalized
-	c.mu.Unlock()
+	st := c.srv.Status()
+	cur := st.Round
 	if target == cur {
 		return cur, nil
 	}
 	if target != 0 && target != cur+1 {
 		return 0, fmt.Errorf("cluster: round is %d; cannot jump to round %d", cur, target)
 	}
-	if !finalized {
+	if !st.Finalized {
 		return 0, fmt.Errorf("cluster: round %d not finalized; finalize before opening the next round", cur)
 	}
 	next := cur + 1
 	c.mu.Lock()
-	set := c.members.pullSet(next)
-	type target2 struct {
-		name, base string
-		cl         *httpapi.Client
-	}
-	targets := make([]target2, len(set))
-	for i, m := range set {
-		targets[i] = target2{name: m.name, base: m.base, cl: c.dialLocked(m.base)}
-	}
+	targets := c.targetsLocked(next)
 	c.mu.Unlock()
 	for _, tg := range targets {
 		if err := ctx.Err(); err != nil {
@@ -581,18 +500,7 @@ func (c *Coordinator) AdvanceRound(ctx context.Context, target int) (int, error)
 				tg.name, tg.base, got, next)
 		}
 	}
-	c.mu.Lock()
-	c.round = next
-	c.finalized = false
-	c.finalN = 0
-	c.mu.Unlock()
-	return next, nil
-}
-
-// NextRound advances the cluster one round; the finalized round keeps
-// serving queries from the coordinator while the shards collect the next.
-func (c *Coordinator) NextRound(ctx context.Context) (int, error) {
-	return c.AdvanceRound(ctx, 0)
+	return c.srv.AdvanceRound(next)
 }
 
 // ClusterStatus is the operator view returned by the coordinator's
@@ -606,7 +514,8 @@ type ClusterStatus struct {
 	// Mode is the cluster's reporting mode ("FELIP", "SPL", "RS+FD") — fixed
 	// by the plan and enforced against every shard at merge time.
 	Mode string `json:"mode"`
-	// Reports is the merged accepted-report total of the finalized round.
+	// Reports is the round's merged accepted-report total (0 until its shard
+	// states are merged).
 	Reports int `json:"reports"`
 	// Epoch is the membership epoch; Members the live membership with
 	// per-shard replication lag; Failovers how many follower promotions this
@@ -628,37 +537,35 @@ type ClusterStatus struct {
 // Status reports the cluster round state, membership, and per-shard counters.
 func (c *Coordinator) Status() ClusterStatus {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.updateMembershipGaugesLocked()
-	st := ClusterStatus{
-		Round:     c.round,
-		Mode:      c.mode.String(),
-		Finalized: c.finalized,
-		Reports:   c.finalN,
-		Epoch:     c.members.epoch,
-		Members:   c.members.snapshot(c.round).Members,
-		Failovers: c.failovers,
-		Shards:    append([]ShardInfo(nil), c.shards...),
+	st := c.srv.Status()
+	return ClusterStatus{
+		Round:       st.Round,
+		ServedRound: st.ServedRound,
+		Finalized:   st.Finalized,
+		Mode:        st.Mode,
+		Reports:     st.Reports,
+		Epoch:       c.members.epoch,
+		Members:     c.members.snapshot(st.Round).Members,
+		Failovers:   c.failovers,
+		Shards:      append([]ShardInfo(nil), c.shards...),
+		Metrics:     st.Metrics,
 	}
-	c.mu.Unlock()
-	if round, ok := c.qp.ServedRound(); ok {
-		st.ServedRound = round
-	}
-	st.Metrics = metrics.Snapshot()
-	return st
 }
 
-// Handler returns the coordinator's HTTP surface: the plan and query
-// endpoints a single-node server exposes (so analysts are oblivious to the
-// topology), plus cluster-wide finalize, round transition, membership
-// (register/heartbeat/snapshot) and status.
+// Handler returns the coordinator's HTTP surface: the merged round's plan,
+// query, rounds and health endpoints, answered by its server exactly as a
+// single node answers them (so analysts are oblivious to the topology), plus
+// cluster-wide finalize, round transition, membership
+// (register/heartbeat/snapshot) and status. The server's ingest and shard
+// endpoints are not mounted: the merged round takes shard states only.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/plan", func(w http.ResponseWriter, _ *http.Request) {
-		c.writeJSON(w, http.StatusOK, c.plan)
-	})
-	mux.HandleFunc("GET /v1/query", c.qp.HandleQuery)
-	mux.HandleFunc("POST /v1/query", c.qp.HandleQueryBatch)
-	mux.HandleFunc("GET /v1/rounds", c.qp.HandleRounds(c.Round))
+	round := c.srv.Handler()
+	for _, pattern := range []string{"GET /v1/plan", "GET /v1/query", "POST /v1/query", "GET /v1/rounds", "GET /v1/healthz"} {
+		mux.Handle(pattern, round)
+	}
 	mux.HandleFunc("POST /v1/shard/register", func(w http.ResponseWriter, r *http.Request) {
 		var msg wire.RegisterMessage
 		if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
@@ -713,9 +620,6 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, _ *http.Request) {
 		c.writeJSON(w, http.StatusOK, c.Status())
-	})
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		c.writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	})
 	return mux
 }

@@ -93,7 +93,7 @@ func TestClusterLongitudinalMergeAndAnswer(t *testing.T) {
 			t.Fatalf("round %d estimate %v out of range", round, resp.Estimate)
 		}
 		if round == 1 {
-			if _, err := h.coord.NextRound(ctx); err != nil {
+			if _, err := h.coord.AdvanceRound(ctx, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -444,34 +444,38 @@ func (c *Collector) ExportPartials() ([]fo.PartialState, error) {
 }
 
 // ImportPartials folds shard-exported partial states into this collector's
-// aggregators, exactly: one state per grid of the plan, in group order (the
-// shape ExportPartials produces). After importing every shard, Finalize
-// estimates over the summed counts — bit-identical to single-node collection
-// of the union of the shards' report streams.
+// aggregators, exactly: each set holds one state per grid of the plan, in
+// group order (the shape ExportPartials produces). After importing every
+// shard, Finalize estimates over the summed counts — bit-identical to
+// single-node collection of the union of the shards' report streams.
 //
-// The states are validated against the plan as a whole before any count is
-// touched, so a bad shard state is refused without corrupting the merge.
-func (c *Collector) ImportPartials(states []fo.PartialState) error {
+// Every set is validated against the plan before any count is touched, so
+// one bad set refuses the whole import and leaves the collector as it was.
+func (c *Collector) ImportPartials(shards ...[]fo.PartialState) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.finalized {
 		return ErrFinalized
 	}
-	if len(states) != len(c.specs) {
-		return fmt.Errorf("core: %d partial states for a plan of %d grids", len(states), len(c.specs))
-	}
 	total := 0
-	for g, st := range states {
-		spec := c.specs[g]
-		if err := st.Check(spec.Proto, c.reportEps, spec.L()); err != nil {
-			return fmt.Errorf("core: grid %d: %w", g, err)
+	for i, states := range shards {
+		if len(states) != len(c.specs) {
+			return fmt.Errorf("core: partial state set %d: %d states for a plan of %d grids", i, len(states), len(c.specs))
 		}
-		total += st.N
+		for g, st := range states {
+			spec := c.specs[g]
+			if err := st.Check(spec.Proto, c.reportEps, spec.L()); err != nil {
+				return fmt.Errorf("core: partial state set %d: grid %d: %w", i, g, err)
+			}
+			total += st.N
+		}
 	}
-	for g, st := range states {
-		if err := c.aggs[g].ImportState(st); err != nil {
-			// Check passed above; this is unreachable short of a bug.
-			return fmt.Errorf("core: grid %d: %w", g, err)
+	for _, states := range shards {
+		for g, st := range states {
+			if err := c.aggs[g].ImportState(st); err != nil {
+				// Check passed above; this is unreachable short of a bug.
+				return fmt.Errorf("core: grid %d: %w", g, err)
+			}
 		}
 	}
 	c.added += total

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -222,7 +223,8 @@ func TestCollectorConcurrentAdds(t *testing.T) {
 // TestCollectorPartialsShardEquivalence: splitting a device population across
 // shard collectors, exporting each shard's partial states, and importing them
 // into a coordinator collector must finalize into an aggregator whose grids
-// are bit-identical to a single collector that saw every report.
+// are bit-identical to a single collector that saw every report. Importing
+// every shard in one call must hold the same counts as one call per shard.
 func TestCollectorPartialsShardEquivalence(t *testing.T) {
 	s := mixedSchema()
 	ds := dataset.NewNormal().Generate(s, 9000, 71)
@@ -261,6 +263,7 @@ func TestCollectorPartialsShardEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var all [][]fo.PartialState
 	for i, sh := range shards {
 		states, err := sh.ExportPartials()
 		if err != nil {
@@ -283,6 +286,7 @@ func TestCollectorPartialsShardEquivalence(t *testing.T) {
 		if err := coord.ImportPartials(states); err != nil {
 			t.Fatalf("shard %d import: %v", i, err)
 		}
+		all = append(all, states)
 	}
 	if coord.N() != ds.N() {
 		t.Fatalf("coordinator N = %d, want %d", coord.N(), ds.N())
@@ -298,6 +302,26 @@ func TestCollectorPartialsShardEquivalence(t *testing.T) {
 	}
 	if aggCoord.N() != aggSingle.N() {
 		t.Fatalf("merged N = %d, single N = %d", aggCoord.N(), aggSingle.N())
+	}
+
+	oneCall, err := NewCollector(s, ds.N(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oneCall.ImportPartials(all...); err != nil {
+		t.Fatal(err)
+	}
+	perShard, err := coord.ExportPartials()
+	if err != nil {
+		t.Fatal(err)
+	}
+	together, err := oneCall.ExportPartials()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oneCall.N() != coord.N() || !reflect.DeepEqual(together, perShard) {
+		t.Fatalf("one ImportPartials call of %d sets holds N = %d and other states than one call per set (N = %d)",
+			len(all), oneCall.N(), coord.N())
 	}
 	for _, sp := range aggSingle.Specs() {
 		if sp.Is1D() {
@@ -329,7 +353,8 @@ func TestCollectorPartialsShardEquivalence(t *testing.T) {
 }
 
 // TestImportPartialsValidation: mismatched shapes and sealed collectors must
-// refuse imports whole.
+// refuse imports whole. A good set followed by a bad one is refused as one
+// import: no count of the good set lands.
 func TestImportPartialsValidation(t *testing.T) {
 	opts := Options{Strategy: OHG, Epsilon: 1, Seed: 81}
 	col, err := NewCollector(mixedSchema(), 10000, opts)
@@ -344,16 +369,49 @@ func TestImportPartialsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.ImportPartials(states[:1]); err == nil {
-		t.Error("short state list accepted")
+	full, err := NewCollector(mixedSchema(), 10000, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewClient(full.Specs(), full.Epsilon(), 83)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := range full.Specs() {
+		rep, err := cl.Perturb(g, func(int) int { return 1 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := full.Add(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withReports, err := full.ExportPartials()
+	if err != nil {
+		t.Fatal(err)
 	}
 	bad := append([]fo.PartialState(nil), states...)
 	bad[0].Epsilon = 9
-	if err := col.ImportPartials(bad); err == nil {
-		t.Error("mismatched epsilon accepted")
+	for _, tc := range []struct {
+		name   string
+		shards [][]fo.PartialState
+	}{
+		{"short state list", [][]fo.PartialState{states[:1]}},
+		{"mismatched epsilon", [][]fo.PartialState{bad}},
+		{"shard with reports, then a short state list", [][]fo.PartialState{withReports, states[:1]}},
+		{"shard with reports, then a mismatched epsilon", [][]fo.PartialState{withReports, bad}},
+	} {
+		if err := col.ImportPartials(tc.shards...); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 	if col.N() != 0 {
 		t.Errorf("failed imports left N = %d", col.N())
+	}
+	for g, n := range col.GroupCounts() {
+		if n != 0 {
+			t.Errorf("failed imports left group %d with %d reports", g, n)
+		}
 	}
 	if err := col.ImportPartials(states); err != nil {
 		t.Fatalf("empty-shard import refused: %v", err)

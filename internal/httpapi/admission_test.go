@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"felip/internal/core"
 	"felip/internal/dataset"
@@ -397,5 +402,77 @@ func TestBatchOUEFrameRefused(t *testing.T) {
 	}
 	if after.Reports != before.Reports {
 		t.Errorf("refused frame counted %d reports", after.Reports-before.Reports)
+	}
+}
+
+// TestAdmissionPanicReleasesLock: net/http recovers a handler's panic, so a
+// panic inside admission must not leave s.mu held, or every later request
+// that needs the lock blocks and the node hangs without a word. Taking the
+// dedup index away (under the lock) makes classifyLocked panic on each
+// endpoint; the lock must be free at once, and the next submission admitted.
+func TestAdmissionPanicReleasesLock(t *testing.T) {
+	for _, endpoint := range []string{"/v1/report", "/v1/reports"} {
+		t.Run(strings.TrimPrefix(endpoint, "/v1/"), func(t *testing.T) {
+			schema := dataset.MixedSchema(2, 32, 2, 4)
+			srv, err := NewServer(schema, 100, core.Options{Strategy: core.OHG, Epsilon: 2, Seed: 61})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.SetLogger(t.Logf)
+			ts := httptest.NewUnstartedServer(srv.Handler())
+			ts.Config.ErrorLog = log.New(io.Discard, "", 0) // the recovered panic's stack
+			ts.Start()
+			t.Cleanup(ts.Close)
+			hc := &http.Client{Timeout: 5 * time.Second}
+
+			p := validProbe(srv.col.Specs(), fo.ModeFELIP, "admission-panic", 0)
+			body, contentType := []byte(nil), frameContentType
+			if endpoint == "/v1/report" {
+				body, err = json.Marshal(wire.NewModeReportMessage(p.id, p.mode, core.ModeReport{Report: p.rep, Attr: p.attr}))
+				contentType = "application/json"
+			} else {
+				body, err = wire.EncodeFrame([]wire.BatchReport{{ID: p.id, Report: p.rep}})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			post := func() (*http.Response, error) {
+				return hc.Post(ts.URL+endpoint, contentType, bytes.NewReader(body))
+			}
+
+			srv.mu.Lock()
+			dedup := srv.dedup
+			srv.dedup = nil
+			srv.mu.Unlock()
+			if resp, err := post(); err == nil {
+				resp.Body.Close()
+				t.Fatalf("%s answered %d with the dedup index gone; want the recovered panic to drop the connection", endpoint, resp.StatusCode)
+			}
+
+			relocked := make(chan struct{})
+			go func() {
+				srv.mu.Lock()
+				srv.dedup = dedup
+				srv.mu.Unlock()
+				close(relocked)
+			}()
+			select {
+			case <-relocked:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("s.mu still held 2 s after a panic during admission on %s", endpoint)
+			}
+
+			resp, err := post()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s after the panic: %d", endpoint, resp.StatusCode)
+			}
+			if c := countersOf(t, Dial(ts.URL, hc)); c.Reports != 1 {
+				t.Fatalf("%s after the panic: %d reports counted, want 1", endpoint, c.Reports)
+			}
+		})
 	}
 }

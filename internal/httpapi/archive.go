@@ -27,7 +27,7 @@ func (s *Server) UseArchive(store *archive.Store, segments *reportlog.Segments) 
 	}
 	s.store = store
 	s.segments = segments
-	s.qp.SetHistory(store)
+	s.history.Store(store)
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"felip/internal/fo"
+	"felip/internal/reportlog"
 	"felip/internal/wire"
 )
 
@@ -66,15 +67,35 @@ func (b *batch) decodeFrame(frame []byte) (fo.ReportMode, error) {
 // Exported so the benchmark harness can drive the decode→dedup→fold path
 // directly and meter its allocations.
 func (s *Server) IngestFrame(frame []byte) (wire.BatchReportResponse, int, error) {
-	var resp wire.BatchReportResponse
+	resp, wal, status, err := s.admitFrame(frame)
+	if err != nil {
+		return resp, status, err
+	}
+	// One fsync per frame, outside the lock so concurrent frames overlap
+	// their disk waits with other shards' classification. The ack only goes
+	// out after the sync: a crash in between loses nothing acknowledged.
+	if resp.Accepted > 0 && wal != nil {
+		if err := wal.Sync(); err != nil {
+			s.logf("httpapi: wal batch sync: %v", err)
+			// Counted but not durable and not acknowledged; the retry turns
+			// into all-duplicates.
+			return wire.BatchReportResponse{}, http.StatusInternalServerError, fmt.Errorf("report log unavailable")
+		}
+	}
+	return resp, http.StatusOK, nil
+}
 
+// admitFrame is IngestFrame's locked part: it decodes and admits the frame
+// under s.mu, released on every exit, a panic included, and returns the WAL
+// the accepted reports were written to, for the sync that follows.
+func (s *Server) admitFrame(frame []byte) (resp wire.BatchReportResponse, wal *reportlog.Log, status int, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	b := &s.batch
 	mode, err := b.decodeFrame(frame)
 	if err != nil {
 		s.rejectLocked(s.mode, wire.FrameReportCount(frame))
-		s.mu.Unlock()
-		return resp, http.StatusBadRequest, err
+		return resp, nil, http.StatusBadRequest, err
 	}
 	// A frame claims its header's mode for all its reports, and the binary
 	// format has no longitudinal marker: its reports are one-shot. A foreign
@@ -82,12 +103,10 @@ func (s *Server) IngestFrame(frame []byte) (wire.BatchReportResponse, int, error
 	// here; the longitudinal path is the single-report JSON endpoint.
 	if err := s.checkChannel(mode, false); err != nil {
 		s.rejectLocked(mode, len(b.subs))
-		s.mu.Unlock()
-		return resp, http.StatusBadRequest, fmt.Errorf("batch frame refused: %w", err)
+		return resp, nil, http.StatusBadRequest, fmt.Errorf("batch frame refused: %w", err)
 	}
 	if status, err := s.admitLocked(b); err != nil {
-		s.mu.Unlock()
-		return resp, status, err
+		return resp, nil, status, err
 	}
 	resp.Round = s.round
 	resp.Dispositions = make([]int, len(b.subs))
@@ -105,21 +124,7 @@ func (s *Server) IngestFrame(frame []byte) (wire.BatchReportResponse, int, error
 			resp.Rejected++
 		}
 	}
-	wal := s.wal
-	s.mu.Unlock()
-
-	// One fsync per frame, outside the lock so concurrent frames overlap
-	// their disk waits with other shards' classification. The ack only goes
-	// out after the sync: a crash in between loses nothing acknowledged.
-	if resp.Accepted > 0 && wal != nil {
-		if err := wal.Sync(); err != nil {
-			s.logf("httpapi: wal batch sync: %v", err)
-			// Counted but not durable and not acknowledged; the retry turns
-			// into all-duplicates.
-			return wire.BatchReportResponse{}, http.StatusInternalServerError, fmt.Errorf("report log unavailable")
-		}
-	}
-	return resp, http.StatusOK, nil
+	return resp, s.wal, http.StatusOK, nil
 }
 
 // handleReportBatch serves POST /v1/reports: a binary wire frame in, a JSON

@@ -24,11 +24,7 @@ const frameContentType = "application/x-felip-frame"
 // error semantics can inspect each disposition; the call itself only fails
 // on transport or frame-level refusal.
 func (c *Client) ReportBatch(ctx context.Context, reports []wire.BatchReport) (wire.BatchReportResponse, error) {
-	frame, err := wire.EncodeFrame(reports)
-	if err != nil {
-		return wire.BatchReportResponse{}, err
-	}
-	return c.ReportFrame(ctx, frame, len(reports))
+	return c.ReportBatchMode(ctx, fo.ModeFELIP, reports)
 }
 
 // ReportBatchMode is ReportBatch under a reporting mode: FELIP batches ship
@@ -60,22 +56,14 @@ func (c *Client) ReportFrame(ctx context.Context, frame []byte, n int) (wire.Bat
 // FrameSender is the submission half of Client a Batcher needs — satisfied
 // by *Client and by the cluster's routing client.
 type FrameSender interface {
-	ReportBatch(ctx context.Context, reports []wire.BatchReport) (wire.BatchReportResponse, error)
-}
-
-// ModeFrameSender is the mode-aware submission half: a Batcher configured
-// with a non-FELIP mode requires its sender to implement it (both *Client and
-// the cluster's routing client do).
-type ModeFrameSender interface {
-	FrameSender
 	ReportBatchMode(ctx context.Context, mode fo.ReportMode, reports []wire.BatchReport) (wire.BatchReportResponse, error)
 }
 
 // BatcherConfig tunes a Batcher's flush triggers.
 type BatcherConfig struct {
 	// Mode is the reporting mode the batcher's frames claim (default FELIP,
-	// which ships v1 frames). Non-FELIP modes need a ModeFrameSender and every
-	// Add must carry the report's attribute index (use AddMode).
+	// which ships v1 frames). Under a non-FELIP mode every Add must carry the
+	// report's attribute index (use AddMode).
 	Mode fo.ReportMode
 	// MaxReports flushes when this many reports are buffered (default 512,
 	// capped at wire.MaxFrameReports).
@@ -87,10 +75,6 @@ type BatcherConfig struct {
 	// FlushCtx bounds timer-driven flushes (default context.Background();
 	// explicit Flush calls use the caller's context).
 	FlushCtx context.Context
-	// OnResult, when set, is called once per report after its flush settles,
-	// with the server's disposition (wire.Disposition*). Called without the
-	// batcher lock held for accepted flushes.
-	OnResult func(report wire.BatchReport, disposition int)
 }
 
 // BatcherStats counts a batcher's lifetime outcomes.
@@ -125,14 +109,7 @@ type Batcher struct {
 }
 
 // NewBatcher builds a batcher submitting through send (typically a *Client).
-// A non-FELIP cfg.Mode panics unless send implements ModeFrameSender — a
-// misconfiguration, not a runtime condition.
 func NewBatcher(send FrameSender, cfg BatcherConfig) *Batcher {
-	if cfg.Mode != fo.ModeFELIP {
-		if _, ok := send.(ModeFrameSender); !ok {
-			panic(fmt.Sprintf("httpapi: batcher mode %v needs a ModeFrameSender, got %T", cfg.Mode, send))
-		}
-	}
 	if cfg.MaxReports <= 0 {
 		cfg.MaxReports = 512
 	}
@@ -242,13 +219,7 @@ func (b *Batcher) flushLocked(ctx context.Context) error {
 		b.timer = nil
 	}
 	batch := b.buf
-	var resp wire.BatchReportResponse
-	var err error
-	if b.cfg.Mode != fo.ModeFELIP {
-		resp, err = b.send.(ModeFrameSender).ReportBatchMode(ctx, b.cfg.Mode, batch)
-	} else {
-		resp, err = b.send.ReportBatch(ctx, batch)
-	}
+	resp, err := b.send.ReportBatchMode(ctx, b.cfg.Mode, batch)
 	if err != nil {
 		b.stats.FlushFails++
 		if len(b.buf) > 0 {
@@ -271,12 +242,6 @@ func (b *Batcher) flushLocked(ctx context.Context) error {
 	b.stats.Duplicate += resp.Duplicate
 	b.stats.Conflict += resp.Conflict
 	b.stats.Rejected += resp.Rejected
-	onResult := b.cfg.OnResult
 	b.mu.Unlock()
-	if onResult != nil {
-		for i, r := range batch {
-			onResult(r, resp.Dispositions[i])
-		}
-	}
 	return nil
 }

@@ -24,7 +24,7 @@ import (
 // round the archive lacks is kept and logged; it is never replayed over the
 // snapshot.
 //
-// Recover also installs the opener NextRound uses for the next segment,
+// Recover also installs the opener AdvanceRound uses for the next segment,
 // which refuses a segment that already holds records, and names the chain
 // for GET /v1/replica/wal. The served engine is warm when Recover returns.
 func (s *Server) Recover(segs *reportlog.Segments, joinRound int) error {
@@ -49,7 +49,7 @@ func (s *Server) Recover(segs *reportlog.Segments, joinRound int) error {
 		if !s.restored {
 			s.round = joinRound
 		}
-		return s.qp.Warmup()
+		return s.warmServed()
 	}
 	s.segments = segs
 	s.durable = true
@@ -121,7 +121,7 @@ func (s *Server) Recover(segs *reportlog.Segments, joinRound int) error {
 		}
 	}
 	s.reclaimSegments()
-	return s.qp.Warmup()
+	return s.warmServed()
 }
 
 // restoreArchivedLocked serves an archived round from one read of its
@@ -152,7 +152,7 @@ func (s *Server) restoreArchivedLocked(round int) error {
 	}
 	s.restoreRejectedLocked(snap.Rejected)
 	s.round, s.agg, s.finalN, s.restored = round, eng.Aggregator(), eng.Aggregator().N(), true
-	s.qp.Serve(eng, round)
+	s.publish(eng, round)
 	return nil
 }
 

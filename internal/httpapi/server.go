@@ -17,10 +17,16 @@
 //
 // The server separates the ingest plane from the serving plane: finalizing a
 // round builds an immutable serve.Engine and swaps it in behind an atomic
-// pointer, so queries never contend with report ingest. POST /v1/nextround
-// then opens a fresh collector (same plan) for round k+1 while round k keeps
+// pointer, so queries never take the ingest lock. POST /v1/nextround then
+// opens a fresh collector (same plan) for round k+1 while round k keeps
 // answering /v1/query — serving an already-published DP output during a new
 // collection is pure post-processing and does not touch the ε-LDP argument.
+//
+// A cluster coordinator's merged round is a Server too, fed shard states
+// instead of reports: FinalizeMerged imports every shard's partial counts
+// and closes the round through the same finalize, archive and Recover as a
+// single node, and the coordinator mounts only the plan, query, rounds and
+// health routes.
 //
 // Reports carry a device-chosen idempotency key (report_id). The first
 // submission under a key is counted and answered 204; an identical
@@ -54,6 +60,7 @@ import (
 	"log"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"felip/internal/archive"
 	"felip/internal/core"
@@ -78,7 +85,8 @@ const maxReportBody = 64 << 10
 
 // Server drives FELIP collection rounds over HTTP: an ingest plane (the
 // current round's Collector, guarded by mu) and a serving plane (the last
-// finalized round's engine, behind the QueryPlane's atomic pointer).
+// finalized round's engine, behind an atomic pointer the query handlers read
+// without taking mu).
 type Server struct {
 	schema *domain.Schema
 	planN  int
@@ -99,15 +107,18 @@ type Server struct {
 	// vice versa — mixing the two channels would corrupt the inversion.
 	longitudinal *fo.Longitudinal
 
-	// qp answers /v1/query from the last finalized round's engine; empty
-	// until the first round finalizes.
-	qp *QueryPlane
+	// serving answers /v1/query: the last finalized round's engine, nil until
+	// the first round finalizes, swapped whole and never mutated in place.
+	serving atomic.Pointer[servingState]
+	// history is store, set beside it by UseArchive and read without mu: it
+	// answers round-targeted and window/decay queries from archived rounds.
+	history atomic.Pointer[archive.Store]
 
 	mu    sync.RWMutex
 	col   *core.Collector
 	round int // collection round the collector belongs to (1-based)
-	// walFactory opens round k's write-ahead log segment when NextRound runs
-	// on a durable server.
+	// walFactory opens round k's write-ahead log segment when AdvanceRound
+	// opens round k on a durable server.
 	walFactory func(round int) (*reportlog.Log, error)
 	agg        *core.Aggregator
 	finalN     int
@@ -207,7 +218,6 @@ func NewServer(schema *domain.Schema, n int, opts core.Options) (*Server, error)
 		longitudinal: col.Longitudinal(),
 		specAttrs:    specAttrs,
 		logf:         log.Printf,
-		qp:           NewQueryPlane(schema, log.Printf),
 		dedup:        newDedupIndex(),
 		batch:        batch{seen: make(map[string]int)},
 		modeAccepted: make(map[string]int),
@@ -222,7 +232,6 @@ func (s *Server) SetLogger(logf func(format string, args ...any)) {
 		logf = func(string, ...any) {}
 	}
 	s.logf = logf
-	s.qp.logf = logf
 }
 
 // SetShardID names this server as a cluster shard; the name travels in the
@@ -331,7 +340,7 @@ func (s *Server) finalizeReplayLocked() error {
 	}
 	s.agg = agg
 	s.finalN = agg.N()
-	s.qp.Serve(eng, s.round)
+	s.publish(eng, s.round)
 	return nil
 }
 
@@ -359,19 +368,16 @@ func (s *Server) openRoundLocked() error {
 	return nil
 }
 
-// NextRound opens collection round k+1 while the finalized round k keeps
-// serving queries. On a durable server the current segment is closed and the
-// factory registered with SetWALFactory opens the next one. Returns the new
-// round number.
-func (s *Server) NextRound() (int, error) { return s.AdvanceRound(0) }
-
 // AdvanceRound is the idempotent round transition: target names the round the
-// caller wants open. target == current round is a replayed transition and
-// succeeds without side effects (the coordinator retrying a nextround whose
-// acknowledgment was lost must not burn a round); target == current+1
-// advances; any other target is a refused jump — a coordinator and shard that
-// disagree by more than one round have diverged and must not paper over it.
-// target 0 keeps the legacy unconditional advance.
+// caller wants open, and the finalized round keeps serving queries while the
+// new one collects. On a durable server the current segment is closed and the
+// factory registered with SetWALFactory opens the next one. target ==
+// current round is a replayed transition and succeeds without side effects
+// (the coordinator retrying a nextround whose acknowledgment was lost must
+// not burn a round); target == current+1 advances; any other target is a
+// refused jump — a coordinator and shard that disagree by more than one round
+// have diverged and must not paper over it. target 0 keeps the legacy
+// unconditional advance.
 func (s *Server) AdvanceRound(target int) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -414,7 +420,7 @@ func (s *Server) AdvanceRound(target int) (int, error) {
 	return s.round, nil
 }
 
-// SetWALFactory registers the opener NextRound uses to create round k's WAL
+// SetWALFactory registers the opener AdvanceRound uses to create round k's WAL
 // segment on a durable server.
 func (s *Server) SetWALFactory(f func(round int) (*reportlog.Log, error)) {
 	s.mu.Lock()
@@ -445,13 +451,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/reports", s.handleReportBatch)
 	mux.HandleFunc("POST /v1/finalize", s.handleFinalize)
 	mux.HandleFunc("POST /v1/nextround", s.handleNextRound)
-	mux.HandleFunc("GET /v1/query", s.qp.HandleQuery)
-	mux.HandleFunc("POST /v1/query", s.qp.HandleQueryBatch)
-	mux.HandleFunc("GET /v1/rounds", s.qp.HandleRounds(func() int {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.round
-	}))
+	mux.HandleFunc("GET /v1/query", s.handleQuery)
+	mux.HandleFunc("POST /v1/query", s.handleQueryBatch)
+	mux.HandleFunc("GET /v1/rounds", s.handleRounds)
 	mux.HandleFunc("POST /v1/shard/state", s.handleShardState)
 	mux.HandleFunc("GET /v1/replica/wal", s.handleReplicaWAL)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
@@ -530,13 +532,15 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		b.subs = []submission{sub}
 	}
 
-	s.mu.Lock()
-	if err != nil {
-		s.rejectLocked(claim, 1)
-	} else {
-		status, err = s.admitLocked(&b)
-	}
-	s.mu.Unlock()
+	func() {
+		s.mu.Lock()
+		defer s.mu.Unlock() // a panic in admission must not leave mu held
+		if err != nil {
+			s.rejectLocked(claim, 1)
+		} else {
+			status, err = s.admitLocked(&b)
+		}
+	}()
 	if err != nil {
 		s.writeError(w, status, err)
 		return
@@ -632,7 +636,7 @@ func (s *Server) finalize() (int, error) {
 	s.agg = agg
 	n := agg.N()
 	s.finalN = n
-	s.qp.Serve(eng, round)
+	s.publish(eng, round)
 	store := s.store
 	settle()
 	// Archive outside the lock: snapshot fsync is disk I/O and must not block
@@ -644,6 +648,22 @@ func (s *Server) finalize() (int, error) {
 		s.reclaimSegments()
 	}
 	return n, nil
+}
+
+// FinalizeMerged closes the round from shard states instead of reports: it
+// imports every shard's exported partial states into the open round's
+// collector, all or none (Collector.ImportPartials validates every set before
+// it touches a count), then closes the round the way every round closes
+// (finalize). A refused import leaves the round open, so the caller can pull
+// the states again and retry.
+func (s *Server) FinalizeMerged(shards [][]fo.PartialState) (int, error) {
+	s.mu.RLock()
+	col := s.col
+	s.mu.RUnlock()
+	if err := col.ImportPartials(shards...); err != nil {
+		return 0, err
+	}
+	return s.finalize()
 }
 
 func (s *Server) handleFinalize(w http.ResponseWriter, _ *http.Request) {
@@ -753,7 +773,9 @@ type Status struct {
 	Metrics map[string]int64 `json:"metrics,omitempty"`
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
+// Status reports the round's progress and counters: what GET /v1/status
+// answers, less the dedup index's size.
+func (s *Server) Status() Status {
 	s.mu.RLock()
 	col := s.col
 	st := Status{
@@ -799,10 +821,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	}
 	finalN := s.finalN
 	store := s.store
-	dedupBytes := s.dedup.sizeBytes()
 	s.mu.RUnlock()
-	if round, ok := s.qp.ServedRound(); ok {
-		st.ServedRound = round
+	if served := s.serving.Load(); served != nil {
+		st.ServedRound = served.round
 	}
 	if store != nil {
 		st.RoundsRetained = len(store.Rounds())
@@ -818,6 +839,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	st.Groups = len(s.plan.Grids)
 	st.GroupCounts = col.GroupCounts()
 	st.Metrics = metrics.Snapshot()
+	return st
+}
+
+func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
+	st := s.Status()
+	s.mu.RLock()
+	dedupBytes := s.dedup.sizeBytes()
+	s.mu.RUnlock()
 	s.writeJSON(w, http.StatusOK, struct {
 		Status
 		// DedupBytes is what the idempotency-key index has allocated: its

@@ -23,7 +23,7 @@ func Simulate(s *Server, genName string, users int, seed uint64) error {
 	if seed == 0 {
 		seed = fo.AutoSeed()
 	}
-	// Capture the current round's collector: a concurrent NextRound must not
+	// Capture the current round's collector: a concurrent AdvanceRound must not
 	// make the simulation straddle two rounds.
 	s.mu.RLock()
 	col := s.col
