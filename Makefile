@@ -26,7 +26,10 @@ check:
 # feeds arbitrary and resealed archive snapshots to Decode, requires what it
 # accepts to re-encode stably, and serves its aggregate; FuzzShardState feeds
 # arbitrary and resealed shard-state JSON to Verify and States and requires a
-# verified message to rebuild with its own checksum. A failing input lands in
+# verified message to rebuild with its own checksum; FuzzFitProduct decodes
+# response-matrix problems (dims of 1-16, a 2-D grid, optional 1-D grids,
+# targets, a threshold and a sweep cap) and requires the product-form fit to
+# match the entry-wise reference with no NaN or Inf. A failing input lands in
 # the package's testdata/fuzz directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDedupIndex$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/httpapi
@@ -35,6 +38,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegment$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/reportlog
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/archive
 	$(GO) test -run '^$$' -fuzz '^FuzzShardState$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzFitProduct$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/estimate
 
 # The pipeline benchmark (bench/) is its own Go module, so ./... above never
 # compiles it: vet it and run its smoke test, so an API change that breaks the

@@ -19,6 +19,7 @@ import (
 	"felip/internal/estimate"
 	"felip/internal/experiment"
 	"felip/internal/fo"
+	"felip/internal/grid"
 	"felip/internal/postproc"
 	"felip/internal/query"
 	"felip/internal/serve"
@@ -234,6 +235,8 @@ func BenchmarkAnswer4D(b *testing.B) {
 // 49-cell 1-D grids on both axes, with noisy targets whose 2-D and 1-D
 // marginals disagree — as independently perturbed grids do — so the fit runs
 // all 50 sweeps at the 1/n threshold (n = 100k) instead of converging early.
+// The fit yields the matrix's factors; building a table from them is not
+// timed here (BenchmarkEngineWarmup in internal/serve times both).
 func BenchmarkResponseMatrixFit(b *testing.B) {
 	const d, l2, l1, n = 256, 8, 49, 100_000
 	rng := rand.New(rand.NewSource(7))
@@ -242,36 +245,27 @@ func BenchmarkResponseMatrixFit(b *testing.B) {
 		z := (float64(c)+0.5)/float64(cells) - center
 		return math.Exp(-z * z / 0.08)
 	}
-	var cons []estimate.Constraint
+	g2 := grid.NewGrid2D(0, 1, grid.MustAxis(d, l2), grid.MustAxis(d, l2))
 	for cx := 0; cx < l2; cx++ {
 		for cy := 0; cy < l2; cy++ {
-			cons = append(cons, estimate.Constraint{
-				R:      estimate.Rect{XLo: cx * d / l2, XHi: (cx + 1) * d / l2, YLo: cy * d / l2, YHi: (cy + 1) * d / l2},
-				Target: noisy(bump(cx, l2, 0.4) * bump(cy, l2, 0.6) / 16),
-			})
+			g2.Freq = append(g2.Freq, noisy(bump(cx, l2, 0.4)*bump(cy, l2, 0.6)/16))
 		}
 	}
+	gx, gy := grid.NewGrid1D(0, grid.MustAxis(d, l1)), grid.NewGrid1D(1, grid.MustAxis(d, l1))
 	for c := 0; c < l1; c++ {
-		cons = append(cons, estimate.Constraint{
-			R:      estimate.Rect{XLo: c * d / l1, XHi: (c + 1) * d / l1, YLo: 0, YHi: d},
-			Target: noisy(bump(c, l1, 0.45) / 24),
-		})
+		gx.Freq = append(gx.Freq, noisy(bump(c, l1, 0.45)/24))
 	}
 	for c := 0; c < l1; c++ {
-		cons = append(cons, estimate.Constraint{
-			R:      estimate.Rect{XLo: 0, XHi: d, YLo: c * d / l1, YHi: (c + 1) * d / l1},
-			Target: noisy(bump(c, l1, 0.55) / 24),
-		})
+		gy.Freq = append(gy.Freq, noisy(bump(c, l1, 0.55)/24))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := estimate.NewMatrix(d, d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.Fit(cons, 1.0/n, 50)
+		fitSink = estimate.FitProduct(g2, gx, gy, 1.0/n, 50)
 	}
 }
+
+// fitSink keeps BenchmarkResponseMatrixFit's result live.
+var fitSink *estimate.Product
 
 // BenchmarkLambdaIPF measures Algorithm 4 for a 10-dimensional query.
 func BenchmarkLambdaIPF(b *testing.B) {

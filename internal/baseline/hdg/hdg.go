@@ -443,12 +443,7 @@ func (a *Aggregator) responseMatrix(i, j int) (*estimate.Matrix, error) {
 	if !ok {
 		return nil, fmt.Errorf("hdg: no grid for pair (%d,%d)", i, j)
 	}
-	di, dj := a.schema.Attr(i).Size, a.schema.Attr(j).Size
-	m, err := estimate.NewMatrix(di, dj)
-	if err != nil {
-		return nil, err
-	}
-	m.Fit(estimate.GridConstraints(g2, a.grids1[i], a.grids1[j]), 1/float64(a.n), a.opts.MatrixMaxIter)
+	m := estimate.FitProduct(g2, a.grids1[i], a.grids1[j], 1/float64(a.n), a.opts.MatrixMaxIter).Matrix()
 	a.matrices[key] = m
 	return m, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"felip/internal/estimate"
 	"felip/internal/query"
 )
 
@@ -117,17 +116,4 @@ func (a *Aggregator) NeedsMatrix(i, j int) bool {
 	_, okI := a.grids1[i]
 	_, okJ := a.grids1[j]
 	return okI || okJ
-}
-
-// PairConstraints assembles the Algorithm-3 constraint set of pair (i < j)
-// from its 2-D grid and whichever related 1-D grids were collected (Γ from
-// §5.5: both for num×num, only the numerical one when the other attribute is
-// categorical), in estimate.GridConstraints' fixed order, so every consumer
-// fits bit-identical matrices.
-func (a *Aggregator) PairConstraints(i, j int) ([]estimate.Constraint, error) {
-	g2, ok := a.grids2[[2]int{i, j}]
-	if !ok {
-		return nil, fmt.Errorf("core: no 2-D grid for pair (%d,%d)", i, j)
-	}
-	return estimate.GridConstraints(g2, a.grids1[i], a.grids1[j]), nil
 }

@@ -3,10 +3,10 @@
 // λ-dimensional query estimation from 2-D answers by iterative proportional
 // fitting (paper Algorithm 4).
 //
-// The weighted update runs on the atom grid of its constraints — the blocks
-// left by cutting the matrix at every rectangle edge — so a fit costs one
-// pass over the d_i·d_j entries plus O(atoms) per sweep, not O(d_i·d_j) per
-// sweep.
+// The weighted update runs in product form: on FELIP's constraints every
+// fitted entry is one factor of its 2-D cell times one factor of each of its
+// 1-D bands, so a sweep costs O(cells + bands), not O(d_i·d_j), and a pair's
+// summed-area table is built in one pass from the factors.
 package estimate
 
 import (
@@ -16,60 +16,246 @@ import (
 	"felip/internal/grid"
 )
 
-// Rect is a half-open rectangle [XLo,XHi)×[YLo,YHi) of per-value matrix
-// entries — the set δ(c) of 2-D values contributing to one grid cell.
-type Rect struct {
-	XLo, XHi, YLo, YHi int
+// Product is one attribute pair's response matrix in the form Algorithm 3
+// leaves it on FELIP's constraints: entry (x, y) is
+// cell[cx·ly+cy]·xf[bx]·yf[by], where (cx, cy) is the 2-D cell holding the
+// entry, bx its band in the X attribute's 1-D grid and by its band in the Y
+// attribute's. A pair without one of the 1-D grids has a single band of
+// factor 1 on that axis.
+type Product struct {
+	dx, dy, ly int
+	// xs and ys cut each axis into runs of values that share a 2-D cell and
+	// a band.
+	xs, ys []segment
+	cell   []float64
+	xf, yf []float64
+	// sweeps is the number of sweeps the fit ran.
+	sweeps int
 }
 
-// Area returns the number of matrix entries inside the rectangle.
-func (r Rect) Area() int { return (r.XHi - r.XLo) * (r.YHi - r.YLo) }
-
-// Constraint binds a rectangle of matrix entries to an estimated frequency:
-// after convergence the entries in R sum (approximately) to Target.
-type Constraint struct {
-	R      Rect
-	Target float64
+// segment is the run [lo, hi) of one axis's values lying in one 2-D cell and
+// one band.
+type segment struct {
+	lo, hi, cell, band int
 }
 
-// GridConstraints assembles the Algorithm-3 constraint set of one attribute
-// pair: every cell of the 2-D grid g2 binds its value rectangle δ(c) to the
-// cell's estimated frequency, then each related 1-D grid (Γ from §5.5) adds
-// one band constraint per cell — gx on g2's X attribute, gy on its Y
-// attribute; either may be nil. The order is fixed (2-D cells row-major, then
-// the X-side bands, then the Y-side bands), so every consumer fits
-// bit-identical matrices.
-func GridConstraints(g2 *grid.Grid2D, gx, gy *grid.Grid1D) []Constraint {
-	dx, dy := g2.X.Domain(), g2.Y.Domain()
-	var cons []Constraint
-	lx, ly := g2.X.Cells(), g2.Y.Cells()
-	for cx := 0; cx < lx; cx++ {
-		xLo, xHi := g2.X.CellRange(cx)
-		for cy := 0; cy < ly; cy++ {
-			yLo, yHi := g2.Y.CellRange(cy)
-			cons = append(cons, Constraint{
-				R:      Rect{XLo: xLo, XHi: xHi, YLo: yLo, YHi: yHi},
-				Target: g2.At(cx, cy),
-			})
+// segments cuts an axis at the edges of both its 2-D cells and the cells of
+// its 1-D grid, the bands (nil: one band over the whole domain): at most
+// cells + bands runs.
+func segments(cells *grid.Axis, bands *grid.Grid1D) []segment {
+	d := cells.Domain()
+	var segs []segment
+	c, b := 0, 0
+	for lo := 0; lo < d; {
+		_, cHi := cells.CellRange(c)
+		bHi := d
+		if bands != nil {
+			_, bHi = bands.Axis.CellRange(b)
+		}
+		hi := min(cHi, bHi)
+		segs = append(segs, segment{lo: lo, hi: hi, cell: c, band: b})
+		if hi == cHi {
+			c++
+		}
+		if hi == bHi {
+			b++
+		}
+		lo = hi
+	}
+	return segs
+}
+
+// newProduct lays out the factors of a pair with 2-D grid g2 and 1-D grids
+// gx and gy (either may be nil), with every band factor at 1.
+func newProduct(g2 *grid.Grid2D, gx, gy *grid.Grid1D) *Product {
+	p := &Product{
+		dx: g2.X.Domain(), dy: g2.Y.Domain(), ly: g2.Y.Cells(),
+		xs: segments(g2.X, gx), ys: segments(g2.Y, gy),
+		cell: make([]float64, g2.L()),
+	}
+	p.xf = ones(p.xs[len(p.xs)-1].band + 1)
+	p.yf = ones(p.ys[len(p.ys)-1].band + 1)
+	return p
+}
+
+// ones returns n factors of 1.
+func ones(n int) []float64 {
+	f := make([]float64, n)
+	for k := range f {
+		f[k] = 1
+	}
+	return f
+}
+
+// ExpandGrid is the uniform per-value expansion of a 2-D grid: value (v, w)
+// carries freq(cell)/(wx·wy), so span sums over its table equal Grid2D.Mass
+// of the same selection. It is the surface of a pair that no 1-D grid
+// refines, and involves no fit.
+func ExpandGrid(g2 *grid.Grid2D) *Product {
+	p := newProduct(g2, nil, nil)
+	for cx := 0; cx < g2.X.Cells(); cx++ {
+		for cy := 0; cy < p.ly; cy++ {
+			p.cell[cx*p.ly+cy] = g2.At(cx, cy) / float64(g2.X.Width(cx)*g2.Y.Width(cy))
 		}
 	}
-	if gx != nil {
-		for c := 0; c < gx.L(); c++ {
-			lo, hi := gx.Axis.CellRange(c)
-			cons = append(cons, Constraint{R: Rect{XLo: lo, XHi: hi, YLo: 0, YHi: dy}, Target: gx.Freq[c]})
+	return p
+}
+
+// FitProduct runs Algorithm 3's weighted update for one attribute pair. The
+// matrix starts uniform at 1/(dx·dy) (line 1). Each sweep rescales every cell
+// of the 2-D grid g2 (row-major), then every band of gx, the 1-D grid on g2's
+// X attribute, then every band of gy, on its Y attribute — either may be nil;
+// each spans its axis's domain — so that the rectangle's entries sum to its
+// estimated frequency. It stops once a sweep's total absolute change drops
+// below threshold (the paper recommends threshold < 1/n) or after maxIter
+// sweeps. A rectangle with a non-positive target is zeroed; one that holds no
+// mass is skipped (line 8).
+//
+// Each rescale multiplies a whole cell or band by one factor, and every entry
+// lies in exactly one cell and at most one band per 1-D grid, so the fit
+// keeps one factor per cell and per band. The rectangles of one family are
+// disjoint, so each family's masses are taken from sums at its start, over
+// the runs where an axis's cell and band edges interleave. Entries are
+// non-negative, so a rescale's entry-wise change Σ|v·f − v| is |t − s|. The
+// fit thus runs the sweeps of the entry-wise update and matches it entry for
+// entry up to rounding, at O(cells + bands) per sweep.
+func FitProduct(g2 *grid.Grid2D, gx, gy *grid.Grid1D, threshold float64, maxIter int) *Product {
+	p := newProduct(g2, gx, gy)
+	lx, ly := g2.X.Cells(), p.ly
+	u := 1 / float64(p.dx*p.dy)
+	for k := range p.cell {
+		p.cell[k] = u
+	}
+
+	// rowMass[cx] = Σ_{x∈cx} xf[band(x)], colMass likewise: a cell's mass is
+	// its factor times both. perValue[c] is the mass of one row (or column)
+	// of values in cell c per unit band factor.
+	rowMass, colMass := make([]float64, lx), make([]float64, ly)
+	perValue := make([]float64, max(lx, ly))
+	bandMass := make([]float64, max(len(p.xf), len(p.yf)))
+	maxIter = max(maxIter, 1)
+	p.sweeps = maxIter
+	for iter := 0; iter < maxIter; iter++ {
+		var change float64
+		cellSums(p.xs, p.xf, rowMass)
+		cellSums(p.ys, p.yf, colMass)
+		for cx := 0; cx < lx; cx++ {
+			row := p.cell[cx*ly : (cx+1)*ly]
+			for cy := range row {
+				change += rescale(&row[cy], row[cy]*rowMass[cx]*colMass[cy], g2.Freq[cx*ly+cy])
+			}
+		}
+		if gx != nil {
+			for cx := 0; cx < lx; cx++ {
+				var m float64
+				for cy, c := range p.cell[cx*ly : (cx+1)*ly] {
+					m += c * colMass[cy]
+				}
+				perValue[cx] = m
+			}
+			change += fitBands(p.xs, perValue, bandMass, p.xf, gx.Freq)
+		}
+		if gy != nil {
+			cellSums(p.xs, p.xf, rowMass)
+			for cy := 0; cy < ly; cy++ {
+				var m float64
+				for cx := 0; cx < lx; cx++ {
+					m += p.cell[cx*ly+cy] * rowMass[cx]
+				}
+				perValue[cy] = m
+			}
+			change += fitBands(p.ys, perValue, bandMass, p.yf, gy.Freq)
+		}
+		if change < threshold {
+			p.sweeps = iter + 1
+			break
 		}
 	}
-	if gy != nil {
-		for c := 0; c < gy.L(); c++ {
-			lo, hi := gy.Axis.CellRange(c)
-			cons = append(cons, Constraint{R: Rect{XLo: 0, XHi: dx, YLo: lo, YHi: hi}, Target: gy.Freq[c]})
+	return p
+}
+
+// rescale multiplies the factor f of a rectangle holding mass s so that it
+// holds max(target, 0) instead, and returns the entry-wise change. A
+// massless rectangle is skipped.
+func rescale(f *float64, s, target float64) float64 {
+	if s == 0 {
+		return 0
+	}
+	t := math.Max(target, 0)
+	*f *= t / s
+	return math.Abs(t - s)
+}
+
+// cellSums sets out[c] to the sum of the band factors over the values of
+// cell c on one axis.
+func cellSums(segs []segment, factors, out []float64) {
+	clear(out)
+	for _, s := range segs {
+		out[s.cell] += float64(s.hi-s.lo) * factors[s.band]
+	}
+}
+
+// fitBands rescales every band of one axis's 1-D grid to its target, given
+// the mass of one value of each 2-D cell per unit band factor, and returns
+// the change. bandMass is scratch of at least one slot per band.
+func fitBands(segs []segment, perValue, bandMass, factors, targets []float64) float64 {
+	bandMass = bandMass[:len(factors)]
+	clear(bandMass)
+	for _, s := range segs {
+		bandMass[s.band] += float64(s.hi-s.lo) * perValue[s.cell]
+	}
+	var change float64
+	for b := range factors {
+		change += rescale(&factors[b], factors[b]*bandMass[b], targets[b])
+	}
+	return change
+}
+
+// SummedArea builds the matrix's summed-area table in one pass over the
+// factors, accumulating each row's entries in the order NewSummedArea
+// accumulates a dense matrix's.
+func (p *Product) SummedArea() *SummedArea {
+	w := p.dy + 1
+	sums := make([]float64, (p.dx+1)*w)
+	for _, sx := range p.xs {
+		cells, xf := p.cell[sx.cell*p.ly:(sx.cell+1)*p.ly], p.xf[sx.band]
+		for x := sx.lo; x < sx.hi; x++ {
+			above, cur := sums[x*w:(x+1)*w], sums[(x+1)*w:(x+2)*w]
+			var rowSum float64
+			for _, sy := range p.ys {
+				v := cells[sy.cell] * xf * p.yf[sy.band]
+				for y := sy.lo; y < sy.hi; y++ {
+					rowSum += v
+					cur[y+1] = above[y+1] + rowSum
+				}
+			}
 		}
 	}
-	return cons
+	return &SummedArea{dx: p.dx, dy: p.dy, p: sums}
+}
+
+// Matrix materialises the dense matrix.
+func (p *Product) Matrix() *Matrix {
+	m := &Matrix{Dx: p.dx, Dy: p.dy, Vals: make([]float64, p.dx*p.dy)}
+	for _, sx := range p.xs {
+		cells, xf := p.cell[sx.cell*p.ly:(sx.cell+1)*p.ly], p.xf[sx.band]
+		for x := sx.lo; x < sx.hi; x++ {
+			row := m.Vals[x*p.dy : (x+1)*p.dy]
+			for _, sy := range p.ys {
+				v := cells[sy.cell] * xf * p.yf[sy.band]
+				for y := sy.lo; y < sy.hi; y++ {
+					row[y] = v
+				}
+			}
+		}
+	}
+	return m
 }
 
 // Matrix is a dense row-major dx×dy response matrix of per-value frequency
-// estimates for one attribute pair.
+// estimates for one attribute pair: what the HDG baseline answers from
+// (Product.Matrix), and what the entry-wise reference fits in the tests of
+// this package and of serve rescale.
 type Matrix struct {
 	Dx, Dy int
 	Vals   []float64
@@ -131,129 +317,52 @@ func (m *Matrix) Sum() float64 {
 	return s
 }
 
-// Fit runs Algorithm 3's weighted update: for every constraint, the entries
-// of its rectangle are rescaled so their sum matches the constraint's target,
-// sweeping until the total absolute change of a sweep drops below threshold
-// (the paper recommends threshold < 1/n) or maxIter sweeps elapse.
-//
-// Constraints with non-positive targets zero out their rectangle; rectangles
-// that currently hold zero mass are skipped (Algorithm 3 line 8). Entries
-// must be non-negative, as NewMatrix and Fit itself keep them.
-//
-// The sweeps run on atoms, not entries. Cutting the rows at every
-// constraint's X edges and the columns at every Y edge splits the matrix into
-// blocks that lie wholly inside or wholly outside each rectangle, so every
-// rescale multiplies all entries of a block by the same factor. Fit keeps one
-// mass and one cumulative factor per block and multiplies each entry by its
-// block's factor once at the end: O(dx·dy + atoms·iter) instead of
-// O(dx·dy·iter), and equal to the entry-wise update in exact arithmetic.
-func (m *Matrix) Fit(cons []Constraint, threshold float64, maxIter int) {
-	m.fit(cons, threshold, maxIter)
+// Rect is a half-open rectangle [XLo,XHi)×[YLo,YHi) of per-value matrix
+// entries — the set δ(c) of 2-D values contributing to one grid cell.
+type Rect struct {
+	XLo, XHi, YLo, YHi int
 }
 
-// atomRect is a constraint rectangle in atom coordinates: atom rows
-// [bx0,bx1) × atom columns [by0,by1).
-type atomRect struct {
-	bx0, bx1, by0, by1 int
-	target             float64
+// Area returns the number of matrix entries inside the rectangle.
+func (r Rect) Area() int { return (r.XHi - r.XLo) * (r.YHi - r.YLo) }
+
+// Constraint binds a rectangle of matrix entries to an estimated frequency:
+// after convergence the entries in R sum (approximately) to Target.
+type Constraint struct {
+	R      Rect
+	Target float64
 }
 
-// fit is Fit; it returns the number of sweeps run.
-func (m *Matrix) fit(cons []Constraint, threshold float64, maxIter int) int {
-	if maxIter < 1 {
-		maxIter = 1
-	}
-	xBand, xCuts := atomBands(m.Dx, cons, func(r Rect) (int, int) { return r.XLo, r.XHi })
-	yBand, yCuts := atomBands(m.Dy, cons, func(r Rect) (int, int) { return r.YLo, r.YHi })
-	nx, ny := len(xCuts)-1, len(yCuts)-1
-
-	// An empty rectangle covers no atoms, so like any massless rectangle it
-	// is skipped on every sweep.
-	rects := make([]atomRect, len(cons))
-	for k, c := range cons {
-		rects[k] = atomRect{
-			bx0: xBand[c.R.XLo], bx1: xBand[c.R.XHi],
-			by0: yBand[c.R.YLo], by1: yBand[c.R.YHi],
-			target: math.Max(c.Target, 0),
+// GridConstraints lists, as rectangles in FitProduct's order, the
+// constraints FitProduct fits for the 2-D grid g2 and the 1-D grids gx and gy
+// (either may be nil): g2's cells row-major, then gx's bands, then gy's. No
+// serving path fits from it; it is the input of the entry-wise reference
+// fits that the tests of this package and of serve check FitProduct against.
+func GridConstraints(g2 *grid.Grid2D, gx, gy *grid.Grid1D) []Constraint {
+	dx, dy := g2.X.Domain(), g2.Y.Domain()
+	var cons []Constraint
+	lx, ly := g2.X.Cells(), g2.Y.Cells()
+	for cx := 0; cx < lx; cx++ {
+		xLo, xHi := g2.X.CellRange(cx)
+		for cy := 0; cy < ly; cy++ {
+			yLo, yHi := g2.Y.CellRange(cy)
+			cons = append(cons, Constraint{
+				R:      Rect{XLo: xLo, XHi: xHi, YLo: yLo, YHi: yHi},
+				Target: g2.At(cx, cy),
+			})
 		}
 	}
-
-	mass := make([]float64, nx*ny)
-	for x := 0; x < m.Dx; x++ {
-		row := m.Vals[x*m.Dy : (x+1)*m.Dy]
-		atoms := mass[xBand[x]*ny : (xBand[x]+1)*ny]
-		for by := range atoms {
-			var s float64
-			for _, v := range row[yCuts[by]:yCuts[by+1]] {
-				s += v
-			}
-			atoms[by] += s
+	if gx != nil {
+		for c := 0; c < gx.L(); c++ {
+			lo, hi := gx.Axis.CellRange(c)
+			cons = append(cons, Constraint{R: Rect{XLo: lo, XHi: hi, YLo: 0, YHi: dy}, Target: gx.Freq[c]})
 		}
 	}
-	factor := make([]float64, nx*ny)
-	for k := range factor {
-		factor[k] = 1
-	}
-
-	sweeps := maxIter
-	for iter := 0; iter < maxIter; iter++ {
-		var change float64
-		for _, r := range rects {
-			var s float64
-			for bx := r.bx0; bx < r.bx1; bx++ {
-				for _, v := range mass[bx*ny+r.by0 : bx*ny+r.by1] {
-					s += v
-				}
-			}
-			if s == 0 {
-				continue
-			}
-			f := r.target / s
-			for bx := r.bx0; bx < r.bx1; bx++ {
-				lo, hi := bx*ny+r.by0, bx*ny+r.by1
-				ms, fs := mass[lo:hi], factor[lo:hi]
-				for k, old := range ms {
-					ms[k] = old * f
-					fs[k] *= f
-					change += math.Abs(ms[k] - old)
-				}
-			}
-		}
-		if change < threshold {
-			sweeps = iter + 1
-			break
+	if gy != nil {
+		for c := 0; c < gy.L(); c++ {
+			lo, hi := gy.Axis.CellRange(c)
+			cons = append(cons, Constraint{R: Rect{XLo: 0, XHi: dx, YLo: lo, YHi: hi}, Target: gy.Freq[c]})
 		}
 	}
-
-	for x := 0; x < m.Dx; x++ {
-		row := m.Vals[x*m.Dy : (x+1)*m.Dy]
-		fs := factor[xBand[x]*ny : (xBand[x]+1)*ny]
-		for by, f := range fs {
-			for y := yCuts[by]; y < yCuts[by+1]; y++ {
-				row[y] *= f
-			}
-		}
-	}
-	return sweeps
-}
-
-// atomBands cuts [0, d) at 0, d and both edges of every rectangle on one
-// axis. It returns the cut positions in ascending order and, for each
-// position p in [0, d], the index of the atom band containing p (for a cut,
-// the band starting there; for p = d, the band count).
-func atomBands(d int, cons []Constraint, edges func(Rect) (lo, hi int)) (band, cuts []int) {
-	isCut := make([]bool, d+1)
-	isCut[0], isCut[d] = true, true
-	for _, c := range cons {
-		lo, hi := edges(c.R)
-		isCut[lo], isCut[hi] = true, true
-	}
-	band = make([]int, d+1)
-	for p := 0; p <= d; p++ {
-		if isCut[p] {
-			cuts = append(cuts, p)
-		}
-		band[p] = len(cuts) - 1
-	}
-	return band, cuts
+	return cons
 }

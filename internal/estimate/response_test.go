@@ -1,10 +1,13 @@
 package estimate
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"felip/internal/grid"
 )
 
 func TestNewMatrix(t *testing.T) {
@@ -44,17 +47,32 @@ func TestRectSumAndArea(t *testing.T) {
 	}
 }
 
-func TestFitSingleConstraint(t *testing.T) {
-	m, _ := NewMatrix(4, 4)
-	cons := []Constraint{
-		{R: Rect{0, 2, 0, 4}, Target: 0.8},
-		{R: Rect{2, 4, 0, 4}, Target: 0.2},
+// grid2 builds a 2-D grid over equal-width axes with the given row-major
+// cell frequencies.
+func grid2(dx, lx, dy, ly int, freq ...float64) *grid.Grid2D {
+	g := grid.NewGrid2D(0, 1, grid.MustAxis(dx, lx), grid.MustAxis(dy, ly))
+	if err := g.SetFreq(freq); err != nil {
+		panic(err)
 	}
-	m.Fit(cons, 1e-9, 100)
-	if got := m.RectSum(cons[0].R); math.Abs(got-0.8) > 1e-6 {
+	return g
+}
+
+// grid1 builds a 1-D grid over an equal-width axis with the given cell
+// frequencies.
+func grid1(d, l int, freq ...float64) *grid.Grid1D {
+	g := grid.NewGrid1D(0, grid.MustAxis(d, l))
+	if err := g.SetFreq(freq); err != nil {
+		panic(err)
+	}
+	return g
+}
+
+func TestFitSingleConstraint(t *testing.T) {
+	m := FitProduct(grid2(4, 1, 4, 1, 1), grid1(4, 2, 0.8, 0.2), nil, 1e-9, 100).Matrix()
+	if got := m.RectSum(Rect{0, 2, 0, 4}); math.Abs(got-0.8) > 1e-6 {
 		t.Errorf("region mass = %v, want 0.8", got)
 	}
-	if got := m.RectSum(cons[1].R); math.Abs(got-0.2) > 1e-6 {
+	if got := m.RectSum(Rect{2, 4, 0, 4}); math.Abs(got-0.2) > 1e-6 {
 		t.Errorf("region mass = %v, want 0.2", got)
 	}
 	if math.Abs(m.Sum()-1) > 1e-6 {
@@ -72,39 +90,31 @@ func TestFitReconstructsJoint(t *testing.T) {
 		{0.01, 0.02, 0.20, 0.02},
 		{0.01, 0.01, 0.02, 0.22},
 	}
-	var cons []Constraint
-	// 2-D grid constraints: 2x2 cells of 2x2 values.
+	// 2-D grid: 2x2 cells of 2x2 values.
+	var cells []float64
 	for cx := 0; cx < 2; cx++ {
 		for cy := 0; cy < 2; cy++ {
-			r := Rect{cx * 2, cx*2 + 2, cy * 2, cy*2 + 2}
 			var tgt float64
-			for x := r.XLo; x < r.XHi; x++ {
-				for y := r.YLo; y < r.YHi; y++ {
+			for x := cx * 2; x < cx*2+2; x++ {
+				for y := cy * 2; y < cy*2+2; y++ {
 					tgt += truth[x][y]
 				}
 			}
-			cons = append(cons, Constraint{R: r, Target: tgt})
+			cells = append(cells, tgt)
 		}
 	}
-	// Fine 1-D constraints along both axes.
+	// Fine 1-D grids along both axes.
+	rows, cols := make([]float64, 4), make([]float64, 4)
 	for x := 0; x < 4; x++ {
-		var tgt float64
 		for y := 0; y < 4; y++ {
-			tgt += truth[x][y]
+			rows[x] += truth[x][y]
+			cols[y] += truth[x][y]
 		}
-		cons = append(cons, Constraint{R: Rect{x, x + 1, 0, 4}, Target: tgt})
 	}
-	for y := 0; y < 4; y++ {
-		var tgt float64
-		for x := 0; x < 4; x++ {
-			tgt += truth[x][y]
-		}
-		cons = append(cons, Constraint{R: Rect{0, 4, y, y + 1}, Target: tgt})
-	}
-	m, _ := NewMatrix(4, 4)
-	m.Fit(cons, 1e-10, 500)
+	g2, gx, gy := grid2(4, 2, 4, 2, cells...), grid1(4, 4, rows...), grid1(4, 4, cols...)
+	m := FitProduct(g2, gx, gy, 1e-10, 500).Matrix()
 	// Check every constraint is satisfied and coarse 2-D structure recovered.
-	for _, c := range cons {
+	for _, c := range GridConstraints(g2, gx, gy) {
 		if got := m.RectSum(c.R); math.Abs(got-c.Target) > 1e-3 {
 			t.Errorf("constraint %+v: got %v", c, got)
 		}
@@ -116,8 +126,7 @@ func TestFitReconstructsJoint(t *testing.T) {
 }
 
 func TestFitZeroTargetZeroesRegion(t *testing.T) {
-	m, _ := NewMatrix(2, 2)
-	m.Fit([]Constraint{{R: Rect{0, 1, 0, 2}, Target: 0}, {R: Rect{1, 2, 0, 2}, Target: 1}}, 1e-12, 50)
+	m := FitProduct(grid2(2, 2, 2, 1, 0, 1), nil, nil, 1e-12, 50).Matrix()
 	if m.At(0, 0) != 0 || m.At(0, 1) != 0 {
 		t.Errorf("zero-target region not cleared: %v", m.Vals)
 	}
@@ -127,23 +136,23 @@ func TestFitZeroTargetZeroesRegion(t *testing.T) {
 }
 
 func TestFitNegativeTargetTreatedAsZero(t *testing.T) {
-	m, _ := NewMatrix(2, 2)
-	m.Fit([]Constraint{{R: Rect{0, 1, 0, 2}, Target: -0.5}}, 1e-12, 10)
+	m := FitProduct(grid2(2, 2, 2, 1, -0.5, 0.5), nil, nil, 1e-12, 10).Matrix()
 	if m.At(0, 0) != 0 {
 		t.Errorf("negative target should clear region, got %v", m.At(0, 0))
 	}
 }
 
 func TestFitSkipsEmptyRegions(t *testing.T) {
-	m, _ := NewMatrix(2, 2)
-	// Zero the first row, then constrain it to 0.5: cannot be satisfied and
-	// must not panic or produce NaN.
-	m.Fit([]Constraint{{R: Rect{0, 1, 0, 2}, Target: 0}}, 1e-12, 5)
-	m.Fit([]Constraint{{R: Rect{0, 1, 0, 2}, Target: 0.5}}, 1e-12, 5)
+	// The 2-D cells zero the first row, then a band constrains it to 0.5: it
+	// holds no mass, so it cannot be satisfied and must not produce NaN.
+	m := FitProduct(grid2(2, 2, 2, 1, 0, 1), grid1(2, 2, 0.5, 0.5), nil, 1e-12, 5).Matrix()
 	for _, v := range m.Vals {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("non-finite value: %v", m.Vals)
 		}
+	}
+	if m.At(0, 0) != 0 || m.At(0, 1) != 0 {
+		t.Errorf("massless band refilled: %v", m.Vals)
 	}
 }
 
@@ -157,9 +166,9 @@ func TestMaskSum(t *testing.T) {
 	}
 }
 
-// fitDense is the entry-wise Algorithm-3 sweep loop Fit replaced: every
-// constraint rescales each entry of its rectangle. It is the reference the
-// atom fit is checked against; it returns the number of sweeps run.
+// fitDense is the entry-wise Algorithm-3 sweep loop: every constraint
+// rescales each entry of its rectangle. It is the reference the product fit
+// is checked against; it returns the number of sweeps run.
 func fitDense(m *Matrix, cons []Constraint, threshold float64, maxIter int) int {
 	if maxIter < 1 {
 		maxIter = 1
@@ -207,8 +216,21 @@ func randomPartition(rng *rand.Rand, d int) []int {
 	return append(bounds, d)
 }
 
+// randomAxis bins [0, d) into equal-width cells or, half the time, into
+// cells of unequal width, as the adaptive strategies do.
+func randomAxis(rng *rand.Rand, d int) *grid.Axis {
+	if rng.Intn(2) == 0 {
+		return grid.MustAxis(d, 1+rng.Intn(d))
+	}
+	a, err := grid.NewCustomAxis(d, randomPartition(rng, d))
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 // randomTarget draws a constraint target: mostly positive, sometimes zero or
-// negative (which Fit clamps to zero).
+// negative (which the fit clamps to zero).
 func randomTarget(rng *rand.Rand, cells int) float64 {
 	switch rng.Intn(10) {
 	case 0:
@@ -220,76 +242,80 @@ func randomTarget(rng *rand.Rand, cells int) float64 {
 	}
 }
 
-// randomRect draws a non-empty rectangle anywhere in a dx×dy matrix.
-func randomRect(rng *rand.Rand, dx, dy int) Rect {
-	x0, y0 := rng.Intn(dx), rng.Intn(dy)
-	return Rect{x0, x0 + 1 + rng.Intn(dx-x0), y0, y0 + 1 + rng.Intn(dy-y0)}
+func randomFreq(rng *rand.Rand, cells int) []float64 {
+	freq := make([]float64, cells)
+	for k := range freq {
+		freq[k] = randomTarget(rng, cells)
+	}
+	return freq
 }
 
-// randomFitCase builds a random Algorithm-3 problem shaped like FELIP's: 2-D
-// cells of a random partition (row-major), then full-width bands on X, then
-// full-height bands on Y, each axis cut independently of the 2-D grid, plus
-// one rectangle anywhere, whose edges need not lie on any partition's cuts.
-// Half the cases start from a non-uniform matrix with a zeroed block that
-// one extra constraint targets, so that rectangle holds no mass and is
-// skipped; a quarter add an empty rectangle, which is skipped too.
-func randomFitCase(rng *rand.Rand) (*Matrix, []Constraint, float64, int) {
+// randomFitCase builds a random Algorithm-3 problem shaped like FELIP's: a
+// 2-D grid over random axes, and a 1-D grid on each axis whose cells are cut
+// independently of the 2-D grid's; a quarter of the time either 1-D grid is
+// absent.
+func randomFitCase(rng *rand.Rand) (g2 *grid.Grid2D, gx, gy *grid.Grid1D, threshold float64, maxIter int) {
 	dx, dy := 1+rng.Intn(12), 1+rng.Intn(12)
-	m, _ := NewMatrix(dx, dy)
-	var cons []Constraint
-	gx, gy := randomPartition(rng, dx), randomPartition(rng, dy)
-	cells := (len(gx) - 1) * (len(gy) - 1)
-	for cx := 0; cx+1 < len(gx); cx++ {
-		for cy := 0; cy+1 < len(gy); cy++ {
-			cons = append(cons, Constraint{R: Rect{gx[cx], gx[cx+1], gy[cy], gy[cy+1]}, Target: randomTarget(rng, cells)})
+	g2 = grid.NewGrid2D(0, 1, randomAxis(rng, dx), randomAxis(rng, dy))
+	g2.Freq = randomFreq(rng, g2.L())
+	band := func(d int) *grid.Grid1D {
+		if rng.Intn(4) == 0 {
+			return nil
 		}
+		g := grid.NewGrid1D(0, randomAxis(rng, d))
+		g.Freq = randomFreq(rng, g.L())
+		return g
 	}
-	bx := randomPartition(rng, dx)
-	for c := 0; c+1 < len(bx); c++ {
-		cons = append(cons, Constraint{R: Rect{bx[c], bx[c+1], 0, dy}, Target: randomTarget(rng, len(bx)-1)})
-	}
-	by := randomPartition(rng, dy)
-	for c := 0; c+1 < len(by); c++ {
-		cons = append(cons, Constraint{R: Rect{0, dx, by[c], by[c+1]}, Target: randomTarget(rng, len(by)-1)})
-	}
-	cons = append(cons, Constraint{R: randomRect(rng, dx, dy), Target: randomTarget(rng, 4)})
-	if rng.Intn(2) == 0 {
-		for k := range m.Vals {
-			m.Vals[k] = rng.Float64()
-		}
-		zero := randomRect(rng, dx, dy)
-		for x := zero.XLo; x < zero.XHi; x++ {
-			for y := zero.YLo; y < zero.YHi; y++ {
-				m.Vals[x*dy+y] = 0
-			}
-		}
-		cons = append(cons, Constraint{R: zero, Target: 0.5})
-	}
-	if rng.Intn(4) == 0 {
-		p := rng.Intn(dx + 1)
-		cons = append(cons, Constraint{R: Rect{p, p, 0, dy}, Target: 0.3})
-	}
+	gx, gy = band(dx), band(dy)
 	thresholds := []float64{0, 1e-9, 1e-3}
-	return m, cons, thresholds[rng.Intn(len(thresholds))], 1 + rng.Intn(60)
+	return g2, gx, gy, thresholds[rng.Intn(len(thresholds))], 1 + rng.Intn(60)
 }
 
-// Property: the atom fit runs the same number of sweeps as the entry-wise
-// reference and matches it entry for entry up to rounding.
+// checkFitAgainstDense fits one problem with FitProduct and with the
+// entry-wise reference over GridConstraints and requires the same sweep
+// count, finite entries, every entry within fitClose of the reference, and
+// every corner of the table built from the factors within fitClose of
+// NewSummedArea over the reference matrix.
+func checkFitAgainstDense(g2 *grid.Grid2D, gx, gy *grid.Grid1D, threshold float64, maxIter int) error {
+	ref, err := NewMatrix(g2.X.Domain(), g2.Y.Domain())
+	if err != nil {
+		return err
+	}
+	wantSweeps := fitDense(ref, GridConstraints(g2, gx, gy), threshold, maxIter)
+	p := FitProduct(g2, gx, gy, threshold, maxIter)
+	if p.sweeps != wantSweeps {
+		return fmt.Errorf("%d sweeps, dense reference ran %d", p.sweeps, wantSweeps)
+	}
+	for k, v := range p.Matrix().Vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("entry %d = %v", k, v)
+		}
+		if !fitClose(v, ref.Vals[k]) {
+			return fmt.Errorf("entry %d = %v, dense reference %v", k, v, ref.Vals[k])
+		}
+	}
+	want, err := NewSummedArea(ref.Dx, ref.Dy, ref.Vals)
+	if err != nil {
+		return err
+	}
+	for k, v := range p.SummedArea().p {
+		if !fitClose(v, want.p[k]) {
+			return fmt.Errorf("table corner %d = %v, dense reference %v", k, v, want.p[k])
+		}
+	}
+	return nil
+}
+
+// Property: the product fit runs the same number of sweeps as the entry-wise
+// reference and matches it entry for entry, and table corner for corner, up
+// to rounding.
 func TestFitMatchesDenseReference(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(func(seed int64) bool {
-		m, cons, threshold, maxIter := randomFitCase(rand.New(rand.NewSource(seed)))
-		ref := &Matrix{Dx: m.Dx, Dy: m.Dy, Vals: append([]float64(nil), m.Vals...)}
-		wantSweeps := fitDense(ref, cons, threshold, maxIter)
-		if got := m.fit(cons, threshold, maxIter); got != wantSweeps {
-			t.Logf("seed %d: %d sweeps, dense reference ran %d", seed, got, wantSweeps)
+		g2, gx, gy, threshold, maxIter := randomFitCase(rand.New(rand.NewSource(seed)))
+		if err := checkFitAgainstDense(g2, gx, gy, threshold, maxIter); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
-		}
-		for k, v := range m.Vals {
-			if !fitClose(v, ref.Vals[k]) {
-				t.Logf("seed %d: entry %d = %v, dense reference %v", seed, k, v, ref.Vals[k])
-				return false
-			}
 		}
 		return true
 	}, cfg); err != nil {
@@ -297,28 +323,22 @@ func TestFitMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// fitClose reports whether an atom-fit entry matches the dense reference
+// fitClose reports whether a product-fit value matches the dense reference
 // within 1e-12 relative or 1e-18 absolute.
 func fitClose(got, want float64) bool {
 	d := math.Abs(got - want)
 	return d <= 1e-18 || d <= 1e-12*math.Abs(want)
 }
 
-// Property: Fit preserves non-negativity and, when constraints form a
-// partition whose targets sum to 1, total mass 1.
+// Property: the fit preserves non-negativity and, when the bands' targets
+// sum to 1, total mass 1.
 func TestFitMassProperty(t *testing.T) {
 	if err := quick.Check(func(t1, t2, t3 uint8) bool {
 		a := float64(t1%100) + 1
 		b := float64(t2%100) + 1
 		c := float64(t3%100) + 1
 		s := a + b + c
-		m, _ := NewMatrix(6, 4)
-		cons := []Constraint{
-			{R: Rect{0, 2, 0, 4}, Target: a / s},
-			{R: Rect{2, 4, 0, 4}, Target: b / s},
-			{R: Rect{4, 6, 0, 4}, Target: c / s},
-		}
-		m.Fit(cons, 1e-12, 50)
+		m := FitProduct(grid2(6, 1, 4, 1, 1), grid1(6, 3, a/s, b/s, c/s), nil, 1e-12, 50).Matrix()
 		for _, v := range m.Vals {
 			if v < 0 {
 				return false

@@ -82,11 +82,6 @@ func NewSummedArea(dx, dy int, vals []float64) (*SummedArea, error) {
 	return &SummedArea{dx: dx, dy: dy, p: p}, nil
 }
 
-// SummedArea returns the matrix's summed-area table.
-func (m *Matrix) SummedArea() (*SummedArea, error) {
-	return NewSummedArea(m.Dx, m.Dy, m.Vals)
-}
-
 // Dims returns the underlying matrix dimensions.
 func (s *SummedArea) Dims() (dx, dy int) { return s.dx, s.dy }
 

@@ -33,7 +33,7 @@ func naiveRect(m *Matrix, xLo, xHi, yLo, yHi int) float64 {
 
 func TestSummedAreaRectSum(t *testing.T) {
 	m := randomMatrix(t, 37, 23, 1)
-	sat, err := m.SummedArea()
+	sat, err := NewSummedArea(m.Dx, m.Dy, m.Vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSummedAreaRectSum(t *testing.T) {
 // matrix, for both the selection and its complement.
 func TestSummedAreaMatchesMaskScan(t *testing.T) {
 	m := randomMatrix(t, 41, 29, 3)
-	sat, err := m.SummedArea()
+	sat, err := NewSummedArea(m.Dx, m.Dy, m.Vals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,17 @@ package httpapi
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"felip/internal/core"
 	"felip/internal/dataset"
+	"felip/internal/fo"
+	"felip/internal/reportlog"
 )
 
 // feedReports drives n simulated devices straight into the server's collector
@@ -147,6 +153,104 @@ func TestStatusLiveDuringFinalize(t *testing.T) {
 	}
 	if len(st.Metrics) == 0 {
 		t.Error("status carries no metrics snapshot after finalize")
+	}
+}
+
+// blockingCloseFile is a WAL file whose Close blocks until release is
+// closed, announcing on closing that it was entered.
+type blockingCloseFile struct {
+	reportlog.File
+	closing, release chan struct{}
+}
+
+func (f *blockingCloseFile) Close() error {
+	close(f.closing)
+	<-f.release
+	return f.File.Close()
+}
+
+// TestAdvanceRoundClosesSegmentOutsideLock: closing the finalized round's
+// segment can take tens of milliseconds (the archive has unlinked it, so the
+// close frees its blocks). While AdvanceRound(2) is held inside that close,
+// Status and a report into round 2 must be answered: the lock must not be
+// held across it.
+func TestAdvanceRoundClosesSegmentOutsideLock(t *testing.T) {
+	const n = 500
+	srv, _, cl := newAdmissionNode(t, fo.ModeFELIP)
+	dir := t.TempDir()
+	f, err := os.OpenFile(filepath.Join(dir, "round.wal"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := &blockingCloseFile{File: f, closing: make(chan struct{}), release: make(chan struct{})}
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(file.release)
+		}
+	}
+	defer release()
+	l, recs, err := reportlog.OpenFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.UseWAL(l, recs); err != nil {
+		t.Fatal(err)
+	}
+	srv.SetWALFactory(func(round int) (*reportlog.Log, error) {
+		l, _, err := reportlog.Open(filepath.Join(dir, fmt.Sprintf("round.wal.r%d", round)))
+		return l, err
+	})
+	t.Cleanup(func() { srv.Close() })
+	feedReports(t, srv, n, 47)
+	if _, err := srv.finalize(); err != nil {
+		t.Fatal(err)
+	}
+
+	type advance struct {
+		round int
+		err   error
+	}
+	advanced := make(chan advance, 1)
+	go func() {
+		round, err := srv.AdvanceRound(2)
+		advanced <- advance{round, err}
+	}()
+	<-file.closing
+
+	statusDone := make(chan Status, 1)
+	go func() { statusDone <- srv.Status() }()
+	reportDone := make(chan error, 1)
+	probe := validProbe(srv.col.Specs(), fo.ModeFELIP, "round-2-report", 0)
+	go func() {
+		_, err := cl.ReportWithID(context.Background(), probe.id, probe.rep)
+		reportDone <- err
+	}()
+	deadline := time.After(2 * time.Second)
+	select {
+	case st := <-statusDone:
+		if st.Round != 2 {
+			t.Errorf("status during the close reports round %d, want 2", st.Round)
+		}
+	case <-deadline:
+		t.Fatal("Status blocked while AdvanceRound closed the finalized round's segment")
+	}
+	select {
+	case err := <-reportDone:
+		if err != nil {
+			t.Errorf("report into round 2 during the close: %v", err)
+		}
+	case <-deadline:
+		t.Fatal("a report into round 2 blocked while AdvanceRound closed the finalized round's segment")
+	}
+
+	release()
+	if a := <-advanced; a.err != nil || a.round != 2 {
+		t.Fatalf("AdvanceRound(2) = %d, %v", a.round, a.err)
+	}
+	if st := srv.Status(); st.Round != 2 || st.Reports != 1 {
+		t.Errorf("after the advance: round %d with %d reports, want round 2 with 1", st.Round, st.Reports)
 	}
 }
 

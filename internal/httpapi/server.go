@@ -378,46 +378,60 @@ func (s *Server) openRoundLocked() error {
 // refused jump — a coordinator and shard that disagree by more than one round
 // have diverged and must not paper over it. target 0 keeps the legacy
 // unconditional advance.
+//
+// The finalized round's segment is closed after s.mu is released: its
+// finalize record is already synced, and once the archive has unlinked it,
+// its last close frees its blocks — tens of milliseconds during which every
+// report, frame, status and assign request would wait on the lock.
 func (s *Server) AdvanceRound(target int) (int, error) {
+	round, prev, err := s.swapRound(target)
+	if prev != nil {
+		if err := prev.Close(); err != nil {
+			s.logf("httpapi: closing round %d log: %v", round-1, err)
+		}
+	}
+	return round, err
+}
+
+// swapRound is AdvanceRound under s.mu: it opens the next round and its
+// segment, and returns the finalized round's segment, if any, for the caller
+// to close.
+func (s *Server) swapRound(target int) (int, *reportlog.Log, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if target == s.round {
-		return s.round, nil
+		return s.round, nil, nil
 	}
 	if s.closed {
-		return 0, fmt.Errorf("httpapi: server shutting down")
+		return 0, nil, fmt.Errorf("httpapi: server shutting down")
 	}
 	if target != 0 && target != s.round+1 {
-		return 0, fmt.Errorf("httpapi: round is %d; cannot jump to round %d", s.round, target)
+		return 0, nil, fmt.Errorf("httpapi: round is %d; cannot jump to round %d", s.round, target)
 	}
 	if s.agg == nil && s.shardState == nil && !s.sealedEmpty {
-		return 0, fmt.Errorf("httpapi: round %d not finalized; finalize before opening the next round", s.round)
+		return 0, nil, fmt.Errorf("httpapi: round %d not finalized; finalize before opening the next round", s.round)
 	}
 	var next *reportlog.Log
 	if s.durable {
 		if s.walFactory == nil {
-			return 0, fmt.Errorf("httpapi: durable server has no WAL factory for round %d (SetWALFactory)", s.round+1)
+			return 0, nil, fmt.Errorf("httpapi: durable server has no WAL factory for round %d (SetWALFactory)", s.round+1)
 		}
 		var err error
 		next, err = s.walFactory(s.round + 1)
 		if err != nil {
-			return 0, fmt.Errorf("httpapi: opening round %d log: %w", s.round+1, err)
+			return 0, nil, fmt.Errorf("httpapi: opening round %d log: %w", s.round+1, err)
 		}
 	}
 	if err := s.openRoundLocked(); err != nil {
 		if next != nil {
 			next.Close()
 		}
-		return 0, err
+		return 0, nil, err
 	}
-	if s.wal != nil {
-		if err := s.wal.Close(); err != nil {
-			s.logf("httpapi: closing round %d log: %v", s.round-1, err)
-		}
-	}
+	prev := s.wal
 	s.wal = next
 	s.restored = false
-	return s.round, nil
+	return s.round, prev, nil
 }
 
 // SetWALFactory registers the opener AdvanceRound uses to create round k's WAL

@@ -37,7 +37,6 @@ import (
 	"felip/internal/core"
 	"felip/internal/domain"
 	"felip/internal/estimate"
-	"felip/internal/grid"
 	"felip/internal/metrics"
 	"felip/internal/query"
 )
@@ -160,11 +159,7 @@ func NewEngine(agg *core.Aggregator) (*Engine, error) {
 			if !ok {
 				return nil, fmt.Errorf("serve: spec names pair (%d,%d) but no grid exists", sp.AttrX, sp.AttrY)
 			}
-			sat, err := expandedSAT(g2)
-			if err != nil {
-				return nil, err
-			}
-			plan.sat = sat
+			plan.sat = estimate.ExpandGrid(g2).SummedArea()
 		}
 		e.pairs[key] = plan
 	}
@@ -196,29 +191,6 @@ func FromSnapshot(s core.Snapshot) (*Engine, error) {
 		return nil, err
 	}
 	return NewEngine(agg)
-}
-
-// expandedSAT builds the summed-area table of a 2-D grid's uniform per-value
-// expansion: value (v, w) carries freq(cell)/(wx·wy), so a span sum over the
-// table equals Grid2D.Mass of the corresponding selection.
-func expandedSAT(g *grid.Grid2D) (*estimate.SummedArea, error) {
-	di, dj := g.X.Domain(), g.Y.Domain()
-	vals := make([]float64, di*dj)
-	lx, ly := g.X.Cells(), g.Y.Cells()
-	for cx := 0; cx < lx; cx++ {
-		xLo, xHi := g.X.CellRange(cx)
-		for cy := 0; cy < ly; cy++ {
-			yLo, yHi := g.Y.CellRange(cy)
-			share := g.At(cx, cy) / float64((xHi-xLo)*(yHi-yLo))
-			for v := xLo; v < xHi; v++ {
-				row := vals[v*dj : (v+1)*dj]
-				for w := yLo; w < yHi; w++ {
-					row[w] = share
-				}
-			}
-		}
-	}
-	return estimate.NewSummedArea(di, dj, vals)
 }
 
 // Schema returns the schema the engine serves.
@@ -352,8 +324,9 @@ func (e *Engine) pairAnswer(i, j int, selI, selJ, notI, notJ []estimate.Span) (e
 
 // pairSAT returns the pair's summed-area table, fitting the response matrix
 // under per-pair singleflight on first use. The engine lock guards only the
-// slot map — never the O(di·dj + atoms·iter) fit — so a miss on pair (a,b)
-// cannot stall hits or misses on any other pair.
+// slot map — never the fit, O(cells + bands) per sweep, or the O(di·dj)
+// table — so a miss on pair (a,b) cannot stall hits or misses on any other
+// pair.
 func (e *Engine) pairSAT(i, j int) (*estimate.SummedArea, error) {
 	key := [2]int{i, j}
 	plan, ok := e.pairs[key]
@@ -383,18 +356,17 @@ func (e *Engine) pairSAT(i, j int) (*estimate.SummedArea, error) {
 	return slot.sat, slot.err
 }
 
-// buildMatrixSAT fits pair (i, j)'s response matrix (Algorithm 3) with
-// exactly the aggregator's constraints and parameters, then folds it into a
-// summed-area table.
+// buildMatrixSAT fits pair (i, j)'s response matrix (Algorithm 3) over Γ
+// (§5.5) — its 2-D grid and whichever related 1-D grids were collected: both
+// for num×num, only the numerical one when the other attribute is
+// categorical — with the aggregator's parameters, and builds the summed-area
+// table from the fitted factors.
 func (e *Engine) buildMatrixSAT(i, j int) (*estimate.SummedArea, error) {
-	m, err := estimate.NewMatrix(e.schema.Attr(i).Size, e.schema.Attr(j).Size)
-	if err != nil {
-		return nil, err
+	g2, ok := e.agg.Grid2D(i, j)
+	if !ok {
+		return nil, fmt.Errorf("serve: no 2-D grid for pair (%d,%d)", i, j)
 	}
-	cons, err := e.agg.PairConstraints(i, j)
-	if err != nil {
-		return nil, err
-	}
-	m.Fit(cons, e.threshold, e.matrixMaxIter)
-	return m.SummedArea()
+	gx, _ := e.agg.Grid1D(i)
+	gy, _ := e.agg.Grid1D(j)
+	return estimate.FitProduct(g2, gx, gy, e.threshold, e.matrixMaxIter).SummedArea(), nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"felip/internal/domain"
 	"felip/internal/estimate"
 	"felip/internal/fo"
+	"felip/internal/grid"
 	"felip/internal/metrics"
 	"felip/internal/query"
 )
@@ -397,8 +399,8 @@ func TestEngineConcurrentMixedUse(t *testing.T) {
 	wg.Wait()
 }
 
-// denseFit is the entry-wise Algorithm-3 sweep loop that estimate.Matrix.Fit
-// replaced with its atom-grid form (the same reference estimate's own tests
+// denseFit is the entry-wise Algorithm-3 sweep loop that estimate.FitProduct
+// replaces with its product form (the same reference estimate's own tests
 // use): every constraint rescales each entry of its rectangle.
 func denseFit(m *estimate.Matrix, cons []estimate.Constraint, threshold float64, maxIter int) {
 	for iter := 0; iter < max(maxIter, 1); iter++ {
@@ -424,36 +426,61 @@ func denseFit(m *estimate.Matrix, cons []estimate.Constraint, threshold float64,
 	}
 }
 
-// On the pipeline benchmark's plan (six 256-value numerical and two
-// 16-value categorical attributes, planned for 5M users, 100k reports
-// collected) every response matrix the engine fits must match the
-// entry-wise reference within 1e-12 relative, and the engine's answers must
-// match answers served from the reference matrices.
-func TestEngineMatchesDenseFitOnBenchmarkPlan(t *testing.T) {
+// denseResponse fits pair (i, j)'s response matrix with denseFit, from the
+// grids and parameters the engine fits it from.
+func denseResponse(agg *core.Aggregator, i, j int) (*estimate.Matrix, error) {
+	g2, ok := agg.Grid2D(i, j)
+	if !ok {
+		return nil, fmt.Errorf("no 2-D grid for pair (%d,%d)", i, j)
+	}
+	gx, _ := agg.Grid1D(i)
+	gy, _ := agg.Grid1D(j)
+	m, err := estimate.NewMatrix(g2.X.Domain(), g2.Y.Domain())
+	if err != nil {
+		return nil, err
+	}
+	denseFit(m, estimate.GridConstraints(g2, gx, gy), agg.IPFThreshold(), agg.MatrixMaxIter())
+	return m, nil
+}
+
+// benchmarkPlanRound is a finalized round on the pipeline benchmark's plan:
+// six 256-value numerical and two 16-value categorical attributes, planned
+// for 5M users, 100k reports collected.
+func benchmarkPlanRound(tb testing.TB) *core.Aggregator {
+	tb.Helper()
 	schema := dataset.MixedSchema(6, 256, 2, 16)
 	opts := core.Options{Strategy: core.OHG, Epsilon: 1.2, Seed: 1201}
 	col, err := core.NewCollector(schema, 5_000_000, opts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	ds := dataset.NewNormal().Generate(schema, 100_000, 1202)
 	dev, err := core.NewClient(col.Specs(), opts.Epsilon, 1203)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for row := 0; row < ds.N(); row++ {
 		rep, err := dev.Perturb(col.AssignGroup(), func(attr int) int { return ds.Value(row, attr) })
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := col.Add(rep); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	agg, err := col.Finalize()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return agg
+}
+
+// On the pipeline benchmark's plan every response matrix the engine fits
+// must match the entry-wise reference within 1e-12 relative, and the
+// engine's answers must match answers served from the reference matrices.
+func TestEngineMatchesDenseFitOnBenchmarkPlan(t *testing.T) {
+	agg := benchmarkPlanRound(t)
+	schema := agg.Schema()
 	eng := engineFor(t, agg)
 	if err := eng.Warmup(); err != nil {
 		t.Fatal(err)
@@ -467,21 +494,20 @@ func TestEngineMatchesDenseFitOnBenchmarkPlan(t *testing.T) {
 			continue
 		}
 		fitted++
-		di, dj := schema.Attr(key[0]).Size, schema.Attr(key[1]).Size
-		cons, err := agg.PairConstraints(key[0], key[1])
+		g2, _ := agg.Grid2D(key[0], key[1])
+		gx, _ := agg.Grid1D(key[0])
+		gy, _ := agg.Grid1D(key[1])
+		got := estimate.FitProduct(g2, gx, gy, eng.threshold, eng.matrixMaxIter).Matrix()
+		want, err := denseResponse(agg, key[0], key[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := estimate.NewMatrix(di, dj)
-		got.Fit(cons, eng.threshold, eng.matrixMaxIter)
-		want, _ := estimate.NewMatrix(di, dj)
-		denseFit(want, cons, eng.threshold, eng.matrixMaxIter)
 		for k, w := range want.Vals {
 			if d := math.Abs(got.Vals[k] - w); d > 1e-18 && d > 1e-12*math.Abs(w) {
-				t.Fatalf("pair %v entry %d: atom fit %v, dense reference %v", key, k, got.Vals[k], w)
+				t.Fatalf("pair %v entry %d: product fit %v, dense reference %v", key, k, got.Vals[k], w)
 			}
 		}
-		sat, err := want.SummedArea()
+		sat, err := estimate.NewSummedArea(want.Dx, want.Dy, want.Vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,5 +528,84 @@ func TestEngineMatchesDenseFitOnBenchmarkPlan(t *testing.T) {
 			t.Errorf("query %d %v (λ=%d): engine %v vs dense reference %v (Δ=%g)",
 				i, q, q.Lambda(), got, want, math.Abs(got-want))
 		}
+	}
+}
+
+// BenchmarkEngineWarmup times the serving side of a round close on the
+// pipeline benchmark's plan: NewEngine, then a Warmup that fits the 27
+// response matrices and builds their tables. Run it with -cpu 1,2 to see
+// Warmup's fan-out.
+func BenchmarkEngineWarmup(b *testing.B) {
+	agg := benchmarkPlanRound(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := NewEngine(agg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Warmup(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// uniformExpansionSAT is the table the engine built for a pair no 1-D grid
+// refines before ExpandGrid: the dense per-value expansion, value (v, w)
+// carrying freq(cell)/(wx·wy), summed by NewSummedArea.
+func uniformExpansionSAT(g *grid.Grid2D) (*estimate.SummedArea, error) {
+	di, dj := g.X.Domain(), g.Y.Domain()
+	vals := make([]float64, di*dj)
+	for cx := 0; cx < g.X.Cells(); cx++ {
+		xLo, xHi := g.X.CellRange(cx)
+		for cy := 0; cy < g.Y.Cells(); cy++ {
+			yLo, yHi := g.Y.CellRange(cy)
+			share := g.At(cx, cy) / float64((xHi-xLo)*(yHi-yLo))
+			for v := xLo; v < xHi; v++ {
+				row := vals[v*dj : (v+1)*dj]
+				for w := yLo; w < yHi; w++ {
+					row[w] = share
+				}
+			}
+		}
+	}
+	return estimate.NewSummedArea(di, dj, vals)
+}
+
+// Every pair no 1-D grid refines — all of an OUG round's, an OHG round's
+// cat×cat ones — is served from ExpandGrid's table, built from unit band
+// factors. Its every corner must be bit-identical to the dense expansion's,
+// on equal-width and on equi-mass axes.
+func TestExpandGridBitIdenticalToDenseExpansion(t *testing.T) {
+	ds := dataset.NewNormal().Generate(testSchema(), 20000, 101)
+	ad, err := adaptive.Collect(ds, adaptive.Options{Core: core.Options{Strategy: core.OUG, Epsilon: 2.0, Seed: 102}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, agg := range []*core.Aggregator{collectFor(t, core.OUG, 20000, 101), ad.Inner(), collectFor(t, core.OHG, 20000, 101)} {
+		eng := engineFor(t, agg)
+		for key, plan := range eng.pairs {
+			if plan.lazy {
+				continue
+			}
+			checked++
+			g2, _ := agg.Grid2D(key[0], key[1])
+			want, err := uniformExpansionSAT(g2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dx, dy := want.Dims()
+			for x := 0; x <= dx; x++ {
+				for y := 0; y <= dy; y++ {
+					if got, w := plan.sat.RectSum(0, x, 0, y), want.RectSum(0, x, 0, y); got != w {
+						t.Fatalf("%v pair %v corner (%d,%d): %v, dense expansion %v", agg.Strategy(), key, x, y, got, w)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no pair served from the uniform expansion")
 	}
 }

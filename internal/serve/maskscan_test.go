@@ -11,9 +11,10 @@ import (
 // maskScan is the reference the engine is checked against: it answers a
 // query as §5.5–§5.6 state it, summing per-value selection masks over the
 // round's grids and over response matrices fitted on first use, through
-// core's exported accessors only. With the engine it shares just the fit
-// (estimate.Matrix.Fit) and Algorithm 4 (estimate.EstimateLambda); its
-// selections and sums are its own. Not safe for concurrent use.
+// core's exported accessors only. Its response matrices come from the
+// entry-wise reference fit (denseResponse), not the engine's product fit;
+// with the engine it shares just Algorithm 4 (estimate.EstimateLambda). Not
+// safe for concurrent use.
 type maskScan struct {
 	agg      *core.Aggregator
 	matrices map[[2]int]*estimate.Matrix
@@ -119,16 +120,10 @@ func (r *maskScan) matrix(i, j int) (*estimate.Matrix, error) {
 	if m, ok := r.matrices[key]; ok {
 		return m, nil
 	}
-	schema := r.agg.Schema()
-	m, err := estimate.NewMatrix(schema.Attr(i).Size, schema.Attr(j).Size)
+	m, err := denseResponse(r.agg, i, j)
 	if err != nil {
 		return nil, err
 	}
-	cons, err := r.agg.PairConstraints(i, j)
-	if err != nil {
-		return nil, err
-	}
-	m.Fit(cons, r.agg.IPFThreshold(), r.agg.MatrixMaxIter())
 	r.matrices[key] = m
 	return m, nil
 }
