@@ -28,9 +28,10 @@ check:
 # arbitrary and resealed shard-state JSON to Verify and States and requires a
 # verified message to rebuild with its own checksum; FuzzFitProduct decodes
 # response-matrix problems (dims of 1-16, a 2-D grid, optional 1-D grids,
-# targets, a threshold and a sweep cap) and requires the product-form fit to
-# match the entry-wise reference with no NaN or Inf. A failing input lands in
-# the package's testdata/fuzz directory.
+# targets, a threshold and a sweep cap) and span selections, and requires the
+# product-form fit to match the entry-wise reference with no NaN or Inf and
+# its four quadrant masses to match the reference's mask sums. A failing
+# input lands in the package's testdata/fuzz directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDedupIndex$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire

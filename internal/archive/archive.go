@@ -169,7 +169,12 @@ type Options struct {
 	RetainRounds int
 	// MaxOpenEngines bounds the historical query plane's engine cache
 	// (default 4). Evicted engines stay valid for in-flight queries — they
-	// are immutable — and are simply rebuilt on next use.
+	// are immutable — and are simply rebuilt on next use. A cached engine
+	// holds its round's grids, each attribute's prefix-summed marginal and
+	// every pair's surface in product form (one factor per 2-D cell and per
+	// 1-D band, no per-value table): about 0.15 MB once warmed on the
+	// pipeline benchmark's plan, so the bound is on rebuild work more than
+	// on memory.
 	MaxOpenEngines int
 	// PlanFingerprint, when nonzero, makes Load and Engine refuse snapshots
 	// written under a different plan. Servers set it from their own plan;

@@ -239,3 +239,38 @@ func TestCollectorCountsRejected(t *testing.T) {
 		t.Errorf("N = %d, want 0", got)
 	}
 }
+
+// BenchmarkCollectorFinalize times a merge coordinator's close on the
+// pipeline benchmark's plan (six 256-value numerical and two 16-value
+// categorical attributes, OHG at ε = 1.2, planned for 5M users): a collector
+// holding 100k reports' imported partial states runs Finalize, the grids'
+// estimation and the post-processing (§5.4). Only Finalize is timed.
+func BenchmarkCollectorFinalize(b *testing.B) {
+	schema := dataset.MixedSchema(6, 256, 2, 16)
+	opts := Options{Strategy: OHG, Epsilon: 1.2, Seed: 1201}
+	src, err := NewCollector(schema, 5_000_000, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fillCollector(b, src, schema, 100_000)
+	states, err := src.ExportPartials()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		col, err := NewCollector(schema, 5_000_000, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := col.ImportPartials(states); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := col.Finalize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package estimate
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // PairAnswer carries the answers of the four sign combinations of one
 // associated 2-D query q^(i,j): PP is the mass where both predicates hold,
@@ -37,11 +40,21 @@ func (p PairAnswer) normalized() PairAnswer {
 // change per sweep is below threshold (< 1/n per the paper) or maxIter
 // sweeps. The estimated query answer is z[all bits set].
 func EstimateLambda(lambda int, pairs []PairAnswer, threshold float64, maxIter int) (float64, error) {
+	z, _, err := fitLambda(lambda, pairs, threshold, maxIter)
+	if err != nil {
+		return 0, err
+	}
+	return z[len(z)-1], nil
+}
+
+// fitLambda runs Algorithm 4's sweeps and returns z and the number of sweeps
+// run.
+func fitLambda(lambda int, pairs []PairAnswer, threshold float64, maxIter int) ([]float64, int, error) {
 	if lambda < 2 {
-		return 0, fmt.Errorf("estimate: lambda %d < 2", lambda)
+		return nil, 0, fmt.Errorf("estimate: lambda %d < 2", lambda)
 	}
 	if lambda > 20 {
-		return 0, fmt.Errorf("estimate: lambda %d too large", lambda)
+		return nil, 0, fmt.Errorf("estimate: lambda %d too large", lambda)
 	}
 	size := 1 << lambda
 	z := make([]float64, size)
@@ -51,28 +64,29 @@ func EstimateLambda(lambda int, pairs []PairAnswer, threshold float64, maxIter i
 	norm := make([]PairAnswer, len(pairs))
 	for i, p := range pairs {
 		if p.I < 0 || p.J <= p.I || p.J >= lambda {
-			return 0, fmt.Errorf("estimate: invalid pair (%d,%d) for lambda %d", p.I, p.J, lambda)
+			return nil, 0, fmt.Errorf("estimate: invalid pair (%d,%d) for lambda %d", p.I, p.J, lambda)
 		}
 		norm[i] = p.normalized()
 	}
-	if maxIter < 1 {
-		maxIter = 1
-	}
+	maxIter = max(maxIter, 1)
 	for iter := 0; iter < maxIter; iter++ {
 		var change float64
 		for _, p := range norm {
-			change += fitPair(z, lambda, p)
+			change += fitPair(z, p)
 		}
 		if change < threshold {
-			break
+			return z, iter + 1, nil
 		}
 	}
-	return z[size-1], nil
+	return z, maxIter, nil
 }
 
 // fitPair rescales the four sign-regions of pair (I, J) to match the pair's
-// answers and returns the total absolute change.
-func fitPair(z []float64, lambda int, p PairAnswer) float64 {
+// answers and returns the total absolute change. z stays non-negative (it
+// starts positive and every target is), so a region's entry-wise change
+// Σ|v·f − v| is |t − s|, with s its sum and t its target, and the change
+// is summed per region, not per entry.
+func fitPair(z []float64, p PairAnswer) float64 {
 	bitI := 1 << p.I
 	bitJ := 1 << p.J
 	var sums [4]float64
@@ -81,22 +95,17 @@ func fitPair(z []float64, lambda int, p PairAnswer) float64 {
 	}
 	targets := [4]float64{p.PP, p.PN, p.NP, p.NN}
 	var factors [4]float64
+	var change float64
 	for r := 0; r < 4; r++ {
 		if sums[r] > 0 {
 			factors[r] = targets[r] / sums[r]
+			change += math.Abs(targets[r] - sums[r])
 		} else {
 			factors[r] = 1
 		}
 	}
-	var change float64
 	for idx := range z {
-		old := z[idx]
-		z[idx] = old * factors[regionOf(idx, bitI, bitJ)]
-		if d := z[idx] - old; d >= 0 {
-			change += d
-		} else {
-			change -= d
-		}
+		z[idx] *= factors[regionOf(idx, bitI, bitJ)]
 	}
 	return change
 }

@@ -1,7 +1,9 @@
 package estimate
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -168,5 +170,145 @@ func TestRegionOf(t *testing.T) {
 		if got := regionOf(idx, bitI, bitJ); got != want {
 			t.Errorf("regionOf(%b) = %d, want %d", idx, got, want)
 		}
+	}
+}
+
+// fitPairEntrywise is fitPair as Algorithm 4 states it, taking each entry's
+// change |v·f − v| in turn: the reference for fitPair's per-region change.
+func fitPairEntrywise(z []float64, p PairAnswer) float64 {
+	bitI := 1 << p.I
+	bitJ := 1 << p.J
+	var sums [4]float64
+	for idx, v := range z {
+		sums[regionOf(idx, bitI, bitJ)] += v
+	}
+	targets := [4]float64{p.PP, p.PN, p.NP, p.NN}
+	var factors [4]float64
+	for r := 0; r < 4; r++ {
+		if sums[r] > 0 {
+			factors[r] = targets[r] / sums[r]
+		} else {
+			factors[r] = 1
+		}
+	}
+	var change float64
+	for idx := range z {
+		old := z[idx]
+		z[idx] = old * factors[regionOf(idx, bitI, bitJ)]
+		if d := z[idx] - old; d >= 0 {
+			change += d
+		} else {
+			change -= d
+		}
+	}
+	return change
+}
+
+// checkLambdaAgainstEntrywise runs fitLambda and the same sweeps over
+// fitPairEntrywise, and requires a bit-identical z and the same sweep count.
+func checkLambdaAgainstEntrywise(lambda int, pairs []PairAnswer, threshold float64, maxIter int) error {
+	z, sweeps, err := fitLambda(lambda, pairs, threshold, maxIter)
+	if err != nil {
+		return err
+	}
+	want := make([]float64, 1<<lambda)
+	for i := range want {
+		want[i] = 1 / float64(len(want))
+	}
+	wantSweeps := max(maxIter, 1)
+	for iter := 0; iter < max(maxIter, 1); iter++ {
+		var change float64
+		for _, p := range pairs {
+			change += fitPairEntrywise(want, p.normalized())
+		}
+		if change < threshold {
+			wantSweeps = iter + 1
+			break
+		}
+	}
+	if sweeps != wantSweeps {
+		return fmt.Errorf("λ=%d: %d sweeps, entry-wise reference ran %d", lambda, sweeps, wantSweeps)
+	}
+	for k := range want {
+		if z[k] != want[k] {
+			return fmt.Errorf("λ=%d: z[%d] = %v, entry-wise reference %v", lambda, k, z[k], want[k])
+		}
+	}
+	return nil
+}
+
+// randomPairs draws the C(λ,2) pair answers of a query: half the time the
+// exact answers of a random joint, on which the sweeps converge and the stop
+// rule decides the sweep count, otherwise independent draws that disagree,
+// some of them zero or negative.
+func randomPairs(rng *rand.Rand, lambda int) []PairAnswer {
+	if rng.Intn(2) == 0 {
+		joint := make([]float64, 1<<lambda)
+		var total float64
+		for k := range joint {
+			joint[k] = rng.Float64()
+			total += joint[k]
+		}
+		for k := range joint {
+			joint[k] /= total
+		}
+		return allPairs(joint, lambda)
+	}
+	var pairs []PairAnswer
+	for i := 0; i < lambda; i++ {
+		for j := i + 1; j < lambda; j++ {
+			var q [4]float64
+			for r := range q {
+				switch rng.Intn(10) {
+				case 0:
+				case 1:
+					q[r] = -rng.Float64() / 10
+				default:
+					q[r] = rng.Float64()
+				}
+			}
+			pairs = append(pairs, PairAnswer{I: i, J: j, PP: q[0], PN: q[1], NP: q[2], NN: q[3]})
+		}
+	}
+	return pairs
+}
+
+// The per-region change of fitPair must stop Algorithm 4 after the same
+// sweep as the entry-wise change, leaving a bit-identical z, for λ = 2..8.
+func TestFitLambdaMatchesEntrywise(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	thresholds := []float64{0, 1e-12, 1e-9, 1e-6, 1e-5, 1e-3}
+	for lambda := 2; lambda <= 8; lambda++ {
+		for trial := 0; trial < 60; trial++ {
+			threshold := thresholds[rng.Intn(len(thresholds))]
+			if err := checkLambdaAgainstEntrywise(lambda, randomPairs(rng, lambda), threshold, 1+rng.Intn(100)); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+	}
+}
+
+// BenchmarkEstimateLambda times Algorithm 4 at the 1/n threshold of a
+// 100k-report round on pair answers that disagree: at λ ≥ 3 every sweep up
+// to the cap of 100 runs, as on the pipeline benchmark's queries, and λ = 2
+// stops after its second sweep.
+func BenchmarkEstimateLambda(b *testing.B) {
+	for _, lambda := range []int{2, 3, 4} {
+		b.Run(fmt.Sprintf("lambda=%d", lambda), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(lambda)))
+			var pairs []PairAnswer
+			for i := 0; i < lambda; i++ {
+				for j := i + 1; j < lambda; j++ {
+					pairs = append(pairs, PairAnswer{I: i, J: j, PP: rng.Float64(), PN: rng.Float64(), NP: rng.Float64(), NN: rng.Float64()})
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := EstimateLambda(lambda, pairs, 1e-5, 100); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -5,8 +5,10 @@
 //
 // The weighted update runs in product form: on FELIP's constraints every
 // fitted entry is one factor of its 2-D cell times one factor of each of its
-// 1-D bands, so a sweep costs O(cells + bands), not O(d_i·d_j), and a pair's
-// summed-area table is built in one pass from the factors.
+// 1-D bands, so a sweep costs O(cells + bands), not O(d_i·d_j). Queries are
+// answered from the same factors (Product.Quadrants): a pair's four quadrant
+// masses cost O(segments + spans) per axis plus O(cells), and no per-value
+// matrix or table is built.
 package estimate
 
 import (
@@ -88,9 +90,9 @@ func ones(n int) []float64 {
 }
 
 // ExpandGrid is the uniform per-value expansion of a 2-D grid: value (v, w)
-// carries freq(cell)/(wx·wy), so span sums over its table equal Grid2D.Mass
-// of the same selection. It is the surface of a pair that no 1-D grid
-// refines, and involves no fit.
+// carries freq(cell)/(wx·wy), so its Quadrants equal Grid2D.Mass of the same
+// selections. It is the surface of a pair that no 1-D grid refines, and
+// involves no fit.
 func ExpandGrid(g2 *grid.Grid2D) *Product {
 	p := newProduct(g2, nil, nil)
 	for cx := 0; cx < g2.X.Cells(); cx++ {
@@ -211,27 +213,61 @@ func fitBands(segs []segment, perValue, bandMass, factors, targets []float64) fl
 	return change
 }
 
-// SummedArea builds the matrix's summed-area table in one pass over the
-// factors, accumulating each row's entries in the order NewSummedArea
-// accumulates a dense matrix's.
-func (p *Product) SummedArea() *SummedArea {
-	w := p.dy + 1
-	sums := make([]float64, (p.dx+1)*w)
-	for _, sx := range p.xs {
-		cells, xf := p.cell[sx.cell*p.ly:(sx.cell+1)*p.ly], p.xf[sx.band]
-		for x := sx.lo; x < sx.hi; x++ {
-			above, cur := sums[x*w:(x+1)*w], sums[(x+1)*w:(x+2)*w]
-			var rowSum float64
-			for _, sy := range p.ys {
-				v := cells[sy.cell] * xf * p.yf[sy.band]
-				for y := sy.lo; y < sy.hi; y++ {
-					rowSum += v
-					cur[y+1] = above[y+1] + rowSum
-				}
-			}
-		}
+// Quadrants returns the matrix's masses on the four sign combinations of an
+// associated 2-D query: PP on selX × selY, PN on selX and the complement of
+// selY, NP on the complement of selX and selY, and NN on both complements.
+// Both span lists must be ascending and disjoint. An entry is cell·xf·yf, so
+// each mass is the bilinear form Σ cell[cx,cy]·wx[cx]·wy[cy] over the 2-D
+// cells, where wx[cx] is the sum of the X band factors over the values of
+// cell cx inside (or outside) selX, and wy likewise. One walk over each
+// axis's segments and spans yields both weights, O(segments + spans), and
+// one pass over the cells all four forms, O(cells).
+func (p *Product) Quadrants(selX, selY []Span) PairAnswer {
+	lx, ly := len(p.cell)/p.ly, p.ly
+	// The weights of up to 64 cells over both axes stay on the stack, so a
+	// pair answer allocates nothing.
+	var buf [128]float64
+	w := buf[:]
+	if n := 2 * (lx + ly); n > len(w) {
+		w = make([]float64, n)
 	}
-	return &SummedArea{dx: p.dx, dy: p.dy, p: sums}
+	sx, nx := w[:lx], w[lx:2*lx]
+	sy, ny := w[2*lx:2*lx+ly], w[2*lx+ly:2*(lx+ly)]
+	splitWeights(p.xs, p.xf, selX, sx, nx)
+	splitWeights(p.ys, p.yf, selY, sy, ny)
+	var a PairAnswer
+	for cx := 0; cx < lx; cx++ {
+		var rowSel, rowNot float64
+		for cy, c := range p.cell[cx*ly : (cx+1)*ly] {
+			rowSel += c * sy[cy]
+			rowNot += c * ny[cy]
+		}
+		a.PP += sx[cx] * rowSel
+		a.PN += sx[cx] * rowNot
+		a.NP += nx[cx] * rowSel
+		a.NN += nx[cx] * rowNot
+	}
+	return a
+}
+
+// splitWeights adds to in[c] and out[c] the band factors of the values of
+// cell c inside and outside the ascending, disjoint spans: each segment adds
+// its factor times the number of its values the spans cover to one, and
+// times the rest to the other.
+func splitWeights(segs []segment, factors []float64, spans []Span, in, out []float64) {
+	k := 0
+	for _, s := range segs {
+		for k < len(spans) && spans[k].Hi <= s.lo {
+			k++
+		}
+		covered := 0
+		for j := k; j < len(spans) && spans[j].Lo < s.hi; j++ {
+			covered += min(spans[j].Hi, s.hi) - max(spans[j].Lo, s.lo)
+		}
+		f := factors[s.band]
+		in[s.cell] += float64(covered) * f
+		out[s.cell] += float64(s.hi-s.lo-covered) * f
+	}
 }
 
 // Matrix materialises the dense matrix.

@@ -273,10 +273,11 @@ func randomFitCase(rng *rand.Rand) (g2 *grid.Grid2D, gx, gy *grid.Grid1D, thresh
 
 // checkFitAgainstDense fits one problem with FitProduct and with the
 // entry-wise reference over GridConstraints and requires the same sweep
-// count, finite entries, every entry within fitClose of the reference, and
-// every corner of the table built from the factors within fitClose of
-// NewSummedArea over the reference matrix.
-func checkFitAgainstDense(g2 *grid.Grid2D, gx, gy *grid.Grid1D, threshold float64, maxIter int) error {
+// count, finite entries and every entry within fitClose of the reference.
+// On four selections drawn by pick it then requires each of the four
+// quadrant masses Quadrants answers to be within fitClose of the
+// reference's MaskSum.
+func checkFitAgainstDense(g2 *grid.Grid2D, gx, gy *grid.Grid1D, threshold float64, maxIter int, pick func(n int) int) error {
 	ref, err := NewMatrix(g2.X.Domain(), g2.Y.Domain())
 	if err != nil {
 		return err
@@ -294,31 +295,87 @@ func checkFitAgainstDense(g2 *grid.Grid2D, gx, gy *grid.Grid1D, threshold float6
 			return fmt.Errorf("entry %d = %v, dense reference %v", k, v, ref.Vals[k])
 		}
 	}
-	want, err := NewSummedArea(ref.Dx, ref.Dy, ref.Vals)
-	if err != nil {
-		return err
-	}
-	for k, v := range p.SummedArea().p {
-		if !fitClose(v, want.p[k]) {
-			return fmt.Errorf("table corner %d = %v, dense reference %v", k, v, want.p[k])
+	for k := 0; k < 4; k++ {
+		selX, selY := randomSpans(pick, ref.Dx), randomSpans(pick, ref.Dy)
+		q := p.Quadrants(selX, selY)
+		got := [4]float64{q.PP, q.PN, q.NP, q.NN}
+		mx, my := spanMask(selX, ref.Dx), spanMask(selY, ref.Dy)
+		nx, ny := spanMask(ComplementSpans(selX, ref.Dx), ref.Dx), spanMask(ComplementSpans(selY, ref.Dy), ref.Dy)
+		want := [4]float64{ref.MaskSum(mx, my), ref.MaskSum(mx, ny), ref.MaskSum(nx, my), ref.MaskSum(nx, ny)}
+		for r := range got {
+			if !fitClose(got[r], want[r]) {
+				return fmt.Errorf("selection %v × %v: quadrant %d = %v, dense reference %v", selX, selY, r, got[r], want[r])
+			}
 		}
 	}
 	return nil
 }
 
+// randomSpans draws an ascending, disjoint selection over [0, d), taking
+// every choice from pick, which returns a value in [0, n): nothing, the whole
+// domain, an IN-style set of single values and runs, or the complement of
+// one.
+func randomSpans(pick func(n int) int, d int) []Span {
+	kind := pick(4)
+	switch kind {
+	case 0:
+		return nil
+	case 1:
+		return []Span{{0, d}}
+	}
+	var spans []Span
+	for v := 0; v < d; v++ {
+		if pick(2) == 0 {
+			continue
+		}
+		if k := len(spans); k > 0 && spans[k-1].Hi == v {
+			spans[k-1].Hi++
+		} else {
+			spans = append(spans, Span{v, v + 1})
+		}
+	}
+	if kind == 3 {
+		return ComplementSpans(spans, d)
+	}
+	return spans
+}
+
+// spanMask is the per-value mask of a span selection over [0, d).
+func spanMask(spans []Span, d int) []bool {
+	mask := make([]bool, d)
+	for _, s := range spans {
+		for v := s.Lo; v < s.Hi; v++ {
+			mask[v] = true
+		}
+	}
+	return mask
+}
+
 // Property: the product fit runs the same number of sweeps as the entry-wise
-// reference and matches it entry for entry, and table corner for corner, up
-// to rounding.
+// reference and matches it entry for entry, and its quadrant masses match
+// the reference's mask sums, up to rounding: on random small problems and
+// on one with 70 cells over its two axes.
 func TestFitMatchesDenseReference(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(func(seed int64) bool {
-		g2, gx, gy, threshold, maxIter := randomFitCase(rand.New(rand.NewSource(seed)))
-		if err := checkFitAgainstDense(g2, gx, gy, threshold, maxIter); err != nil {
+		rng := rand.New(rand.NewSource(seed))
+		g2, gx, gy, threshold, maxIter := randomFitCase(rng)
+		if err := checkFitAgainstDense(g2, gx, gy, threshold, maxIter, rng.Intn); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		return true
 	}, cfg); err != nil {
+		t.Fatal(err)
+	}
+	// A pair with more cells than Quadrants keeps its weights for on the
+	// stack.
+	rng := rand.New(rand.NewSource(2))
+	g2 := grid.NewGrid2D(0, 1, grid.MustAxis(48, 40), grid.MustAxis(40, 30))
+	g2.Freq = randomFreq(rng, g2.L())
+	gx := grid.NewGrid1D(0, grid.MustAxis(48, 13))
+	gx.Freq = randomFreq(rng, gx.L())
+	if err := checkFitAgainstDense(g2, gx, nil, 1e-9, 20, rng.Intn); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -39,12 +39,13 @@ func (v *View) colMass(c int) float64 {
 // generalization that keeps Algorithm 2 sound when FELIP's per-grid sizes
 // produce non-nesting partitions (DESIGN.md §7): a partially-overlapping
 // cell would need the uniformity assumption and its bias would flatten
-// peaked distributions.
+// peaked distributions. Only the cells from the one holding lo up to the
+// last starting before hi are visited, in ascending order.
 func (v *View) intervalEstimate(lo, hi int) (mass, variance float64, ok bool) {
-	for c := range v.Cols {
+	for c := v.Axis.CellOf(lo); c < len(v.Cols); c++ {
 		cLo, cHi := v.Axis.CellRange(c)
-		if cHi <= lo || cLo >= hi {
-			continue
+		if cLo >= hi {
+			break
 		}
 		if cLo < lo || cHi > hi {
 			return 0, 0, false // partial overlap: not aligned
@@ -55,29 +56,26 @@ func (v *View) intervalEstimate(lo, hi int) (mass, variance float64, ok bool) {
 	return mass, variance, true
 }
 
-// retargetInterval additively adjusts the view's cells inside the aligned
-// interval [lo, hi) so their total mass equals target, spreading the
-// correction equally over the flat cells — Algorithm 2's update step.
+// retargetInterval additively adjusts the view's cells inside the interval
+// [lo, hi) so their total mass equals target, spreading the correction
+// equally over the flat cells — Algorithm 2's update step. The interval must
+// align with the view's cells (intervalEstimate's ok), so the cells it
+// covers are those holding lo through hi−1.
 func (v *View) retargetInterval(lo, hi int, target float64) {
+	first, last := v.Axis.CellOf(lo), v.Axis.CellOf(hi-1)
 	var mass float64
 	var flat int
-	for c := range v.Cols {
-		cLo, cHi := v.Axis.CellRange(c)
-		if cLo >= lo && cHi <= hi {
-			mass += v.colMass(c)
-			flat += len(v.Cols[c])
-		}
+	for c := first; c <= last; c++ {
+		mass += v.colMass(c)
+		flat += len(v.Cols[c])
 	}
 	if flat == 0 {
 		return
 	}
 	delta := (target - mass) / float64(flat)
-	for c := range v.Cols {
-		cLo, cHi := v.Axis.CellRange(c)
-		if cLo >= lo && cHi <= hi {
-			for _, idx := range v.Cols[c] {
-				v.Freq[idx] += delta
-			}
+	for c := first; c <= last; c++ {
+		for _, idx := range v.Cols[c] {
+			v.Freq[idx] += delta
 		}
 	}
 }

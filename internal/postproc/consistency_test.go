@@ -2,6 +2,7 @@ package postproc
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"felip/internal/grid"
@@ -202,5 +203,222 @@ func TestPipelineZeroRoundsClamped(t *testing.T) {
 	Pipeline(nil, [][]float64{f}, 0)
 	if f[0] < 0 || math.Abs(sum(f)-1) > 1e-9 {
 		t.Errorf("rounds=0 should still normalize: %v", f)
+	}
+}
+
+// intervalEstimateFullScan is intervalEstimate scanning every cell of the
+// view: the reference for the covered-cells walk.
+func (v *View) intervalEstimateFullScan(lo, hi int) (mass, variance float64, ok bool) {
+	for c := range v.Cols {
+		cLo, cHi := v.Axis.CellRange(c)
+		if cHi <= lo || cLo >= hi {
+			continue
+		}
+		if cLo < lo || cHi > hi {
+			return 0, 0, false
+		}
+		mass += v.colMass(c)
+		variance += float64(len(v.Cols[c])) * v.Var0
+	}
+	return mass, variance, true
+}
+
+// retargetIntervalFullScan is retargetInterval scanning every cell of the
+// view.
+func (v *View) retargetIntervalFullScan(lo, hi int, target float64) {
+	var mass float64
+	var flat int
+	for c := range v.Cols {
+		cLo, cHi := v.Axis.CellRange(c)
+		if cLo >= lo && cHi <= hi {
+			mass += v.colMass(c)
+			flat += len(v.Cols[c])
+		}
+	}
+	if flat == 0 {
+		return
+	}
+	delta := (target - mass) / float64(flat)
+	for c := range v.Cols {
+		cLo, cHi := v.Axis.CellRange(c)
+		if cLo >= lo && cHi <= hi {
+			for _, idx := range v.Cols[c] {
+				v.Freq[idx] += delta
+			}
+		}
+	}
+}
+
+// pipelineFullScan is Pipeline with HarmonizeAttribute's consensus loop
+// over the full-scan references.
+func pipelineFullScan(attrViews [][]View, freqs [][]float64, rounds int) {
+	for i := range freqs {
+		NormSub(freqs[i], 1)
+	}
+	for r := 0; r < max(rounds, 1); r++ {
+		for _, views := range attrViews {
+			d := views[0].Axis.Domain()
+			consistent := len(views) > 1
+			for i := range views {
+				consistent = consistent && views[i].Axis.Domain() == d
+			}
+			if !consistent {
+				continue
+			}
+			var aligned []int
+			for owner := range views {
+				for c := range views[owner].Cols {
+					lo, hi := views[owner].Axis.CellRange(c)
+					var num, den float64
+					pinned := false
+					aligned = aligned[:0]
+					for j := range views {
+						mass, variance, ok := views[j].intervalEstimateFullScan(lo, hi)
+						if !ok {
+							continue
+						}
+						aligned = append(aligned, j)
+						if pinned {
+							continue
+						}
+						if variance <= 0 {
+							num, den = mass, 1
+							pinned = true
+							continue
+						}
+						num += mass / variance
+						den += 1 / variance
+					}
+					if len(aligned) < 2 || den <= 0 {
+						continue
+					}
+					for _, j := range aligned {
+						views[j].retargetIntervalFullScan(lo, hi, num/den)
+					}
+				}
+			}
+		}
+		for i := range freqs {
+			NormSub(freqs[i], 1)
+		}
+	}
+}
+
+// randomConsistencyCase builds the views of two attributes a and b, with
+// domains of 1–300: 1–6 grids over a, each a 1-D grid or a 2-D grid over
+// (a, b), and optionally a 1-D grid over b. An axis repeats a shared
+// partition (aligned), keeps a random subset of its boundaries (nested) or
+// is cut independently, equal-width or at random points (non-aligned).
+// Targets are noisy, some negative; a few grids are error-free.
+func randomConsistencyCase(rng *rand.Rand) (attrViews [][]View, freqs [][]float64) {
+	da, db := 1+rng.Intn(300), 1+rng.Intn(300)
+	partition := func(d int) []int {
+		bounds := []int{0}
+		for p := 1; p < d; p++ {
+			if rng.Intn(1+rng.Intn(8)) == 0 {
+				bounds = append(bounds, p)
+			}
+		}
+		return append(bounds, d)
+	}
+	sharedA, sharedB := partition(da), partition(db)
+	axis := func(d int, shared []int) *grid.Axis {
+		var bounds []int
+		switch rng.Intn(4) {
+		case 0:
+			bounds = shared
+		case 1:
+			bounds = []int{0}
+			for _, b := range shared[1 : len(shared)-1] {
+				if rng.Intn(2) == 0 {
+					bounds = append(bounds, b)
+				}
+			}
+			bounds = append(bounds, d)
+		case 2:
+			return grid.MustAxis(d, 1+rng.Intn(min(d, 40)))
+		default:
+			bounds = partition(d)
+		}
+		a, err := grid.NewCustomAxis(d, bounds)
+		if err != nil {
+			panic(err)
+		}
+		return a
+	}
+	draw := func(cells int) ([]float64, float64) {
+		f := make([]float64, cells)
+		for k := range f {
+			f[k] = (rng.Float64() - 0.2) * 2 / float64(cells)
+		}
+		if rng.Intn(10) == 0 {
+			return f, 0
+		}
+		return f, rng.Float64() / float64(cells)
+	}
+	var viewsA, viewsB []View
+	for n := 1 + rng.Intn(6); n > 0; n-- {
+		ax := axis(da, sharedA)
+		if rng.Intn(2) == 0 {
+			f, v0 := draw(ax.Cells())
+			viewsA = append(viewsA, View{Axis: ax, Freq: f, Cols: Columns1D(ax.Cells()), Var0: v0})
+			freqs = append(freqs, f)
+			continue
+		}
+		by := axis(db, sharedB)
+		f, v0 := draw(ax.Cells() * by.Cells())
+		viewsA = append(viewsA, View{Axis: ax, Freq: f, Cols: ColumnsX(ax.Cells(), by.Cells()), Var0: v0})
+		viewsB = append(viewsB, View{Axis: by, Freq: f, Cols: ColumnsY(ax.Cells(), by.Cells()), Var0: v0})
+		freqs = append(freqs, f)
+	}
+	if rng.Intn(2) == 0 {
+		by := axis(db, sharedB)
+		f, v0 := draw(by.Cells())
+		viewsB = append(viewsB, View{Axis: by, Freq: f, Cols: Columns1D(by.Cells()), Var0: v0})
+		freqs = append(freqs, f)
+	}
+	attrViews = append(attrViews, viewsA)
+	if len(viewsB) > 1 {
+		attrViews = append(attrViews, viewsB)
+	}
+	return attrViews, freqs
+}
+
+// cloneCase deep-copies a case's frequency vectors, rebinding its views.
+func cloneCase(attrViews [][]View, freqs [][]float64) ([][]View, [][]float64) {
+	copies := make(map[*float64][]float64, len(freqs))
+	out := make([][]float64, len(freqs))
+	for i, f := range freqs {
+		out[i] = append([]float64(nil), f...)
+		copies[&f[0]] = out[i]
+	}
+	views := make([][]View, len(attrViews))
+	for a, vs := range attrViews {
+		for _, v := range vs {
+			v.Freq = copies[&v.Freq[0]]
+			views[a] = append(views[a], v)
+		}
+	}
+	return views, out
+}
+
+// Visiting only the cells an interval covers must leave Pipeline's output
+// bit-identical to the full scan: the same columns are added in the same
+// order, on aligned, nested and non-aligned axes, over 1–3 rounds.
+func TestPipelineMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 300; trial++ {
+		attrViews, freqs := randomConsistencyCase(rng)
+		refViews, refFreqs := cloneCase(attrViews, freqs)
+		rounds := 1 + rng.Intn(3)
+		Pipeline(attrViews, freqs, rounds)
+		pipelineFullScan(refViews, refFreqs, rounds)
+		for i := range freqs {
+			for k := range freqs[i] {
+				if freqs[i][k] != refFreqs[i][k] {
+					t.Fatalf("trial %d: grid %d cell %d = %v, full scan %v", trial, i, k, freqs[i][k], refFreqs[i][k])
+				}
+			}
+		}
 	}
 }

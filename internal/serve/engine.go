@@ -14,14 +14,16 @@
 //
 //   - an attr → covering-grid index and per-value marginals with prefix sums,
 //     so a 1-D query costs O(#spans) lookups;
-//   - summed-area (2-D prefix-sum) tables over every pair's per-value
-//     frequency surface, so each sign-combination answer of an associated
-//     2-D query costs O(1) corner lookups per pair of spans;
+//   - every pair's per-value frequency surface in product form
+//     (estimate.Product): the fitted response matrix's factors, or the 2-D
+//     grid's uniform expansion, from which the four sign-combination answers
+//     of an associated 2-D query cost O(segments + spans) per axis plus
+//     O(cells), with no per-value table;
 //   - per-pair singleflight for response-matrix construction: a cache miss
 //     fits one pair's matrix (Algorithm 3) while hits — and misses on other
 //     pairs — proceed concurrently;
-//   - a parallel Warmup that precomputes every response matrix up front, and
-//     a batch answer API that fans a query workload across GOMAXPROCS.
+//   - a parallel Warmup that runs every response-matrix fit up front, and a
+//     batch answer API that fans a query workload across GOMAXPROCS.
 //
 // Engines are immutable once built: round k's engine keeps serving while
 // round k+1 collects, and the HTTP layer swaps the new round's engine in
@@ -85,19 +87,18 @@ type pairPlan struct {
 	// per-value surface is the response matrix (Algorithm 3), fitted on first
 	// use (or Warmup) under per-pair singleflight.
 	lazy bool
-	// sat is the summed-area table over the pair's per-value frequency
-	// surface; for non-lazy pairs it is the uniform expansion of the 2-D
-	// grid, built eagerly here.
-	sat *estimate.SummedArea
+	// surface is a non-lazy pair's per-value surface, the uniform expansion
+	// of its 2-D grid, built eagerly here.
+	surface *estimate.Product
 }
 
 // matrixSlot is one pair's singleflight build: the first query to miss claims
 // the slot and fits the matrix outside any shared lock; everyone else waits
 // on ready.
 type matrixSlot struct {
-	ready chan struct{}
-	sat   *estimate.SummedArea
-	err   error
+	ready   chan struct{}
+	surface *estimate.Product
+	err     error
 }
 
 // Engine is the immutable query-serving side of one finalized FELIP round.
@@ -125,8 +126,8 @@ type Engine struct {
 
 // NewEngine builds the serving engine for a finalized round. The aggregator
 // must not be mutated afterwards (finalized rounds never are). Static
-// per-pair tables are built eagerly; response matrices are fitted lazily on
-// first use — call Warmup to prepay all of them in parallel.
+// per-pair surfaces are built eagerly; response matrices are fitted lazily
+// on first use — call Warmup to prepay all of them in parallel.
 func NewEngine(agg *core.Aggregator) (*Engine, error) {
 	if agg == nil {
 		return nil, fmt.Errorf("serve: nil aggregator")
@@ -159,7 +160,7 @@ func NewEngine(agg *core.Aggregator) (*Engine, error) {
 			if !ok {
 				return nil, fmt.Errorf("serve: spec names pair (%d,%d) but no grid exists", sp.AttrX, sp.AttrY)
 			}
-			plan.sat = estimate.ExpandGrid(g2).SummedArea()
+			plan.surface = estimate.ExpandGrid(g2)
 		}
 		e.pairs[key] = plan
 	}
@@ -202,7 +203,7 @@ func (e *Engine) N() int { return e.n }
 // Aggregator returns the finalized round the engine was built from.
 func (e *Engine) Aggregator() *core.Aggregator { return e.agg }
 
-// Warmup fits every not-yet-built response matrix in parallel (via the same
+// Warmup fits every not-yet-fitted response matrix in parallel (via the same
 // fan-out grid estimation uses), so the first query burst after a round swap
 // never pays an Algorithm-3 fit inline. Idempotent and safe to run
 // concurrently with queries; returns the first build error in pair order.
@@ -224,17 +225,17 @@ func (e *Engine) Warmup() error {
 		return keys[a][1] < keys[b][1]
 	})
 	return core.FanOut(len(keys), func(i int) error {
-		_, err := e.pairSAT(keys[i][0], keys[i][1])
+		_, err := e.pairSurface(keys[i][0], keys[i][1])
 		return err
 	})
 }
 
 // Answer estimates the fractional answer f_q of a multidimensional query
-// (§5.6) from the engine's prefix-summed surfaces: 1-D queries read the best
-// marginal, λ ≥ 2 queries recombine all C(λ,2) associated 2-D answers with
-// Algorithm 4. Answers agree with a per-value mask scan over the same grids
-// and matrices up to floating-point summation order (the summed-area tables
-// add the same masses by differencing rather than by scanning).
+// (§5.6) from the engine's surfaces: 1-D queries read the best marginal,
+// λ ≥ 2 queries recombine all C(λ,2) associated 2-D answers with Algorithm 4.
+// Answers agree with a per-value mask scan over the same grids and matrices
+// up to floating-point summation order (the product form adds per-cell
+// weights, not entries).
 func (e *Engine) Answer(q query.Query) (float64, error) {
 	start := time.Now()
 	defer func() { queryTimer.Observe(time.Since(start)) }()
@@ -248,19 +249,15 @@ func (e *Engine) Answer(q query.Query) (float64, error) {
 
 	attrs := q.Attrs()
 	spans := make(map[int][]estimate.Span, lambda)
-	compl := make(map[int][]estimate.Span, lambda)
 	for _, p := range q.Preds {
-		d := e.schema.Attr(p.Attr).Size
-		s := p.Spans(d)
-		spans[p.Attr] = s
-		compl[p.Attr] = estimate.ComplementSpans(s, d)
+		spans[p.Attr] = p.Spans(e.schema.Attr(p.Attr).Size)
 	}
 
 	pairs := make([]estimate.PairAnswer, 0, lambda*(lambda-1)/2)
 	for ii := 0; ii < lambda; ii++ {
 		for jj := ii + 1; jj < lambda; jj++ {
 			ai, aj := attrs[ii], attrs[jj]
-			pa, err := e.pairAnswer(ai, aj, spans[ai], spans[aj], compl[ai], compl[aj])
+			pa, err := e.pairAnswer(ai, aj, spans[ai], spans[aj])
 			if err != nil {
 				return 0, err
 			}
@@ -307,41 +304,34 @@ func (e *Engine) answer1D(p query.Predicate) (float64, error) {
 }
 
 // pairAnswer computes the four sign-combination answers of the associated
-// 2-D query on attributes (i < j) as span sums over the pair's summed-area
-// table.
-func (e *Engine) pairAnswer(i, j int, selI, selJ, notI, notJ []estimate.Span) (estimate.PairAnswer, error) {
-	sat, err := e.pairSAT(i, j)
+// 2-D query on attributes (i < j) from the pair's surface.
+func (e *Engine) pairAnswer(i, j int, selI, selJ []estimate.Span) (estimate.PairAnswer, error) {
+	p, err := e.pairSurface(i, j)
 	if err != nil {
 		return estimate.PairAnswer{}, err
 	}
-	return estimate.PairAnswer{
-		PP: sat.SpanSum(selI, selJ),
-		PN: sat.SpanSum(selI, notJ),
-		NP: sat.SpanSum(notI, selJ),
-		NN: sat.SpanSum(notI, notJ),
-	}, nil
+	return p.Quadrants(selI, selJ), nil
 }
 
-// pairSAT returns the pair's summed-area table, fitting the response matrix
-// under per-pair singleflight on first use. The engine lock guards only the
-// slot map — never the fit, O(cells + bands) per sweep, or the O(di·dj)
-// table — so a miss on pair (a,b) cannot stall hits or misses on any other
-// pair.
-func (e *Engine) pairSAT(i, j int) (*estimate.SummedArea, error) {
+// pairSurface returns the pair's per-value surface, fitting the response
+// matrix under per-pair singleflight on first use. The engine lock guards
+// only the slot map — never the fit, O(cells + bands) per sweep — so a miss
+// on pair (a,b) cannot stall hits or misses on any other pair.
+func (e *Engine) pairSurface(i, j int) (*estimate.Product, error) {
 	key := [2]int{i, j}
 	plan, ok := e.pairs[key]
 	if !ok {
 		return nil, fmt.Errorf("serve: no 2-D grid for pair (%d,%d)", i, j)
 	}
 	if !plan.lazy {
-		return plan.sat, nil
+		return plan.surface, nil
 	}
 	e.mu.Lock()
 	if slot, ok := e.matrices[key]; ok {
 		e.mu.Unlock()
 		cacheHits.Inc()
 		<-slot.ready
-		return slot.sat, slot.err
+		return slot.surface, slot.err
 	}
 	slot := &matrixSlot{ready: make(chan struct{})}
 	e.matrices[key] = slot
@@ -351,22 +341,21 @@ func (e *Engine) pairSAT(i, j int) (*estimate.SummedArea, error) {
 	if hook := testHookMatrixFit; hook != nil {
 		hook(key)
 	}
-	slot.sat, slot.err = e.buildMatrixSAT(i, j)
+	slot.surface, slot.err = e.fitMatrix(i, j)
 	close(slot.ready)
-	return slot.sat, slot.err
+	return slot.surface, slot.err
 }
 
-// buildMatrixSAT fits pair (i, j)'s response matrix (Algorithm 3) over Γ
-// (§5.5) — its 2-D grid and whichever related 1-D grids were collected: both
-// for num×num, only the numerical one when the other attribute is
-// categorical — with the aggregator's parameters, and builds the summed-area
-// table from the fitted factors.
-func (e *Engine) buildMatrixSAT(i, j int) (*estimate.SummedArea, error) {
+// fitMatrix fits pair (i, j)'s response matrix (Algorithm 3) over Γ (§5.5) —
+// its 2-D grid and whichever related 1-D grids were collected: both for
+// num×num, only the numerical one when the other attribute is categorical —
+// with the aggregator's parameters.
+func (e *Engine) fitMatrix(i, j int) (*estimate.Product, error) {
 	g2, ok := e.agg.Grid2D(i, j)
 	if !ok {
 		return nil, fmt.Errorf("serve: no 2-D grid for pair (%d,%d)", i, j)
 	}
 	gx, _ := e.agg.Grid1D(i)
 	gy, _ := e.agg.Grid1D(j)
-	return estimate.FitProduct(g2, gx, gy, e.threshold, e.matrixMaxIter).SummedArea(), nil
+	return estimate.FitProduct(g2, gx, gy, e.threshold, e.matrixMaxIter), nil
 }

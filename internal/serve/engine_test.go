@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -63,8 +64,8 @@ func workload(t *testing.T, s *domain.Schema, count int, seed uint64) []query.Qu
 }
 
 // The engine must reproduce the mask-scan reference (maskscan_test.go). λ ≤ 2
-// answers are compared at floating-point noise level (the summed-area tables
-// add the same masses in a different order, so the last ULPs may differ);
+// answers are compared at floating-point noise level (the product form adds
+// the same masses in a different order, so the last ULPs may differ);
 // λ ≥ 3 goes through IPF whose iteration count may shift under such
 // perturbations, so those agree to within the convergence threshold (1/n).
 // Besides plain OUG and OHG rounds, the inputs include adaptive rounds, whose
@@ -477,7 +478,7 @@ func benchmarkPlanRound(tb testing.TB) *core.Aggregator {
 
 // On the pipeline benchmark's plan every response matrix the engine fits
 // must match the entry-wise reference within 1e-12 relative, and the
-// engine's answers must match answers served from the reference matrices.
+// engine's answers must match the mask scan over the reference matrices.
 func TestEngineMatchesDenseFitOnBenchmarkPlan(t *testing.T) {
 	agg := benchmarkPlanRound(t)
 	schema := agg.Schema()
@@ -486,18 +487,14 @@ func TestEngineMatchesDenseFitOnBenchmarkPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// ref serves the same round from the dense reference matrices.
-	ref := engineFor(t, agg)
+	ref := newMaskScan(agg)
 	fitted := 0
 	for key, plan := range eng.pairs {
 		if !plan.lazy {
 			continue
 		}
 		fitted++
-		g2, _ := agg.Grid2D(key[0], key[1])
-		gx, _ := agg.Grid1D(key[0])
-		gy, _ := agg.Grid1D(key[1])
-		got := estimate.FitProduct(g2, gx, gy, eng.threshold, eng.matrixMaxIter).Matrix()
+		got := eng.matrices[key].surface.Matrix()
 		want, err := denseResponse(agg, key[0], key[1])
 		if err != nil {
 			t.Fatal(err)
@@ -507,13 +504,7 @@ func TestEngineMatchesDenseFitOnBenchmarkPlan(t *testing.T) {
 				t.Fatalf("pair %v entry %d: product fit %v, dense reference %v", key, k, got.Vals[k], w)
 			}
 		}
-		sat, err := estimate.NewSummedArea(want.Dx, want.Dy, want.Vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slot := &matrixSlot{ready: make(chan struct{}), sat: sat}
-		close(slot.ready)
-		ref.matrices[key] = slot
+		ref.matrices[key] = want
 	}
 	if fitted != 27 {
 		t.Fatalf("benchmark plan fitted %d response matrices, want 27", fitted)
@@ -533,8 +524,7 @@ func TestEngineMatchesDenseFitOnBenchmarkPlan(t *testing.T) {
 
 // BenchmarkEngineWarmup times the serving side of a round close on the
 // pipeline benchmark's plan: NewEngine, then a Warmup that fits the 27
-// response matrices and builds their tables. Run it with -cpu 1,2 to see
-// Warmup's fan-out.
+// response matrices. Run it with -cpu 1,2 to see Warmup's fan-out.
 func BenchmarkEngineWarmup(b *testing.B) {
 	agg := benchmarkPlanRound(b)
 	b.ReportAllocs()
@@ -550,38 +540,57 @@ func BenchmarkEngineWarmup(b *testing.B) {
 	}
 }
 
-// uniformExpansionSAT is the table the engine built for a pair no 1-D grid
-// refines before ExpandGrid: the dense per-value expansion, value (v, w)
-// carrying freq(cell)/(wx·wy), summed by NewSummedArea.
-func uniformExpansionSAT(g *grid.Grid2D) (*estimate.SummedArea, error) {
+// uniformExpansion is the surface the engine serves a pair no 1-D grid
+// refines from, as a dense per-value matrix: value (v, w) carries
+// freq(cell)/(wx·wy).
+func uniformExpansion(g *grid.Grid2D) *estimate.Matrix {
 	di, dj := g.X.Domain(), g.Y.Domain()
-	vals := make([]float64, di*dj)
+	m := &estimate.Matrix{Dx: di, Dy: dj, Vals: make([]float64, di*dj)}
 	for cx := 0; cx < g.X.Cells(); cx++ {
 		xLo, xHi := g.X.CellRange(cx)
 		for cy := 0; cy < g.Y.Cells(); cy++ {
 			yLo, yHi := g.Y.CellRange(cy)
 			share := g.At(cx, cy) / float64((xHi-xLo)*(yHi-yLo))
 			for v := xLo; v < xHi; v++ {
-				row := vals[v*dj : (v+1)*dj]
+				row := m.Vals[v*dj : (v+1)*dj]
 				for w := yLo; w < yHi; w++ {
 					row[w] = share
 				}
 			}
 		}
 	}
-	return estimate.NewSummedArea(di, dj, vals)
+	return m
+}
+
+// randomPredicate draws a BETWEEN or an IN predicate (possibly empty, or
+// the whole domain) on attribute attr of domain size d.
+func randomPredicate(rng *rand.Rand, attr, d int) query.Predicate {
+	if rng.Intn(2) == 0 {
+		lo := rng.Intn(d)
+		return query.NewRange(attr, lo, lo+rng.Intn(d-lo))
+	}
+	var vals []int
+	for v := 0; v < d; v++ {
+		if rng.Intn(3) == 0 {
+			vals = append(vals, v)
+		}
+	}
+	return query.NewIn(attr, vals...)
 }
 
 // Every pair no 1-D grid refines — all of an OUG round's, an OHG round's
-// cat×cat ones — is served from ExpandGrid's table, built from unit band
-// factors. Its every corner must be bit-identical to the dense expansion's,
-// on equal-width and on equi-mass axes.
+// cat×cat ones — is served from ExpandGrid's unit band factors. Its entries
+// must be bit-identical to the dense expansion's, on equal-width and on
+// equi-mass axes, and the four quadrant masses the engine answers random
+// BETWEEN and IN predicates with must match the dense expansion's MaskSum
+// within 1e-12 relative or 1e-18 absolute.
 func TestExpandGridBitIdenticalToDenseExpansion(t *testing.T) {
 	ds := dataset.NewNormal().Generate(testSchema(), 20000, 101)
 	ad, err := adaptive.Collect(ds, adaptive.Options{Core: core.Options{Strategy: core.OUG, Epsilon: 2.0, Seed: 102}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(1205))
 	checked := 0
 	for _, agg := range []*core.Aggregator{collectFor(t, core.OUG, 20000, 101), ad.Inner(), collectFor(t, core.OHG, 20000, 101)} {
 		eng := engineFor(t, agg)
@@ -591,15 +600,29 @@ func TestExpandGridBitIdenticalToDenseExpansion(t *testing.T) {
 			}
 			checked++
 			g2, _ := agg.Grid2D(key[0], key[1])
-			want, err := uniformExpansionSAT(g2)
-			if err != nil {
-				t.Fatal(err)
+			want := uniformExpansion(g2)
+			for k, v := range plan.surface.Matrix().Vals {
+				if v != want.Vals[k] {
+					t.Fatalf("%v pair %v entry %d: %v, dense expansion %v", agg.Strategy(), key, k, v, want.Vals[k])
+				}
 			}
-			dx, dy := want.Dims()
-			for x := 0; x <= dx; x++ {
-				for y := 0; y <= dy; y++ {
-					if got, w := plan.sat.RectSum(0, x, 0, y), want.RectSum(0, x, 0, y); got != w {
-						t.Fatalf("%v pair %v corner (%d,%d): %v, dense expansion %v", agg.Strategy(), key, x, y, got, w)
+			for trial := 0; trial < 50; trial++ {
+				px, py := randomPredicate(rng, key[0], want.Dx), randomPredicate(rng, key[1], want.Dy)
+				selX, selY := px.Spans(want.Dx), py.Spans(want.Dy)
+				q := plan.surface.Quadrants(selX, selY)
+				mx, my := px.Selection(want.Dx), py.Selection(want.Dy)
+				nx, ny := make([]bool, want.Dx), make([]bool, want.Dy)
+				for v := range nx {
+					nx[v] = !mx[v]
+				}
+				for v := range ny {
+					ny[v] = !my[v]
+				}
+				got := [4]float64{q.PP, q.PN, q.NP, q.NN}
+				wantQ := [4]float64{want.MaskSum(mx, my), want.MaskSum(mx, ny), want.MaskSum(nx, my), want.MaskSum(nx, ny)}
+				for r := range got {
+					if d := math.Abs(got[r] - wantQ[r]); d > 1e-18 && d > 1e-12*math.Abs(wantQ[r]) {
+						t.Fatalf("%v pair %v, %v and %v: quadrant %d = %v, dense expansion %v", agg.Strategy(), key, px, py, r, got[r], wantQ[r])
 					}
 				}
 			}
