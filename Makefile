@@ -112,13 +112,16 @@ chaos-failover:
 		-run 'TestClusterFailoverBitIdentical|TestPromotedFollowerStateBitIdentical|TestPromotionRefusedOnCorruptSegment|TestMembershipHeartbeatFlappingAroundTimeout|TestShardJoinsWhileRoundIsSealing' \
 		./internal/cluster
 
-# Idle-round + batch-ingest chaos drill: restart and promotion replay chains
-# crossing a zero-report round, truncated-segment refusal, and batch frames
-# surviving mid-write crashes and seal straddling exactly-once — under the
-# race detector.
+# Round-lifecycle, idle-round and batch-ingest chaos drill: every round phase
+# driven through every event (the phase × event table), a finalize or state
+# pull finishing after the advance settling into its own round, Close ending
+# a server with no segment open, restart and promotion replay chains crossing
+# a zero-report round, truncated-segment refusal, and batch frames surviving
+# mid-write crashes and seal straddling exactly-once — under the race
+# detector.
 chaos-idle:
 	$(GO) test -race -v \
-		-run 'TestRestartChainSpansIdleRound|TestEmptySealReplayRepullIdentical|TestPromotionChainSpansIdleRound|TestFollowerRefusesTruncatedArchivedRound|TestBatch' \
+		-run 'TestRoundLifecycleTable|TestFinalizeAfterAdvanceStaysInItsRound|TestStatePullAfterAdvanceStaysInItsRound|TestCloseEndsServerWithoutSegment|TestRestartChainSpansIdleRound|TestEmptySealReplayRepullIdentical|TestPromotionChainSpansIdleRound|TestFollowerRefusesTruncatedArchivedRound|TestBatch' \
 		./internal/httpapi ./internal/cluster
 
 # Longitudinal chaos drill: kill a device (and, at the HTTP layer, the server

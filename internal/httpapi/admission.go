@@ -20,7 +20,7 @@ import (
 //  1. checkChannel compares a submission's claimed mode and longitudinal
 //     flag with the plan (WAL replay runs it too);
 //  2. classifyLocked decides each report's disposition, checking in order:
-//     dedup across requests and within the batch, round closed, the plan
+//     dedup across requests and within the batch, round past open, the plan
 //     (Collector.Check), and the attr of a non-FELIP report;
 //  3. commitLocked appends the accepted records in one WAL write, then
 //     folds and counts them.
@@ -91,22 +91,12 @@ func (s *Server) checkMessage(msg wire.ReportMessage) (rep core.Report, claim fo
 	return rep, claim, err
 }
 
-// roundClosedLocked reports whether the round refuses new reports: it is
-// finalized, sealed by a state pull or replayed as sealed empty, or a
-// finalize is in flight. The last case matters because the collector may not
-// have sealed itself yet: a report slipping in after the operator asked to
-// close would be silently absent from the published estimates. Caller holds
-// s.mu.
-func (s *Server) roundClosedLocked() bool {
-	return s.agg != nil || s.finalizing != nil || s.shardState != nil || s.sealedEmpty
-}
-
-// rejectLocked charges n refused submissions to the rejection counter and to
-// the mode they claimed, so the operator sees whose traffic is refused.
-// Caller holds s.mu.
+// rejectLocked charges n refused submissions to the current round's
+// rejection counter and to the mode they claimed, so the operator sees whose
+// traffic is refused. Caller holds s.mu.
 func (s *Server) rejectLocked(claim fo.ReportMode, n int) {
-	s.wireRejected += n
-	s.modeRejected[claim.String()] += n
+	s.cur.wireRejected += n
+	s.cur.modeRejected[claim.String()] += n
 }
 
 // admitLocked admits a batch whose channel checkChannel has proved: it
@@ -114,14 +104,13 @@ func (s *Server) rejectLocked(claim fo.ReportMode, n int) {
 // together. On success each submission carries its disposition. An error
 // refuses the batch whole, with the HTTP status to answer. Caller holds s.mu.
 func (s *Server) admitLocked(b *batch) (int, error) {
-	if s.closed {
-		return http.StatusServiceUnavailable, fmt.Errorf("server shutting down")
+	if s.cur.closed {
+		return http.StatusServiceUnavailable, errShuttingDown
 	}
-	roundClosed := s.roundClosedLocked()
 	clear(b.seen)
 	for i := range b.subs {
 		sub := &b.subs[i]
-		sub.disp, sub.reason = s.classifyLocked(b, sub, roundClosed)
+		sub.disp, sub.reason = s.classifyLocked(b, sub)
 		if sub.disp == wire.DispositionAccepted {
 			sub.idStr = string(sub.id)
 			if b.seen != nil {
@@ -138,7 +127,7 @@ func (s *Server) admitLocked(b *batch) (int, error) {
 // classifyLocked decides one submission's disposition. Conflicts and attr
 // mismatches are charged here; Collector.Check charges the plan failures it
 // finds itself. Caller holds s.mu.
-func (s *Server) classifyLocked(b *batch, sub *submission, roundClosed bool) (int, error) {
+func (s *Server) classifyLocked(b *batch, sub *submission) (int, error) {
 	// A report that does not pack never equals a stored key, which passed
 	// Check: a retry of a stored id under such a payload is a conflict.
 	key, packed := packKey(sub.rep)
@@ -156,13 +145,16 @@ func (s *Server) classifyLocked(b *batch, sub *submission, roundClosed bool) (in
 	case seen:
 		s.rejectLocked(s.mode, 1)
 		return wire.DispositionConflict, fmt.Errorf("report_id %q reused with a different payload", sub.id)
-	case roundClosed:
+	case s.cur.phase != phaseOpen:
+		// Finalizing counts: the collector may not have sealed itself yet, and
+		// a report slipping in after the operator asked to close would be
+		// silently absent from the published estimates.
 		return wire.DispositionConflict, core.ErrFinalized
 	}
 	// Checking against the plan before the WAL append means the log only
 	// ever holds reports the collector accepts on replay. A collector that
 	// already refuses reports is a round-state conflict, not a bad request.
-	if err := s.col.Check(sub.rep); errors.Is(err, core.ErrFinalized) {
+	if err := s.cur.col.Check(sub.rep); errors.Is(err, core.ErrFinalized) {
 		return wire.DispositionConflict, err
 	} else if err != nil {
 		return wire.DispositionRejected, err
@@ -185,7 +177,8 @@ func (s *Server) classifyLocked(b *batch, sub *submission, roundClosed bool) (in
 // failed write refuses the batch before anything is counted, so the client's
 // retry cannot double-count. Caller holds s.mu.
 func (s *Server) commitLocked(b *batch) error {
-	if s.wal != nil {
+	r := s.cur
+	if r.wal != nil {
 		b.recs = b.recs[:0]
 		for i := range b.subs {
 			if sub := &b.subs[i]; sub.disp == wire.DispositionAccepted {
@@ -196,7 +189,7 @@ func (s *Server) commitLocked(b *batch) error {
 				})
 			}
 		}
-		if err := s.wal.AppendBatch(b.recs); err != nil {
+		if err := r.wal.AppendBatch(b.recs); err != nil {
 			s.logf("httpapi: wal append: %v", err)
 			return fmt.Errorf("report log unavailable")
 		}
@@ -207,7 +200,7 @@ func (s *Server) commitLocked(b *batch) error {
 		if sub.disp != wire.DispositionAccepted {
 			continue
 		}
-		if err := s.col.Add(sub.rep); err != nil {
+		if err := r.col.Add(sub.rep); err != nil {
 			// Check passed under this same lock hold; unreachable short of a
 			// bug. The reports before this one are counted and logged: the
 			// client's retry turns them into duplicates.
@@ -215,11 +208,11 @@ func (s *Server) commitLocked(b *batch) error {
 		}
 		key, _ := packKey(sub.rep) // Check passed, so the report packs
 		s.dedup.put(sub.id, key)
-		s.wireBytes[wire.ProtoName(sub.rep.Proto)] += int64(sub.size)
+		r.wireBytes[wire.ProtoName(sub.rep.Proto)] += int64(sub.size)
 		accepted++
 	}
 	if accepted > 0 {
-		s.modeAccepted[s.mode.String()] += accepted
+		r.modeAccepted[s.mode.String()] += accepted
 	}
 	return nil
 }

@@ -162,7 +162,7 @@ func TestAdmissionEndpointParity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			jsonSrv, jsonTS, jsonCl := newAdmissionNode(t, tc.mode)
 			frameSrv, _, frameCl := newAdmissionNode(t, tc.mode)
-			specs := jsonSrv.col.Specs()
+			specs := jsonSrv.cur.col.Specs()
 			if tc.setup != nil {
 				tc.setup(t, jsonSrv, specs)
 				tc.setup(t, frameSrv, specs)
@@ -313,7 +313,7 @@ func TestBatchRefusedFrameChargesEachReportOnce(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, _, cl := newAdmissionNode(t, fo.ModeFELIP)
-			specs := srv.col.Specs()
+			specs := srv.cur.col.Specs()
 			counted := validProbe(specs, fo.ModeFELIP, "x", 0)
 			if tc.counts {
 				if d := submitFrame(t, srv, counted); d != wire.DispositionAccepted {
@@ -383,7 +383,7 @@ func TestBatchOversizedFrameChargesBothCounters(t *testing.T) {
 // claims is charged to rejected once.
 func TestBatchOUEFrameRefused(t *testing.T) {
 	srv, _, cl := newAdmissionNode(t, fo.ModeFELIP)
-	p := validProbe(srv.col.Specs(), fo.ModeFELIP, "oue-1", 0)
+	p := validProbe(srv.cur.col.Specs(), fo.ModeFELIP, "oue-1", 0)
 	frame, err := wire.EncodeFrame([]wire.BatchReport{{ID: p.id, Report: p.rep}})
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +425,7 @@ func TestAdmissionPanicReleasesLock(t *testing.T) {
 			t.Cleanup(ts.Close)
 			hc := &http.Client{Timeout: 5 * time.Second}
 
-			p := validProbe(srv.col.Specs(), fo.ModeFELIP, "admission-panic", 0)
+			p := validProbe(srv.cur.col.Specs(), fo.ModeFELIP, "admission-panic", 0)
 			body, contentType := []byte(nil), frameContentType
 			if endpoint == "/v1/report" {
 				body, err = json.Marshal(wire.NewModeReportMessage(p.id, p.mode, core.ModeReport{Report: p.rep, Attr: p.attr}))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"felip/internal/archive"
-	"felip/internal/core"
 	"felip/internal/reportlog"
 	"felip/internal/wire"
 )
@@ -31,25 +30,25 @@ func (s *Server) UseArchive(store *archive.Store, segments *reportlog.Segments) 
 	return nil
 }
 
-// archiveRound persists one finalized round with its rejected count and the
+// archiveRound persists finalized round r with its rejected count and the
 // collector's exact pre-estimation integer counts. Failures are logged, not
 // returned: the round's WAL segment still holds it, and reclaimSegments
 // keeps a segment whose round the archive lacks, so finalize must not fail
 // because the archive did.
-func (s *Server) archiveRound(col *core.Collector, agg *core.Aggregator, round, rejected int) {
+func (s *Server) archiveRound(r *round, rejected int) {
 	snap := archive.RoundSnapshot{
-		Round:           round,
+		Round:           r.num,
 		PlanFingerprint: s.plan.Fingerprint(),
-		Reports:         agg.N(),
+		Reports:         r.agg.N(),
 		Rejected:        rejected,
-		Aggregate:       agg.Snapshot(),
+		Aggregate:       r.agg.Snapshot(),
 	}
-	if parts, err := col.ExportPartials(); err != nil {
-		s.logf("httpapi: exporting round %d partial states for archive: %v", round, err)
+	if parts, err := r.col.ExportPartials(); err != nil {
+		s.logf("httpapi: exporting round %d partial states for archive: %v", r.num, err)
 	} else {
 		snap.Partials = wire.GridStates(parts)
 	}
 	if err := s.store.WriteRound(snap); err != nil {
-		s.logf("httpapi: archiving round %d: %v", round, err)
+		s.logf("httpapi: archiving round %d: %v", r.num, err)
 	}
 }

@@ -108,7 +108,7 @@ func (s *Server) admitFrame(frame []byte) (resp wire.BatchReportResponse, wal *r
 	if status, err := s.admitLocked(b); err != nil {
 		return resp, nil, status, err
 	}
-	resp.Round = s.round
+	resp.Round = s.cur.num
 	resp.Dispositions = make([]int, len(b.subs))
 	for i := range b.subs {
 		d := b.subs[i].disp
@@ -124,7 +124,7 @@ func (s *Server) admitFrame(frame []byte) (resp wire.BatchReportResponse, wal *r
 			resp.Rejected++
 		}
 	}
-	return resp, s.wal, http.StatusOK, nil
+	return resp, s.cur.wal, http.StatusOK, nil
 }
 
 // handleReportBatch serves POST /v1/reports: a binary wire frame in, a JSON

@@ -284,7 +284,7 @@ func BenchmarkDedupIndex(b *testing.B) {
 // 2^40 itself.
 func TestDedupRetryWithUnpackablePayloadIsConflict(t *testing.T) {
 	srv, ts, cl := newAdmissionNode(t, fo.ModeFELIP)
-	p := validProbe(srv.col.Specs(), fo.ModeFELIP, "dev-1", 0)
+	p := validProbe(srv.cur.col.Specs(), fo.ModeFELIP, "dev-1", 0)
 	if d := submitFrame(t, srv, p); d != wire.DispositionAccepted {
 		t.Fatalf("first submission: disposition %d", d)
 	}
@@ -349,7 +349,7 @@ func TestIngestFrameAllocsPerReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	frames := freshFrames(t, srv.col.Specs(), runs+1, perFrame)
+	frames := freshFrames(t, srv.cur.col.Specs(), runs+1, perFrame)
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
 		resp, _, err := srv.IngestFrame(frames[next])
@@ -381,7 +381,7 @@ func TestStatusReportsDedupBytes(t *testing.T) {
 		t.Fatalf("fresh server: dedup_entries=%d dedup_bytes=%d, want 0 and 0", st.DedupEntries, st.DedupBytes)
 	}
 	const perFrame = 512
-	frames := freshFrames(t, srv.col.Specs(), 200, perFrame)
+	frames := freshFrames(t, srv.cur.col.Specs(), 200, perFrame)
 	idBytes := 0
 	for _, frame := range frames {
 		if _, _, err := srv.IngestFrame(frame); err != nil {

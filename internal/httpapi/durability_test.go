@@ -249,7 +249,7 @@ func TestReportValidationEdgeCases(t *testing.T) {
 	cl := Dial(ts.URL, ts.Client())
 	ctx := context.Background()
 
-	specs := srv.col.Specs()
+	specs := srv.cur.col.Specs()
 	g0 := specs[0]
 	valid := wire.ReportMessage{
 		ReportID: "edge-ok",

@@ -21,16 +21,16 @@ import (
 func feedReports(t *testing.T, srv *Server, n int, seed uint64) {
 	t.Helper()
 	ds := dataset.NewNormal().Generate(srv.schema, n, seed)
-	device, err := core.NewClient(srv.col.Specs(), srv.col.Epsilon(), seed+1)
+	device, err := core.NewClient(srv.cur.col.Specs(), srv.cur.col.Epsilon(), seed+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for row := 0; row < n; row++ {
-		rep, err := device.Perturb(srv.col.AssignGroup(), func(attr int) int { return ds.Value(row, attr) })
+		rep, err := device.Perturb(srv.cur.col.AssignGroup(), func(attr int) int { return ds.Value(row, attr) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.col.Add(rep); err != nil {
+		if err := srv.cur.col.Add(rep); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,7 +222,7 @@ func TestAdvanceRoundClosesSegmentOutsideLock(t *testing.T) {
 	statusDone := make(chan Status, 1)
 	go func() { statusDone <- srv.Status() }()
 	reportDone := make(chan error, 1)
-	probe := validProbe(srv.col.Specs(), fo.ModeFELIP, "round-2-report", 0)
+	probe := validProbe(srv.cur.col.Specs(), fo.ModeFELIP, "round-2-report", 0)
 	go func() {
 		_, err := cl.ReportWithID(context.Background(), probe.id, probe.rep)
 		reportDone <- err
@@ -269,7 +269,7 @@ func TestStatusSurfacesRejected(t *testing.T) {
 	cl := Dial(ts.URL, ts.Client())
 	ctx := context.Background()
 
-	specs := srv.col.Specs()
+	specs := srv.cur.col.Specs()
 	// Wire-level reject: negative group fails message validation.
 	if err := cl.Report(ctx, core.Report{Group: -1, Proto: specs[0].Proto}); err == nil {
 		t.Error("negative-group report accepted")

@@ -24,7 +24,7 @@ func TestFrameIDsSurviveRestart(t *testing.T) {
 		t.Run(fmt.Sprintf("%q", ids), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "round.wal")
 			srv, ts, cl := durableServer(t, path, 100)
-			frame := forgeFrameIDs(t, srv.col.Specs(), ids)
+			frame := forgeFrameIDs(t, srv.cur.col.Specs(), ids)
 			// Accepted or refused, what was counted must survive a restart.
 			_, _, _ = srv.IngestFrame(frame)
 			st, err := cl.Status(context.Background())

@@ -13,16 +13,14 @@ import (
 // opens: 1, or the round a cluster registration names.
 //
 // With an archive attached (UseArchive) that holds rounds, the newest
-// archived round is served from one read of its snapshot: its engine, its
-// rejected count, and its partial counts, sealed in the collector for a
-// repeated state pull. Only the segments after it are replayed. Otherwise
-// the chain is replayed from its first segment, and with no segment at all the server
-// opens round joinRound. The replayed chain must be contiguous: a missing
-// segment is an error that names it. Every round the replay re-finalizes is archived, and
-// only then are segments deleted, by the one rule the live close also
-// follows (reclaimSegments). A segment at or below the restored round whose
-// round the archive lacks is kept and logged; it is never replayed over the
-// snapshot.
+// archived round is restored (restoreArchivedLocked) and only the segments
+// after it are replayed; otherwise the chain is replayed from its first
+// segment, and with no segment at all the server opens round joinRound. A
+// gap in the chain is an error that names the missing segment. Every round
+// the replay re-finalizes is archived, and only then are segments deleted,
+// by the one rule the live close also follows (reclaimSegments). A segment
+// at or below the restored round whose round the archive lacks is kept and
+// logged, never replayed over the snapshot.
 //
 // Recover also installs the opener AdvanceRound uses for the next segment,
 // which refuses a segment that already holds records, and names the chain
@@ -33,9 +31,8 @@ func (s *Server) Recover(segs *reportlog.Segments, joinRound int) error {
 	if joinRound < 1 {
 		return fmt.Errorf("httpapi: join round %d out of range (rounds are 1-based)", joinRound)
 	}
-	if s.round != 1 || s.col.N() > 0 || s.agg != nil || s.wal != nil || s.durable || s.closed ||
-		s.shardState != nil || s.sealedEmpty || s.dedup.len() > 0 {
-		return fmt.Errorf("httpapi: cannot recover into a server already in use (round %d)", s.round)
+	if r := s.cur; r.num != 1 || r.phase != phaseOpen || r.closed || r.col.N() > 0 || s.durable {
+		return fmt.Errorf("httpapi: cannot recover into a server already in use (round %d)", r.num)
 	}
 	if s.store != nil {
 		if latest := s.store.LatestRound(); latest > 0 {
@@ -45,13 +42,66 @@ func (s *Server) Recover(segs *reportlog.Segments, joinRound int) error {
 			s.logf("httpapi: restored round %d from archive %s", latest, s.store.Dir())
 		}
 	}
+	restored := s.cur.origin == originRestored
 	if segs == nil {
-		if !s.restored {
-			s.round = joinRound
+		if !restored {
+			s.cur.num = joinRound
 		}
 		return s.warmServed()
 	}
 	s.segments = segs
+
+	rounds, err := segs.Existing()
+	if err != nil {
+		return err
+	}
+	var chain []int
+	for _, r := range rounds {
+		if !restored || r > s.cur.num {
+			chain = append(chain, r)
+		} else if _, _, archived := s.store.Info(r); !archived {
+			s.logf("httpapi: keeping wal segment %s: round %d is not archived, and it is not replayed over the round %d snapshot",
+				segs.Path(r), r, s.cur.num)
+		}
+	}
+	if len(chain) == 0 && !restored {
+		chain = []int{joinRound}
+	}
+	// The server is not durable yet, so opening a round attaches no segment:
+	// each is opened here with its records and replayed into its round.
+	for i, num := range chain {
+		prev := s.cur
+		if i == 0 && !restored {
+			prev.num = num
+		} else if num != prev.num+1 {
+			return fmt.Errorf("httpapi: wal segment chain has a gap: round %d's segment %s is missing", prev.num+1, segs.Path(prev.num+1))
+		} else if err := s.openNextLocked(); err != nil {
+			return fmt.Errorf("httpapi: replaying %s: %w", segs.Path(num), err)
+		}
+		if prev.wal != nil { // the previous chain round's segment
+			if err := prev.wal.Close(); err != nil {
+				s.logf("httpapi: closing round %d log: %v", prev.num, err)
+			}
+		}
+		r := s.cur
+		l, recs, err := segs.Open(num)
+		if err != nil {
+			return err
+		}
+		if err := s.attachLocked(r, l, recs); err != nil {
+			l.Close()
+			return fmt.Errorf("httpapi: replaying %s: %w", segs.Path(num), err)
+		}
+		if r.origin == originReplayed {
+			s.logf("httpapi: round %d: replayed %d WAL records from %s", num, len(recs), segs.Path(num))
+		} else {
+			s.logf("httpapi: round %d: opened fresh WAL segment %s", num, segs.Path(num))
+		}
+		if r.phase == phaseFinalized && s.store != nil {
+			// Re-finalized by the replay, so newer than every archived round.
+			s.archiveRound(r, r.rejected())
+		}
+	}
 	s.durable = true
 	s.walFactory = func(round int) (*reportlog.Log, error) {
 		l, recs, err := segs.Open(round)
@@ -64,75 +114,18 @@ func (s *Server) Recover(segs *reportlog.Segments, joinRound int) error {
 		}
 		return l, nil
 	}
-
-	rounds, err := segs.Existing()
-	if err != nil {
-		return err
-	}
-	var chain []int
-	for _, r := range rounds {
-		if !s.restored || r > s.round {
-			chain = append(chain, r)
-		} else if _, _, archived := s.store.Info(r); !archived {
-			s.logf("httpapi: keeping wal segment %s: round %d is not archived, and it is not replayed over the round %d snapshot",
-				segs.Path(r), r, s.round)
-		}
-	}
-	if len(chain) == 0 && !s.restored {
-		chain = []int{joinRound}
-	}
-	for i, r := range chain {
-		if i == 0 && !s.restored {
-			s.round = r
-		} else {
-			if r != s.round+1 {
-				return fmt.Errorf("httpapi: wal segment chain has a gap: round %d's segment %s is missing", s.round+1, segs.Path(s.round+1))
-			}
-			if s.agg == nil && !s.sealedEmpty {
-				return fmt.Errorf("httpapi: round %d has a segment but round %d never finalized", r, s.round)
-			}
-			if err := s.openRoundLocked(); err != nil {
-				return err
-			}
-		}
-		l, recs, err := segs.Open(r)
-		if err != nil {
-			return err
-		}
-		if err := s.replayLocked(recs); err != nil {
-			l.Close()
-			return fmt.Errorf("httpapi: replaying %s: %w", segs.Path(r), err)
-		}
-		s.col.ResumeAssignment(s.col.N())
-		if s.wal != nil {
-			if err := s.wal.Close(); err != nil {
-				s.logf("httpapi: closing round %d log: %v", r-1, err)
-			}
-		}
-		s.wal, s.restored = l, false
-		if len(recs) == 0 {
-			s.logf("httpapi: round %d: opened fresh WAL segment %s", r, segs.Path(r))
-		} else {
-			s.logf("httpapi: round %d: replayed %d WAL records from %s", r, len(recs), segs.Path(r))
-		}
-		if s.agg != nil && s.store != nil {
-			// Re-finalized by the replay, so newer than every archived round.
-			s.archiveRound(s.col, s.agg, r, s.roundRejectedLocked())
-		}
-	}
 	s.reclaimSegments()
 	return s.warmServed()
 }
 
 // restoreArchivedLocked serves an archived round from one read of its
 // snapshot: the engine (left cold; Recover warms the served engine last),
-// the round's rejected count, and its exact partial counts, imported into
-// the server's collector and sealed so a state pull on the restored round
-// re-exports the counts the round was closed with. A snapshot without
-// partial states leaves the collector empty, and handleShardState refuses to
-// export it. Callers hold s.mu.
-func (s *Server) restoreArchivedLocked(round int) error {
-	snap, err := s.store.Load(round)
+// the rejected count, and the exact partial counts, imported into the fresh
+// round's collector and sealed so a state pull re-exports them. A snapshot
+// without partial states leaves the collector empty, and the state pull
+// refuses to export it. Callers hold s.mu.
+func (s *Server) restoreArchivedLocked(num int) error {
+	snap, err := s.store.Load(num)
 	if err != nil {
 		return err
 	}
@@ -140,20 +133,20 @@ func (s *Server) restoreArchivedLocked(round int) error {
 	if err != nil {
 		return err
 	}
-	states, err := snap.PartialStates(s.col.ReportEpsilon())
+	r := s.cur
+	states, err := snap.PartialStates(r.col.ReportEpsilon())
 	if err != nil {
 		return err
 	}
 	if states != nil {
-		if err := s.col.ImportPartials(states); err != nil {
+		if err := r.col.ImportPartials(states); err != nil {
 			return err
 		}
-		s.col.Seal()
+		r.col.Seal()
 	}
-	s.restoreRejectedLocked(snap.Rejected)
-	s.round, s.agg, s.finalN, s.restored = round, eng.Aggregator(), eng.Aggregator().N(), true
-	s.publish(eng, round)
-	return nil
+	r.restoreRejected(snap.Rejected)
+	r.num, r.origin = num, originRestored
+	return s.serveLocked(r, eng)
 }
 
 // reclaimSegments deletes every WAL segment whose own round the archive

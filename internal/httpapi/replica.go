@@ -18,11 +18,7 @@ import (
 // so the wire contract has one home.
 
 // Round reports the collection round the server is in (1-based).
-func (s *Server) Round() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.round
-}
+func (s *Server) Round() int { return s.current().num }
 
 // WALReplayed reports how many report records the server replayed from its
 // write-ahead log since startup (finalize markers are not reports).
@@ -38,10 +34,10 @@ func (s *Server) WALReplayed() int {
 func (s *Server) WALPos() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.wal == nil {
+	if s.cur.wal == nil {
 		return 0
 	}
-	return s.wal.Pos()
+	return s.cur.wal.Pos()
 }
 
 // handleReplicaWAL serves GET /v1/replica/wal?round=R&from=F — one chunk of
@@ -64,7 +60,7 @@ func (s *Server) handleReplicaWAL(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.RLock()
-	cur, wal, segs, id, store := s.round, s.wal, s.segments, s.shardID, s.store
+	cur, wal, segs, id, store := s.cur.num, s.cur.wal, s.segments, s.shardID, s.store
 	s.mu.RUnlock()
 
 	switch {

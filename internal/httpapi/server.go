@@ -22,6 +22,13 @@
 // answering /v1/query — serving an already-published DP output during a new
 // collection is pure post-processing and does not touch the ε-LDP argument.
 //
+// A round is one value: its number, its phase (open, sealed, finalizing,
+// finalized), its origin, and everything that belongs to it alone.
+// transitionLocked is the only writer of the phase: seal, finalize, replay,
+// archive restore, advance and Close all go through it, and it refuses any
+// move of a round that is no longer current (the lifecycle table is in
+// DESIGN.md §10).
+//
 // A cluster coordinator's merged round is a Server too, fed shard states
 // instead of reports: FinalizeMerged imports every shard's partial counts
 // and closes the round through the same finalize, archive and Recover as a
@@ -58,6 +65,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -77,6 +85,10 @@ import (
 // lock and before the collector's estimation starts. Tests use it to probe
 // endpoint liveness at a deterministic point inside an in-flight finalize.
 var testHookFinalize func()
+
+// testHookShardExport, when non-nil, runs after a state pull seals the round
+// and releases the server lock; tests hold a pull open with it.
+var testHookShardExport func()
 
 // maxReportBody caps a POST /v1/report body. A legitimate report is well
 // under 200 bytes; the cap only exists so a hostile payload cannot exhaust
@@ -114,58 +126,23 @@ type Server struct {
 	// answers round-targeted and window/decay queries from archived rounds.
 	history atomic.Pointer[archive.Store]
 
-	mu    sync.RWMutex
-	col   *core.Collector
-	round int // collection round the collector belongs to (1-based)
+	mu  sync.RWMutex
+	cur *round // the round being collected; transitionLocked moves it
+	// settled, on mu, is broadcast whenever a round leaves phaseFinalizing.
+	settled *sync.Cond
 	// walFactory opens round k's write-ahead log segment when AdvanceRound
 	// opens round k on a durable server.
 	walFactory func(round int) (*reportlog.Log, error)
-	agg        *core.Aggregator
-	finalN     int
-	wal        *reportlog.Log
-	closed     bool // a WAL was attached and has been closed
 	// dedup holds every accepted report_id with its payload key (dedup.go).
 	// It spans rounds: a device retrying its round-k report during round k+1
 	// must be answered "duplicate", not double-counted into a new round. WAL
 	// replay rebuilds it on restart.
 	dedup *dedupIndex
-	// finalizing is non-nil while a finalize is in flight; it closes when
-	// the attempt's outcome is stored. Estimation runs outside mu so status,
-	// health and (refused) reports stay live during finalization.
-	finalizing chan struct{}
-	finalErr   error
-	// wireRejected counts report submissions refused before reaching the
-	// collector (malformed body, failed wire validation, oversized,
-	// idempotency-key conflicts). The collector counts plan-level rejects.
-	// A restart restores a closed round's whole count here from its seal
-	// record or snapshot (restoreRejectedLocked).
-	wireRejected int
-	// modeAccepted/modeRejected split the round's accepted and refused report
-	// submissions by the reporting mode they claimed on the wire (display
-	// names; unparseable claims charge the round's own mode). With one mode
-	// per round the accepted map has a single key, but the rejected map shows
-	// exactly which foreign-mode traffic is being refused.
-	modeAccepted map[string]int
-	modeRejected map[string]int
-	// wireBytes totals the accepted reports' on-the-wire bytes by protocol
-	// name since the round opened on this process: the JSON body on the
-	// single-report path, the frame record on the batch path (frame headers
-	// are shared transport overhead and are not attributed). It is the
-	// server-side mirror of the client batcher's FrameBytes accounting, and
-	// the operator's view of what each oracle's reports actually cost —
-	// at mega-domains the per-report size, not the variance, is the axis
-	// that separates HR from OUE/OLH.
-	wireBytes map[string]int64
 	// durable marks a server whose rounds must run against WAL segments.
 	// UseWAL and Recover set it; a server Recover restored from an archive
 	// snapshot with no segment after it has no log to attach, but its next
 	// round must still open one.
 	durable bool
-	// restored marks a server whose serving plane came from an archive
-	// snapshot rather than live collection: the round is finalized, no WAL
-	// segment backs it, and the collector holds the snapshot's partial
-	// counts, sealed (none if the snapshot carried none).
-	restored bool
 	// store archives finalized rounds; nil = archiving disabled. segments
 	// names the WAL segment chain: a segment is deleted only once the store
 	// holds its own round (reclaimSegments), and followers read sealed
@@ -179,20 +156,170 @@ type Server struct {
 	// walReplayed counts report records replayed from the WAL since startup —
 	// nonzero means this process recovered from a crash.
 	walReplayed int
-	// shardState caches the sealed round's exported partial-aggregate state:
-	// once the coordinator's first state pull seals the round, every repeat
-	// pull (a lost response, a coordinator restart) re-serves the identical
-	// message.
-	shardState *wire.ShardStateMessage
-	// sealedEmpty marks a round replayed from a finalize-of-zero WAL record:
-	// the round closed with no reports, so there is no aggregate to rebuild
-	// (Finalize refuses an empty round) but the round is over — reports are
-	// refused and the next round may open.
-	sealedEmpty bool
 
 	// batch is the POST /v1/reports admission scratch, reused across frames
 	// under mu.
 	batch batch
+}
+
+// errShuttingDown refuses everything once Close has ended the server.
+var errShuttingDown = errors.New("server shutting down")
+
+// phase is where a round is in its lifecycle (DESIGN.md §10).
+type phase uint8
+
+const (
+	phaseOpen       phase = iota // taking reports
+	phaseSealed                  // counts frozen: exported by a state pull, or an empty seal replayed
+	phaseFinalizing              // a finalize is estimating outside s.mu
+	phaseFinalized               // estimated; its engine is (or was) served
+	// phaseClosed is the move Close makes, not a phase a round is left in:
+	// the round keeps its phase, so /v1/status shows where it stopped, and
+	// is marked closed, which refuses every later move.
+	phaseClosed
+)
+
+// origin is where a round's state came from.
+type origin uint8
+
+const (
+	originLive     origin = iota // collected by this process
+	originReplayed               // rebuilt from its WAL segment's records
+	originRestored               // served from an archive snapshot; no segment backs it
+)
+
+// round is one collection round and everything that belongs to it alone. A
+// path that releases s.mu keeps its *round and settles into it or nowhere.
+type round struct {
+	num    int   // 1-based
+	phase  phase // written only by transitionLocked
+	origin origin
+	closed bool // Close ended the server in this round (phaseClosed)
+	col    *core.Collector
+	agg    *core.Aggregator // set once the round is finalized
+	wal    *reportlog.Log   // the round's segment; nil on a server without a WAL
+	// state caches the first state pull's message; a repeat pull (a lost
+	// response, a coordinator restart) re-serves it identically.
+	state *wire.ShardStateMessage
+	err   error // a failed finalize's error, for the calls that waited on it
+
+	// The counters Status shows: submissions refused before the collector
+	// (which counts plan-level rejects), accepted and refused submissions by
+	// claimed mode, and accepted reports' wire bytes by protocol.
+	wireRejected int
+	modeAccepted map[string]int
+	modeRejected map[string]int
+	wireBytes    map[string]int64
+}
+
+// newRound is round num, open and live, collecting into col.
+func newRound(num int, col *core.Collector) *round {
+	return &round{num: num, col: col, modeAccepted: make(map[string]int),
+		modeRejected: make(map[string]int), wireBytes: make(map[string]int64)}
+}
+
+// reports is the round's population: its aggregate's once finalized, which a
+// restored round's collector may not hold, else its collector's count.
+func (r *round) reports() int {
+	if r.agg != nil {
+		return r.agg.N()
+	}
+	return r.col.N()
+}
+
+// rejected is the round's refused-submission count, the collector's included.
+func (r *round) rejected() int { return r.wireRejected + r.col.Rejected() }
+
+// restoreRejected sets the round's refused-submission count to the one a
+// seal record or snapshot carries; the collector's own count is part of it.
+func (r *round) restoreRejected(total int) { r.wireRejected = total - r.col.Rejected() }
+
+// moves[from] has a bit for each phase the current round may move to: open →
+// finalized is replay or archive restore, finalizing → open or sealed a
+// failed attempt going back. Close waits out a finalizing round.
+var moves = [...]uint8{
+	phaseOpen:       1<<phaseSealed | 1<<phaseFinalizing | 1<<phaseFinalized | 1<<phaseClosed,
+	phaseSealed:     1<<phaseFinalizing | 1<<phaseClosed,
+	phaseFinalizing: 1<<phaseOpen | 1<<phaseSealed | 1<<phaseFinalized,
+	phaseFinalized:  1 << phaseClosed,
+}
+
+// transitionLocked moves round r to phase to; it is the only writer of a
+// round's phase. It refuses every move once the server is closed, any move of
+// a round no longer current (so a close finishing after an advance cannot
+// land in the next round), and any move not in moves. A seal (open → sealed)
+// and a finalize (→ finalized) first log and sync the round's finalize
+// record. The next round opens once the current one is sealed or finalized,
+// with its own segment on a durable server. Caller holds s.mu.
+func (s *Server) transitionLocked(r *round, to phase) error {
+	cur := s.cur
+	switch {
+	case cur.closed:
+		return errShuttingDown
+	case r != cur && (to != phaseOpen || r.num != cur.num+1):
+		return fmt.Errorf("httpapi: round %d is over; the server is in round %d", r.num, cur.num)
+	case r != cur && cur.phase != phaseSealed && cur.phase != phaseFinalized:
+		return fmt.Errorf("httpapi: round %d not finalized; finalize before opening the next round", cur.num)
+	case r != cur:
+		if s.durable {
+			if s.walFactory == nil {
+				return fmt.Errorf("httpapi: durable server has no WAL factory for round %d (SetWALFactory)", r.num)
+			}
+			var err error
+			if r.wal, err = s.walFactory(r.num); err != nil {
+				return fmt.Errorf("httpapi: opening round %d log: %w", r.num, err)
+			}
+		}
+		s.cur = r
+		return nil
+	case moves[r.phase]&(1<<to) == 0:
+		return fmt.Errorf("httpapi: round %d cannot move from phase %d to %d", r.num, r.phase, to)
+	case to == phaseClosed:
+		var err error
+		if r.wal != nil {
+			err = r.wal.Close()
+		}
+		r.closed, r.wal = true, nil
+		return err
+	}
+	if r.wal != nil && (to == phaseFinalized || to == phaseSealed && r.phase == phaseOpen) {
+		err := r.wal.Append(reportlog.FinalizeRecord(r.reports(), r.rejected()))
+		if err == nil {
+			err = r.wal.Sync()
+		}
+		if err != nil {
+			return fmt.Errorf("httpapi: logging round %d's close: %w", r.num, err)
+		}
+	}
+	if r.phase == phaseFinalizing {
+		s.settled.Broadcast()
+	}
+	r.phase = to
+	return nil
+}
+
+// current is the round being collected.
+func (s *Server) current() *round {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.cur
+}
+
+// openNextLocked opens the round after the current one. Caller holds s.mu.
+func (s *Server) openNextLocked() error {
+	col, err := core.NewCollector(s.schema, s.planN, s.opts)
+	if err != nil {
+		return err
+	}
+	return s.transitionLocked(newRound(s.cur.num+1, col), phaseOpen)
+}
+
+// awaitSettledLocked waits, with s.mu released, until r is not finalizing.
+// Caller holds s.mu, and holds it again on return.
+func (s *Server) awaitSettledLocked(r *round) {
+	for r.phase == phaseFinalizing {
+		s.settled.Wait()
+	}
 }
 
 // NewServer plans a round for an expected population of n users.
@@ -206,12 +333,11 @@ func NewServer(schema *domain.Schema, n int, opts core.Options) (*Server, error)
 	for i, sp := range specs {
 		specAttrs[i] = sp.AttrX
 	}
-	return &Server{
+	s := &Server{
 		schema:       schema,
 		planN:        n,
 		opts:         opts,
-		col:          col,
-		round:        1,
+		cur:          newRound(1, col),
 		plan:         wire.NewPlanMessage(schema, col.Epsilon(), col.Mode(), col.Longitudinal(), specs),
 		mode:         col.Mode(),
 		modeName:     wire.ModeName(col.Mode()),
@@ -220,10 +346,9 @@ func NewServer(schema *domain.Schema, n int, opts core.Options) (*Server, error)
 		logf:         log.Printf,
 		dedup:        newDedupIndex(),
 		batch:        batch{seen: make(map[string]int)},
-		modeAccepted: make(map[string]int),
-		modeRejected: make(map[string]int),
-		wireBytes:    make(map[string]int64),
-	}, nil
+	}
+	s.settled = sync.NewCond(&s.mu)
+	return s, nil
 }
 
 // SetLogger redirects the server's operational log (default log.Printf).
@@ -250,25 +375,25 @@ func (s *Server) SetShardID(id string) {
 func (s *Server) UseWAL(l *reportlog.Log, records []reportlog.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal != nil {
+	r := s.cur
+	if r.wal != nil {
 		return fmt.Errorf("httpapi: write-ahead log already attached")
 	}
-	if s.col.N() > 0 || s.agg != nil {
+	if r.phase != phaseOpen || r.col.N() > 0 {
 		return fmt.Errorf("httpapi: cannot attach a write-ahead log to a round in progress")
 	}
-	if err := s.replayLocked(records); err != nil {
+	if err := s.attachLocked(r, l, records); err != nil {
 		return err
 	}
-	s.col.ResumeAssignment(s.col.N())
-	s.wal = l
 	s.durable = true
 	return nil
 }
 
-// replayLocked re-counts one WAL segment's records into the current round's
-// collector. Caller holds s.mu.
-func (s *Server) replayLocked(records []reportlog.Record) error {
+// attachLocked replays a WAL segment's records into round r, then attaches
+// l as r's segment, so replay's moves log nothing. Caller holds s.mu.
+func (s *Server) attachLocked(r *round, l *reportlog.Log, records []reportlog.Record) error {
 	for i, rec := range records {
+		r.origin = originReplayed
 		switch rec.Type {
 		case reportlog.TypeReport:
 			id := []byte(rec.ReportID)
@@ -286,98 +411,77 @@ func (s *Server) replayLocked(records []reportlog.Record) error {
 				Seed: rec.Seed, Mode: rec.Mode, Longitudinal: rec.Longitudinal,
 			})
 			if err == nil {
-				err = s.col.Add(rep)
+				err = r.col.Add(rep)
 			}
 			if err != nil {
 				return fmt.Errorf("httpapi: wal record %d: %w", i, err)
 			}
 			key, _ := packKey(rep) // Add passed Check, so the report packs
 			s.dedup.put(id, key)
-			s.modeAccepted[s.mode.String()]++
+			r.modeAccepted[s.mode.String()]++
 			s.walReplayed++
 		case reportlog.TypeFinalize:
-			s.restoreRejectedLocked(rec.Rejected)
-			if rec.Reports == 0 && s.col.N() == 0 {
-				// The round was sealed empty. There is no aggregate to rebuild
-				// (Finalize refuses a round of zero reports) — seal the
-				// collector and mark the round closed so the replay chain can
-				// continue into the next segment.
-				s.col.Seal()
-				s.sealedEmpty = true
-				continue
+			// A seal's or a finalize's record; one after a seal's only restores
+			// the rejected count. A round sealed empty has no aggregate to
+			// rebuild (Finalize refuses zero reports): replay seals it.
+			r.restoreRejected(rec.Rejected)
+			var err error
+			switch {
+			case r.phase != phaseOpen:
+			case rec.Reports == 0 && r.col.N() == 0:
+				r.col.Seal()
+				err = s.transitionLocked(r, phaseSealed)
+			default:
+				// Estimated under the lock (no query traffic exists yet) and
+				// served cold: Recover warms the served engine last.
+				var eng *serve.Engine
+				if eng, err = estimate(r.col); err == nil {
+					err = s.serveLocked(r, eng)
+				}
 			}
-			if err := s.finalizeReplayLocked(); err != nil {
+			if err != nil {
 				return fmt.Errorf("httpapi: wal record %d: refinalizing: %w", i, err)
 			}
 		default:
 			return fmt.Errorf("httpapi: wal record %d: unknown type %q", i, rec.Type)
 		}
 	}
+	r.col.ResumeAssignment(r.col.N())
+	r.wal = l
 	return nil
 }
 
-// roundRejectedLocked is the round's refused-submission count: the wire-level
-// refusals plus the collector's. Caller holds s.mu.
-func (s *Server) roundRejectedLocked() int { return s.wireRejected + s.col.Rejected() }
-
-// restoreRejectedLocked sets the round's refused-submission count to the one
-// a seal record or snapshot carries; the collector's own count is part of it.
-// Caller holds s.mu.
-func (s *Server) restoreRejectedLocked(total int) { s.wireRejected = total - s.col.Rejected() }
-
-// finalizeReplayLocked re-closes the current round during startup replay —
-// no query traffic exists yet, so estimating under the lock is fine — and
-// swaps the round's engine in. Matrices are left cold; Recover warms the
-// served engine once replay is done. Caller holds s.mu.
-func (s *Server) finalizeReplayLocked() error {
-	agg, err := s.col.Finalize()
+// estimate finalizes col and builds the round's engine, cold.
+func estimate(col *core.Collector) (*serve.Engine, error) {
+	agg, err := col.Finalize()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	eng, err := serve.NewEngine(agg)
-	if err != nil {
-		return err
-	}
-	s.agg = agg
-	s.finalN = agg.N()
-	s.publish(eng, s.round)
-	return nil
+	return serve.NewEngine(agg)
 }
 
-// openRoundLocked replaces the collector with a fresh one for round+1 —
-// BuildPlan is deterministic given schema, n and options, so every round
-// publishes the same plan — and resets the per-round state. The serving
-// plane is untouched: the previous round keeps answering queries. Caller
-// holds s.mu.
-func (s *Server) openRoundLocked() error {
-	col, err := core.NewCollector(s.schema, s.planN, s.opts)
-	if err != nil {
+// serveLocked finalizes round r with eng's aggregate (transitionLocked logs
+// its record) and swaps eng in to answer queries. Caller holds s.mu.
+func (s *Server) serveLocked(r *round, eng *serve.Engine) error {
+	r.agg = eng.Aggregator()
+	if err := s.transitionLocked(r, phaseFinalized); err != nil {
+		r.agg = nil
 		return err
 	}
-	s.col = col
-	s.round++
-	s.agg = nil
-	s.finalN = 0
-	s.finalErr = nil
-	s.wireRejected = 0
-	clear(s.modeAccepted)
-	clear(s.modeRejected)
-	clear(s.wireBytes)
-	s.shardState = nil
-	s.sealedEmpty = false
+	s.publish(eng, r.num)
 	return nil
 }
 
 // AdvanceRound is the idempotent round transition: target names the round the
 // caller wants open, and the finalized round keeps serving queries while the
-// new one collects. On a durable server the current segment is closed and the
-// factory registered with SetWALFactory opens the next one. target ==
-// current round is a replayed transition and succeeds without side effects
-// (the coordinator retrying a nextround whose acknowledgment was lost must
-// not burn a round); target == current+1 advances; any other target is a
-// refused jump — a coordinator and shard that disagree by more than one round
-// have diverged and must not paper over it. target 0 keeps the legacy
-// unconditional advance.
+// new one collects. On a durable server the factory registered with
+// SetWALFactory opens the next round's segment. target == current round is a
+// replayed transition and succeeds without side effects (the coordinator
+// retrying a nextround whose acknowledgment was lost must not burn a round);
+// target == current+1 advances once the current round is sealed or finalized
+// (transitionLocked); any other target is a refused jump — a coordinator and
+// shard that disagree by more than one round have diverged and must not
+// paper over it. target 0 keeps the legacy unconditional advance.
 //
 // The finalized round's segment is closed after s.mu is released: its
 // finalize record is already synced, and once the archive has unlinked it,
@@ -393,45 +497,22 @@ func (s *Server) AdvanceRound(target int) (int, error) {
 	return round, err
 }
 
-// swapRound is AdvanceRound under s.mu: it opens the next round and its
-// segment, and returns the finalized round's segment, if any, for the caller
-// to close.
+// swapRound is AdvanceRound under s.mu; it returns the previous round's
+// segment, if any, for the caller to close.
 func (s *Server) swapRound(target int) (int, *reportlog.Log, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if target == s.round {
-		return s.round, nil, nil
+	prev := s.cur
+	if target == prev.num {
+		return prev.num, nil, nil
 	}
-	if s.closed {
-		return 0, nil, fmt.Errorf("httpapi: server shutting down")
+	if target != 0 && target != prev.num+1 {
+		return 0, nil, fmt.Errorf("httpapi: round is %d; cannot jump to round %d", prev.num, target)
 	}
-	if target != 0 && target != s.round+1 {
-		return 0, nil, fmt.Errorf("httpapi: round is %d; cannot jump to round %d", s.round, target)
-	}
-	if s.agg == nil && s.shardState == nil && !s.sealedEmpty {
-		return 0, nil, fmt.Errorf("httpapi: round %d not finalized; finalize before opening the next round", s.round)
-	}
-	var next *reportlog.Log
-	if s.durable {
-		if s.walFactory == nil {
-			return 0, nil, fmt.Errorf("httpapi: durable server has no WAL factory for round %d (SetWALFactory)", s.round+1)
-		}
-		var err error
-		next, err = s.walFactory(s.round + 1)
-		if err != nil {
-			return 0, nil, fmt.Errorf("httpapi: opening round %d log: %w", s.round+1, err)
-		}
-	}
-	if err := s.openRoundLocked(); err != nil {
-		if next != nil {
-			next.Close()
-		}
+	if err := s.openNextLocked(); err != nil {
 		return 0, nil, err
 	}
-	prev := s.wal
-	s.wal = next
-	s.restored = false
-	return s.round, prev, nil
+	return s.cur.num, prev.wal, nil
 }
 
 // SetWALFactory registers the opener AdvanceRound uses to create round k's WAL
@@ -442,18 +523,20 @@ func (s *Server) SetWALFactory(f func(round int) (*reportlog.Log, error)) {
 	s.walFactory = f
 }
 
-// Close flushes and closes the write-ahead log, if one is attached. The
-// server rejects reports afterwards (durability can no longer be honored).
+// Close ends the server, with or without a write-ahead log attached: it waits
+// for an in-flight finalize to log its record, closes the log, and refuses
+// reports, state pulls and round moves from then on. A second Close is a no-op.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal == nil {
+	// An advance may land while Close waits, and its round may start a finalize.
+	for s.cur.phase == phaseFinalizing {
+		s.settled.Wait()
+	}
+	if s.cur.closed {
 		return nil
 	}
-	err := s.wal.Close()
-	s.wal = nil
-	s.closed = true
-	return err
+	return s.transitionLocked(s.cur, phaseClosed)
 }
 
 // Handler returns the HTTP handler serving the API.
@@ -495,10 +578,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleAssign(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
-	col := s.col
-	finalized := s.roundClosedLocked()
+	col, closed := s.cur.col, s.cur.phase != phaseOpen
 	s.mu.RUnlock()
-	if finalized {
+	if closed {
 		s.writeError(w, http.StatusConflict, fmt.Errorf("collection round already finalized"))
 		return
 	}
@@ -570,114 +652,84 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// finalize closes the round once; subsequent calls return the same count.
-// The server lock is dropped while the collector estimates (the collector
-// serializes concurrent finalizations itself and refuses new reports) and
-// while the round's serving engine is built and warmed, so /v1/status,
-// /v1/healthz and /v1/query — still answering from the previous round's
-// engine — stay live; concurrent finalize requests wait for the in-flight
-// attempt's outcome instead of re-running it. The new engine is swapped in
-// fully warmed, before finalize acknowledges, so a client that saw the 200
-// can immediately query the new round.
-func (s *Server) finalize() (int, error) {
+// finalize closes the current round (finalizeRound).
+func (s *Server) finalize() (int, error) { return s.finalizeRound(s.current()) }
+
+// finalizeRound closes round r once; subsequent calls return the same count.
+// The server lock is dropped while the collector estimates (the round is
+// finalizing, so admission refuses new reports) and while the round's
+// serving engine is built and warmed, so /v1/status, /v1/healthz and
+// /v1/query — still answering from the previous round's engine — stay live;
+// concurrent finalize requests wait for the in-flight attempt's outcome
+// instead of re-running it. The new engine is swapped in fully warmed, before
+// finalize acknowledges, so a client that saw the 200 can immediately query
+// the new round. r settles into finalized or back into the phase it came
+// from: nothing else moves a finalizing round.
+func (s *Server) finalizeRound(r *round) (int, error) {
 	s.mu.Lock()
-	for {
-		if s.agg != nil {
-			n := s.finalN
-			s.mu.Unlock()
-			return n, nil
-		}
-		if s.finalizing == nil {
-			break
-		}
-		inflight := s.finalizing
+	joined := r.phase == phaseFinalizing
+	s.awaitSettledLocked(r)
+	from, err := r.phase, r.err // a failed attempt's waiters share its error
+	if from == phaseFinalized {
 		s.mu.Unlock()
-		<-inflight
-		s.mu.Lock()
-		if s.finalizing == nil {
-			// The attempt settled: either s.agg is set (loop returns it) or
-			// it failed and left the error for its waiters.
-			if s.agg == nil {
-				err := s.finalErr
-				s.mu.Unlock()
-				return 0, err
-			}
-		}
+		return r.agg.N(), nil
 	}
-	done := make(chan struct{})
-	s.finalizing = done
-	col := s.col
-	round := s.round
+	if !joined {
+		err = s.transitionLocked(r, phaseFinalizing)
+	}
 	s.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 
 	if hook := testHookFinalize; hook != nil {
 		hook()
 	}
-
-	agg, err := col.Finalize()
-	var eng *serve.Engine
-	if err == nil {
-		eng, err = serve.NewEngine(agg)
-	}
+	eng, err := estimate(r.col)
 	if err == nil {
 		err = eng.Warmup()
 	}
 
 	s.mu.Lock()
-	settle := func() {
-		s.finalizing = nil
-		close(done)
-		s.mu.Unlock()
+	if err == nil {
+		err = s.serveLocked(r, eng)
 	}
 	if err != nil {
-		s.finalErr = err
-		settle()
+		r.err = err
+		s.transitionLocked(r, from) // legal from finalizing
+		s.mu.Unlock()
 		return 0, err
 	}
-	rejected := s.roundRejectedLocked()
-	if s.wal != nil {
-		if err := s.wal.Append(reportlog.FinalizeRecord(agg.N(), rejected)); err != nil {
-			s.finalErr = fmt.Errorf("persisting finalization: %w", err)
-			settle()
-			return 0, s.finalErr
-		}
-		if err := s.wal.Sync(); err != nil {
-			s.finalErr = fmt.Errorf("syncing report log: %w", err)
-			settle()
-			return 0, s.finalErr
-		}
-	}
-	s.agg = agg
-	n := agg.N()
-	s.finalN = n
-	s.publish(eng, round)
-	store := s.store
-	settle()
+	rejected, store := r.rejected(), s.store
+	s.mu.Unlock()
 	// Archive outside the lock: snapshot fsync is disk I/O and must not block
 	// status or the next round's ingest. Ordering is what matters — the WAL
 	// finalize record is already synced, so a crash anywhere in here replays;
 	// and a segment is deleted only once the archive holds its round.
 	if store != nil {
-		s.archiveRound(col, agg, round, rejected)
+		s.archiveRound(r, rejected)
 		s.reclaimSegments()
 	}
-	return n, nil
+	return eng.Aggregator().N(), nil
 }
 
-// FinalizeMerged closes the round from shard states instead of reports: it
-// imports every shard's exported partial states into the open round's
+// FinalizeMerged closes the open round from shard states instead of
+// reports: it imports every shard's partial states into the round's
 // collector, all or none (Collector.ImportPartials validates every set before
-// it touches a count), then closes the round the way every round closes
-// (finalize). A refused import leaves the round open, so the caller can pull
-// the states again and retry.
+// it touches a count), then closes that round like any other (finalizeRound).
+// A refused import leaves the round open for a retry.
 func (s *Server) FinalizeMerged(shards [][]fo.PartialState) (int, error) {
-	s.mu.RLock()
-	col := s.col
-	s.mu.RUnlock()
-	if err := col.ImportPartials(shards...); err != nil {
+	s.mu.Lock()
+	r := s.cur
+	err := core.ErrFinalized
+	if r.phase == phaseOpen && !r.closed {
+		err = r.col.ImportPartials(shards...)
+	}
+	s.mu.Unlock()
+	if err != nil {
 		return 0, err
 	}
-	return s.finalize()
+	return s.finalizeRound(r)
 }
 
 func (s *Server) handleFinalize(w http.ResponseWriter, _ *http.Request) {
@@ -791,49 +843,34 @@ type Status struct {
 // answers, less the dedup index's size.
 func (s *Server) Status() Status {
 	s.mu.RLock()
-	col := s.col
+	r := s.cur
 	st := Status{
-		Round:        s.round,
-		Finalized:    s.agg != nil,
-		Finalizing:   s.agg == nil && s.finalizing != nil,
-		Durable:      s.wal != nil || s.durable,
-		DedupEntries: s.dedup.len(),
-		Rejected:     s.wireRejected,
-		Mode:         s.mode.String(),
-		ShardID:      s.shardID,
-		Sealed:       s.shardState != nil || s.sealedEmpty,
-		WALReplayed:  s.walReplayed,
-		Restored:     s.restored,
+		Round:          r.num,
+		Finalized:      r.phase == phaseFinalized,
+		Finalizing:     r.phase == phaseFinalizing,
+		Durable:        s.durable,
+		DedupEntries:   s.dedup.len(),
+		Rejected:       r.rejected(),
+		Reports:        r.reports(), // r.agg is set under s.mu
+		Mode:           s.mode.String(),
+		ShardID:        s.shardID,
+		Sealed:         r.phase == phaseSealed || r.state != nil,
+		WALReplayed:    s.walReplayed,
+		Restored:       r.origin == originRestored,
+		ModeAccepted:   maps.Clone(r.modeAccepted),
+		ModeRejected:   maps.Clone(r.modeRejected),
+		WireBytesTotal: maps.Clone(r.wireBytes),
 	}
 	if s.longitudinal != nil {
 		acct := longitudinal.Accountant{Cfg: *s.longitudinal}
 		st.Longitudinal = s.longitudinal
 		st.EpsPerRound = acct.PerRound()
-		st.EpsCumulative = acct.Cumulative(s.round)
-		st.EpsFreshEquivalent = acct.FreshCumulative(s.round)
+		st.EpsCumulative = acct.Cumulative(r.num)
+		st.EpsFreshEquivalent = acct.FreshCumulative(r.num)
 	}
-	if len(s.modeAccepted) > 0 {
-		st.ModeAccepted = make(map[string]int, len(s.modeAccepted))
-		for k, v := range s.modeAccepted {
-			st.ModeAccepted[k] = v
-		}
+	if r.wal != nil {
+		st.WALPos = r.wal.Pos()
 	}
-	if len(s.modeRejected) > 0 {
-		st.ModeRejected = make(map[string]int, len(s.modeRejected))
-		for k, v := range s.modeRejected {
-			st.ModeRejected[k] = v
-		}
-	}
-	if len(s.wireBytes) > 0 {
-		st.WireBytesTotal = make(map[string]int64, len(s.wireBytes))
-		for k, v := range s.wireBytes {
-			st.WireBytesTotal[k] = v
-		}
-	}
-	if s.wal != nil {
-		st.WALPos = s.wal.Pos()
-	}
-	finalN := s.finalN
 	store := s.store
 	s.mu.RUnlock()
 	if served := s.serving.Load(); served != nil {
@@ -842,16 +879,8 @@ func (s *Server) Status() Status {
 	if store != nil {
 		st.RoundsRetained = len(store.Rounds())
 	}
-	st.Rejected += col.Rejected()
-	// A finalized round reports its aggregate's population, which a
-	// restored round's collector may not hold.
-	if st.Finalized {
-		st.Reports = finalN
-	} else {
-		st.Reports = col.N()
-	}
 	st.Groups = len(s.plan.Grids)
-	st.GroupCounts = col.GroupCounts()
+	st.GroupCounts = r.col.GroupCounts()
 	st.Metrics = metrics.Snapshot()
 	return st
 }

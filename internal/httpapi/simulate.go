@@ -23,27 +23,25 @@ func Simulate(s *Server, genName string, users int, seed uint64) error {
 	if seed == 0 {
 		seed = fo.AutoSeed()
 	}
-	// Capture the current round's collector: a concurrent AdvanceRound must not
-	// make the simulation straddle two rounds.
-	s.mu.RLock()
-	col := s.col
-	s.mu.RUnlock()
+	// Keep the current round: a concurrent AdvanceRound must not make the
+	// simulation straddle two rounds.
+	r := s.current()
 	ds := gen.Generate(s.schema, users, seed)
-	device, err := core.NewModeClient(col.Specs(), col.Mode(), col.Epsilon(), seed+1)
+	device, err := core.NewModeClient(r.col.Specs(), r.col.Mode(), r.col.Epsilon(), seed+1)
 	if err != nil {
 		return err
 	}
 	for row := 0; row < users; row++ {
-		reps, err := device.PerturbAll(col.AssignGroup(), func(attr int) int { return ds.Value(row, attr) })
+		reps, err := device.PerturbAll(r.col.AssignGroup(), func(attr int) int { return ds.Value(row, attr) })
 		if err != nil {
 			return err
 		}
 		for _, rep := range reps {
-			if err := col.Add(rep.Report); err != nil {
+			if err := r.col.Add(rep.Report); err != nil {
 				return err
 			}
 		}
 	}
-	_, err = s.finalize()
+	_, err = s.finalizeRound(r)
 	return err
 }

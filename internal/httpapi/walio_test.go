@@ -60,7 +60,7 @@ func countingNode(t *testing.T) (*Server, *httptest.Server, *Client, *countingFi
 func TestWALWritesPerFrameAndPerReport(t *testing.T) {
 	const k = 64
 	srv, _, cl, walFile := countingNode(t)
-	specs := srv.col.Specs()
+	specs := srv.cur.col.Specs()
 	probes := make([]admissionProbe, k)
 	batch := make([]wire.BatchReport, k)
 	for i := range probes {
