@@ -25,13 +25,14 @@ check:
 # segments to Open and VerifySegment and requires them to agree; FuzzSnapshot
 # feeds arbitrary and resealed archive snapshots to Decode, requires what it
 # accepts to re-encode stably, and serves its aggregate; FuzzShardState feeds
-# arbitrary and resealed shard-state JSON to Verify and States and requires a
-# verified message to rebuild with its own checksum; FuzzFitProduct decodes
-# response-matrix problems (dims of 1-16, a 2-D grid, optional 1-D grids,
-# targets, a threshold and a sweep cap) and span selections, and requires the
-# product-form fit to match the entry-wise reference with no NaN or Inf and
-# its four quadrant masses to match the reference's mask sums. A failing
-# input lands in the package's testdata/fuzz directory.
+# arbitrary and resealed shard-state JSON to Verify and ParseGridStates and
+# requires a verified message to rebuild with its own checksum;
+# FuzzFitProduct decodes response-matrix problems (dims of 1-16, a 2-D grid,
+# optional 1-D grids, targets, a threshold and a sweep cap) and span
+# selections, and requires the product-form fit to match the entry-wise
+# reference with no NaN or Inf and its four quadrant masses to match the
+# reference's mask sums. A failing input lands in the package's testdata/fuzz
+# directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDedupIndex$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
@@ -82,11 +83,12 @@ bench-smoke:
 
 # Cluster chaos drill: kill a durable shard mid-round, restart it from its
 # WAL, truncate the coordinator's state pulls, and require bit-identical
-# answers; and require the coordinator to mount none of its merged round's
-# ingest, assignment, shard-state or replication routes — under the race
-# detector.
+# answers; require a 3-shard cluster to answer bit-identically to one node
+# under each reporting mode (FELIP, SPL, RS+FD); and require the coordinator
+# to mount none of its merged round's ingest, assignment, shard-state or
+# replication routes — under the race detector.
 chaos-cluster:
-	$(GO) test -race -run 'TestClusterChaos|TestShardStateRepullAfterCrash|TestCoordinatorServesNoIngestRoutes' -v ./internal/cluster
+	$(GO) test -race -run 'TestClusterChaos|TestShardStateRepullAfterCrash|TestClusterBitIdenticalToSingleNode|TestCoordinatorServesNoIngestRoutes' -v ./internal/cluster
 
 # Archive chaos drill: corrupted and torn snapshots skipped on open, a crash
 # in the window between snapshot fsync and WAL truncation recovered without

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"felip/internal/core"
-	"felip/internal/fo"
 	"felip/internal/metrics"
 	"felip/internal/wire"
 )
@@ -82,18 +81,6 @@ type RoundSnapshot struct {
 	// query-ready aggregator from. Float64 values round-trip exactly through
 	// Go's JSON encoding, so a restored engine answers bit-identically.
 	Aggregate core.Snapshot `json:"aggregate"`
-}
-
-// PartialStates decodes the snapshot's per-grid integer counts, in group
-// order. Returns nil (no error) when the snapshot carries none. reportEps is
-// the budget each report was perturbed at (core.Collector.ReportEpsilon),
-// which the counts' aggregators ran at; the snapshot records only the
-// round's ε, and under SPL and RS+FD the two differ.
-func (s RoundSnapshot) PartialStates(reportEps float64) ([]fo.PartialState, error) {
-	if len(s.Partials) == 0 {
-		return nil, nil
-	}
-	return wire.ParseGridStates(s.Partials, reportEps)
 }
 
 // Encode serializes the snapshot into its checksummed envelope:

@@ -52,17 +52,8 @@ type Options struct {
 	Variant Variant
 	// Epsilon is the per-user privacy budget ε.
 	Epsilon float64
-	// Alpha1 and Alpha2 are the non-uniformity constants (default 0.7, 0.03,
-	// shared with FELIP per the paper's §6.3 setup).
-	Alpha1, Alpha2 float64
 	// Seed makes the round deterministic. Zero draws a fresh seed.
 	Seed uint64
-	// PostProcessRounds is the number of consistency ↔ Norm-Sub alternations.
-	PostProcessRounds int
-	// MatrixMaxIter caps response-matrix sweeps (HDG only).
-	MatrixMaxIter int
-	// LambdaMaxIter caps the λ-D IPF sweeps.
-	LambdaMaxIter int
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -72,23 +63,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Variant != TDG && o.Variant != HDG {
 		return o, fmt.Errorf("hdg: unknown variant %v", o.Variant)
 	}
-	if o.Alpha1 == 0 {
-		o.Alpha1 = gridopt.DefaultAlpha1
-	}
-	if o.Alpha2 == 0 {
-		o.Alpha2 = gridopt.DefaultAlpha2
-	}
 	if o.Seed == 0 {
 		o.Seed = fo.AutoSeed()
-	}
-	if o.PostProcessRounds <= 0 {
-		o.PostProcessRounds = 3
-	}
-	if o.MatrixMaxIter <= 0 {
-		o.MatrixMaxIter = 50
-	}
-	if o.LambdaMaxIter <= 0 {
-		o.LambdaMaxIter = 100
 	}
 	return o, nil
 }
@@ -123,10 +99,10 @@ func Granularities(opts Options, k, d, n int) (g1, g2 int, err error) {
 	if opts.Variant == HDG {
 		m += k
 	}
-	p := gridopt.Params{Epsilon: opts.Epsilon, N: n, M: m, Alpha1: opts.Alpha1, Alpha2: opts.Alpha2}
+	p := gridopt.Params{Epsilon: opts.Epsilon, N: n, M: m}.WithDefaults()
 	g1raw := gridopt.Optimal1DOLH(p, 0.5)
 	ee := math.Exp(opts.Epsilon)
-	g2raw := math.Sqrt(2*opts.Alpha2) * math.Pow(float64(n)*(ee-1)*(ee-1)/(float64(m)*ee), 0.25)
+	g2raw := math.Sqrt(2*p.Alpha2) * math.Pow(float64(n)*(ee-1)*(ee-1)/(float64(m)*ee), 0.25)
 	return snapPow2(g1raw, d), snapPow2(g2raw, d), nil
 }
 
@@ -318,7 +294,7 @@ func (a *Aggregator) postProcess() {
 			}
 		}
 	}
-	postproc.Pipeline(attrViews, freqs, a.opts.PostProcessRounds)
+	postproc.Pipeline(attrViews, freqs, postproc.Rounds)
 }
 
 // G1 returns the (snapped) 1-D granularity; 0 for TDG.
@@ -393,7 +369,7 @@ func (a *Aggregator) Answer(q query.Query) (float64, error) {
 			pairs = append(pairs, pa)
 		}
 	}
-	return estimate.EstimateLambda(lambda, pairs, 1/float64(a.n), a.opts.LambdaMaxIter)
+	return estimate.EstimateLambda(lambda, pairs, 1/float64(a.n), estimate.LambdaMaxIter)
 }
 
 func negate(sel []bool) []bool {
@@ -443,7 +419,7 @@ func (a *Aggregator) responseMatrix(i, j int) (*estimate.Matrix, error) {
 	if !ok {
 		return nil, fmt.Errorf("hdg: no grid for pair (%d,%d)", i, j)
 	}
-	m := estimate.FitProduct(g2, a.grids1[i], a.grids1[j], 1/float64(a.n), a.opts.MatrixMaxIter).Matrix()
+	m := estimate.FitProduct(g2, a.grids1[i], a.grids1[j], 1/float64(a.n), estimate.MatrixMaxIter).Matrix()
 	a.matrices[key] = m
 	return m, nil
 }

@@ -12,6 +12,7 @@ import (
 	"felip/internal/core"
 	"felip/internal/dataset"
 	"felip/internal/faultinject"
+	"felip/internal/fo"
 	"felip/internal/httpapi"
 )
 
@@ -49,17 +50,33 @@ func fastRetry(attempts int) httpapi.RetryPolicy {
 // spans rounds by design, so a report key must be fresh each round.
 func deviceReport(t *testing.T, specs []core.GridSpec, eps float64, ds *dataset.Dataset, row int, devSeed uint64) (string, core.Report) {
 	t.Helper()
+	ids, reps := deviceReports(t, specs, fo.ModeFELIP, eps, ds, row, devSeed)
+	return ids[0], reps[0].Report
+}
+
+// deviceReports is deviceReport under any reporting mode: a FELIP device
+// sends one report for its group, an SPL or RS+FD device one report per grid,
+// each under the device's id suffixed with the grid.
+func deviceReports(t *testing.T, specs []core.GridSpec, mode fo.ReportMode, eps float64, ds *dataset.Dataset, row int, devSeed uint64) ([]string, []core.ModeReport) {
+	t.Helper()
 	id := fmt.Sprintf("user-%d-%d", row, devSeed)
-	device, err := core.NewClient(specs, eps, devSeed+uint64(row))
+	device, err := core.NewModeClient(specs, mode, eps, devSeed+uint64(row))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := device.Perturb(httpapi.DeriveGroup(id, len(specs)),
+	reps, err := device.PerturbAll(httpapi.DeriveGroup(id, len(specs)),
 		func(attr int) int { return ds.Value(row, attr) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return id, rep
+	if mode == fo.ModeFELIP {
+		return []string{id}, reps
+	}
+	ids := make([]string, len(reps))
+	for j := range reps {
+		ids[j] = fmt.Sprintf("%s-%d", id, j)
+	}
+	return ids, reps
 }
 
 // TestRendezvousCoversAndDecorrelates: every shard must receive traffic, and
@@ -136,16 +153,29 @@ func newHarness(t *testing.T, k, n int, opts core.Options, hc *http.Client, retr
 // TestClusterBitIdenticalToSingleNode is the tentpole acceptance: a 3-shard
 // cluster collecting the same report multiset as one server must answer every
 // query bit-for-bit identically, across two full rounds (finalize → advance →
-// collect → finalize).
+// collect → finalize), under each reporting mode.
 func TestClusterBitIdenticalToSingleNode(t *testing.T) {
+	for _, tc := range []struct {
+		mode fo.ReportMode
+		n    int
+	}{
+		{fo.ModeFELIP, 2400},
+		// An SPL or RS+FD device sends one report per grid, 8 on this plan.
+		{fo.ModeSPL, 400},
+		{fo.ModeRSFD, 400},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) { clusterBitIdentical(t, tc.mode, tc.n) })
+	}
+}
+
+func clusterBitIdentical(t *testing.T, mode fo.ReportMode, n int) {
 	const (
 		k       = 3
-		n       = 2400
 		devSeed = 265
 	)
 	schema := dataset.MixedSchema(2, 32, 2, 4)
 	ds := dataset.NewNormal().Generate(schema, n, 263)
-	opts := core.Options{Strategy: core.OHG, Epsilon: 1.4, Seed: 261}
+	opts := core.Options{Strategy: core.OHG, Epsilon: 1.4, Seed: 261, Mode: mode}
 	ctx := context.Background()
 
 	runSingle := func(roundSeed uint64) []float64 {
@@ -166,9 +196,11 @@ func TestClusterBitIdenticalToSingleNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		for row := 0; row < n; row++ {
-			id, rep := deviceReport(t, specs, opts.Epsilon, ds, row, roundSeed)
-			if _, err := cl.ReportWithID(ctx, id, rep); err != nil {
-				t.Fatalf("single row %d: %v", row, err)
+			ids, reps := deviceReports(t, specs, mode, opts.Epsilon, ds, row, roundSeed)
+			for j, id := range ids {
+				if _, err := cl.ReportModeWithID(ctx, id, mode, reps[j]); err != nil {
+					t.Fatalf("single row %d: %v", row, err)
+				}
 			}
 		}
 		if count, err := cl.Finalize(ctx); err != nil || count != n {
@@ -197,13 +229,15 @@ func TestClusterBitIdenticalToSingleNode(t *testing.T) {
 
 	runCluster := func(roundSeed uint64, round int) []float64 {
 		for row := 0; row < n; row++ {
-			id, rep := deviceReport(t, specs, opts.Epsilon, ds, row, roundSeed)
-			dup, err := h.client.ReportWithID(ctx, id, rep)
-			if err != nil {
-				t.Fatalf("cluster row %d: %v", row, err)
-			}
-			if dup {
-				t.Fatalf("cluster row %d: fresh report flagged duplicate", row)
+			ids, reps := deviceReports(t, specs, mode, opts.Epsilon, ds, row, roundSeed)
+			for j, id := range ids {
+				dup, err := h.client.Shard(id).ReportModeWithID(ctx, id, mode, reps[j])
+				if err != nil {
+					t.Fatalf("cluster row %d: %v", row, err)
+				}
+				if dup {
+					t.Fatalf("cluster row %d: fresh report flagged duplicate", row)
+				}
 			}
 		}
 		count, err := h.client.Finalize(ctx)
@@ -252,8 +286,12 @@ func TestClusterBitIdenticalToSingleNode(t *testing.T) {
 		}
 		total += info.Reports
 	}
-	if total != n {
-		t.Fatalf("per-shard reports sum to %d, want %d", total, n)
+	reports := n // a shard counts reports, and an SPL or RS+FD device sends one per grid
+	if mode != fo.ModeFELIP {
+		reports *= len(specs)
+	}
+	if total != reports {
+		t.Fatalf("per-shard reports sum to %d, want %d", total, reports)
 	}
 	if st.Metrics["cluster.shard0.reports"] != int64(st.Shards[0].Reports) {
 		t.Fatalf("shard gauge %d != status %d", st.Metrics["cluster.shard0.reports"], st.Shards[0].Reports)

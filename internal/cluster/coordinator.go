@@ -14,7 +14,6 @@ import (
 	"felip/internal/archive"
 	"felip/internal/core"
 	"felip/internal/domain"
-	"felip/internal/fo"
 	"felip/internal/httpapi"
 	"felip/internal/metrics"
 	"felip/internal/wire"
@@ -321,26 +320,18 @@ func shardGauge(i int, what string) *metrics.Gauge {
 	return metrics.GetGauge(fmt.Sprintf("cluster.shard%d.%s", i, what))
 }
 
-// describeLongitudinal renders an optional longitudinal config for refusal
-// messages.
-func describeLongitudinal(l *fo.Longitudinal) string {
-	if l == nil {
-		return "one-shot"
-	}
-	return fmt.Sprintf("eps_perm=%v eps1=%v", l.EpsPerm, l.Eps1)
-}
-
 // FinalizeRound closes the round cluster-wide, exactly once: it pulls every
 // member shard's sealed partial-aggregate state (the first pull is what seals
-// the shard), verifies each message's checksum, round, mode and longitudinal
-// budgets, and hands the states to the merged round's FinalizeMerged, which
-// sums the integer count vectors, runs the estimation pipeline once over the
-// sums, serves the engine fully warmed and archives the round. Repeat calls
-// return the same report count. The state pulls ride the client's retry
-// policy and honor ctx: the first pull to fail permanently cancels its
-// siblings, so one wedged or dead shard cannot hold the round open past the
-// caller's deadline. A failed finalize can simply be retried — no shard state
-// is consumed by a failed attempt, and a refused merge imports nothing.
+// the shard; the client verifies each message's checksum) and hands the
+// messages to the merged round's FinalizeMerged, which checks each one's
+// round, ε, mode and longitudinal budgets, sums the integer count vectors,
+// runs the estimation pipeline once over the sums, serves the engine fully
+// warmed and archives the round. Repeat calls return the same report count.
+// The state pulls ride the client's retry policy and honor ctx: the first
+// pull to fail permanently cancels its siblings, so one wedged or dead shard
+// cannot hold the round open past the caller's deadline. A failed finalize
+// can simply be retried — no shard state is consumed by a failed attempt, and
+// a refused merge imports nothing.
 func (c *Coordinator) FinalizeRound(ctx context.Context) (int, error) {
 	c.lifecycle.Lock()
 	defer c.lifecycle.Unlock()
@@ -392,39 +383,9 @@ func (c *Coordinator) FinalizeRound(ctx context.Context) (int, error) {
 		}
 	}
 
-	states := make([][]fo.PartialState, len(msgs))
 	names := make([]string, len(msgs))
 	infos := make([]ShardInfo, len(msgs))
 	for i, msg := range msgs {
-		if msg.Round != round {
-			return 0, fmt.Errorf("cluster: shard %q (%s) is in round %d, coordinator in round %d",
-				targets[i].name, targets[i].base, msg.Round, round)
-		}
-		// Refuse a mixed-mode merge loudly: partial counts folded under
-		// different reporting modes were perturbed at different budgets (and,
-		// for RS+FD, mixed with fake data), so summing them would silently
-		// corrupt every estimate. Checksums already verified, so a mismatch is
-		// a misconfigured shard, not line damage.
-		shardMode, err := msg.ReportMode()
-		if err != nil {
-			return 0, fmt.Errorf("cluster: shard %q (%s): %w", targets[i].name, targets[i].base, err)
-		}
-		if shardMode.String() != st.Mode {
-			return 0, fmt.Errorf("cluster: shard %q (%s) ran round %d in mode %v; the cluster plan runs %v — refusing the mixed-mode merge",
-				targets[i].name, targets[i].base, round, shardMode, st.Mode)
-		}
-		// Same discipline for the longitudinal plane: counts drawn through a
-		// memoized two-stage chain invert under (ε_perm, ε_1), not the one-shot
-		// channel, so a shard whose longitudinal parameters disagree with the
-		// plan's (or that ran one-shot against a longitudinal plan, or vice
-		// versa) cannot be summed into this round.
-		if !msg.Longitudinal.Equal(st.Longitudinal) {
-			return 0, fmt.Errorf("cluster: shard %q (%s) ran round %d with longitudinal parameters %v; the cluster plan has %v — refusing the merge",
-				targets[i].name, targets[i].base, round, describeLongitudinal(msg.Longitudinal), describeLongitudinal(st.Longitudinal))
-		}
-		if states[i], err = msg.States(); err != nil {
-			return 0, fmt.Errorf("cluster: shard %q (%s): %w", targets[i].name, targets[i].base, err)
-		}
 		names[i] = targets[i].name
 		infos[i] = ShardInfo{
 			ID:          msg.ShardID,
@@ -433,14 +394,15 @@ func (c *Coordinator) FinalizeRound(ctx context.Context) (int, error) {
 			Reports:     msg.Reports,
 			Rejected:    msg.Rejected,
 			WALReplayed: msg.WALReplayed,
-			Mode:        shardMode.String(),
+			Mode:        st.Mode, // FinalizeMerged refuses a shard that ran another
 		}
 		c.logf("cluster: shard %q (%s) round %d: %d reports, %d rejected, %d wal-replayed",
 			msg.ShardID, targets[i].base, round, msg.Reports, msg.Rejected, msg.WALReplayed)
 	}
 
-	// A refused merge names its state set by index: set i is names[i]'s.
-	n, err := c.srv.FinalizeMerged(states)
+	// A refused merge names a shard by its message's id, or its state set by
+	// index: set i is names[i]'s.
+	n, err := c.srv.FinalizeMerged(msgs)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: merging round %d from shards %v: %w", round, names, err)
 	}

@@ -66,12 +66,6 @@ func (a *Aggregator) IPFThreshold() float64 { return a.ipfThreshold() }
 // Strategy returns the round's grid strategy.
 func (a *Aggregator) Strategy() Strategy { return a.opts.Strategy }
 
-// MatrixMaxIter returns the response-matrix fitting sweep cap (Algorithm 3).
-func (a *Aggregator) MatrixMaxIter() int { return a.opts.MatrixMaxIter }
-
-// LambdaMaxIter returns the λ-D estimation sweep cap (Algorithm 4).
-func (a *Aggregator) LambdaMaxIter() int { return a.opts.LambdaMaxIter }
-
 // buildIndex precomputes the query-time lookup structures that replace
 // per-query linear scans over the spec list: per-pair and per-attribute
 // expected errors, and each attribute's covering 2-D grid (the first one in

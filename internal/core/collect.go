@@ -271,7 +271,7 @@ func (a *Aggregator) postProcess() {
 			freqs = append(freqs, a.grids2[[2]int{sp.AttrX, sp.AttrY}].Freq)
 		}
 	}
-	postproc.Pipeline(attrViews, freqs, a.opts.PostProcessRounds)
+	postproc.Pipeline(attrViews, freqs, postproc.Rounds)
 }
 
 // Schema returns the schema the aggregator was built over.

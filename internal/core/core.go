@@ -66,10 +66,6 @@ type Options struct {
 	// Selectivity is the aggregator's prior on per-attribute query
 	// selectivity used when sizing grids (paper §5, default 0.5).
 	Selectivity float64
-	// SelectivityByAttr optionally overrides Selectivity per attribute.
-	SelectivityByAttr map[int]float64
-	// Alpha1 and Alpha2 are the non-uniformity constants (default 0.7, 0.03).
-	Alpha1, Alpha2 float64
 	// Seed makes the whole round deterministic. Zero draws a fresh seed.
 	Seed uint64
 	// ForceProtocol disables the adaptive frequency oracle and uses the given
@@ -100,15 +96,6 @@ type Options struct {
 	// ablation: it treats DivideBudget as Mode == ModeSPL. Combining
 	// DivideBudget with a non-FELIP Mode is an error.
 	DivideBudget bool
-	// PostProcessRounds is the number of consistency ↔ Norm-Sub alternations
-	// (§5.4). Default 3.
-	PostProcessRounds int
-	// MatrixMaxIter caps the weighted-update sweeps when building a response
-	// matrix (Algorithm 3). Default 50.
-	MatrixMaxIter int
-	// LambdaMaxIter caps the IPF sweeps of λ-D estimation (Algorithm 4).
-	// Default 100.
-	LambdaMaxIter int
 	// MarginalHint optionally supplies an estimated per-value marginal for
 	// numerical attributes (keyed by schema index, length = domain size).
 	// When present, the planner bins that attribute's axes equi-mass at the
@@ -168,31 +155,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Selectivity < 0 || o.Selectivity > 1 {
 		return o, fmt.Errorf("core: selectivity %v outside (0,1]", o.Selectivity)
 	}
-	if o.Alpha1 == 0 {
-		o.Alpha1 = 0.7
-	}
-	if o.Alpha2 == 0 {
-		o.Alpha2 = 0.03
-	}
 	if o.Seed == 0 {
 		o.Seed = fo.AutoSeed()
 	}
-	if o.PostProcessRounds <= 0 {
-		o.PostProcessRounds = 3
-	}
-	if o.MatrixMaxIter <= 0 {
-		o.MatrixMaxIter = 50
-	}
-	if o.LambdaMaxIter <= 0 {
-		o.LambdaMaxIter = 100
-	}
 	return o, nil
-}
-
-// selectivityFor returns the sizing prior for one attribute.
-func (o Options) selectivityFor(attr int) float64 {
-	if s, ok := o.SelectivityByAttr[attr]; ok && s > 0 && s <= 1 {
-		return s
-	}
-	return o.Selectivity
 }

@@ -7,7 +7,10 @@ import (
 
 	"felip/internal/dataset"
 	"felip/internal/domain"
+	"felip/internal/estimate"
 	"felip/internal/fo"
+	"felip/internal/gridopt"
+	"felip/internal/postproc"
 	"felip/internal/query"
 )
 
@@ -20,9 +23,15 @@ func TestOptionsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Selectivity != 0.5 || o.Alpha1 != 0.7 || o.Alpha2 != 0.03 ||
-		o.PostProcessRounds != 3 || o.MatrixMaxIter != 50 || o.LambdaMaxIter != 100 || o.Seed == 0 {
+	if o.Selectivity != 0.5 || o.Seed == 0 {
 		t.Errorf("defaults wrong: %+v", o)
+	}
+	// The constants every round runs with, each written once beside its
+	// algorithm.
+	if gridopt.DefaultAlpha1 != 0.7 || gridopt.DefaultAlpha2 != 0.03 || postproc.Rounds != 3 ||
+		estimate.MatrixMaxIter != 50 || estimate.LambdaMaxIter != 100 {
+		t.Errorf("constants wrong: α₁ %v, α₂ %v, rounds %d, sweep caps %d and %d", gridopt.DefaultAlpha1,
+			gridopt.DefaultAlpha2, postproc.Rounds, estimate.MatrixMaxIter, estimate.LambdaMaxIter)
 	}
 }
 
@@ -285,33 +294,5 @@ func TestExpectedError1DOnOUG(t *testing.T) {
 	}
 	if !(e > 0) {
 		t.Errorf("expected error = %v", e)
-	}
-}
-
-// SelectivityByAttr lets the aggregator size each attribute's grids with its
-// own workload prior.
-func TestSelectivityByAttr(t *testing.T) {
-	s := mixedSchema()
-	specsDefault, err := BuildPlan(s, 100000, Options{Strategy: OHG, Epsilon: 1, Seed: 75})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specsPerAttr, err := BuildPlan(s, 100000, Options{
-		Strategy: OHG, Epsilon: 1, Seed: 75,
-		SelectivityByAttr: map[int]float64{0: 0.05},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Narrower prior on attr 0 → at least as fine a 1-D grid for it.
-	var def, per int
-	for i, sp := range specsDefault {
-		if sp.Is1D() && sp.AttrX == 0 {
-			def = sp.L()
-			per = specsPerAttr[i].L()
-		}
-	}
-	if per < def {
-		t.Errorf("per-attribute narrow prior coarsened the grid: %d -> %d", def, per)
 	}
 }

@@ -83,23 +83,17 @@ func BuildPlan(schema *domain.Schema, n int, opts Options) ([]GridSpec, error) {
 		oneD = schema.NumericalIndexes()
 		m += len(oneD)
 	}
-	params := gridopt.Params{
-		Epsilon: opts.Epsilon,
-		N:       n,
-		M:       m,
-		Alpha1:  opts.Alpha1,
-		Alpha2:  opts.Alpha2,
-		Mode:    opts.Mode,
-	}
+	params := gridopt.Params{Epsilon: opts.Epsilon, N: n, M: m, Mode: opts.Mode}
+	r := opts.Selectivity
 
 	specs := make([]GridSpec, 0, m)
 	for _, attr := range oneD {
 		a := schema.Attr(attr)
 		var pl gridopt.Plan
 		if opts.ForceProtocol != nil {
-			pl = gridopt.ForcedPlan(params, *opts.ForceProtocol, &a, nil, opts.selectivityFor(attr), 0)
+			pl = gridopt.ForcedPlan(params, *opts.ForceProtocol, &a, nil, r, 0)
 		} else {
-			pl = gridopt.Plan1D(params, a, opts.selectivityFor(attr))
+			pl = gridopt.Plan1D(params, a, r)
 		}
 		ax, err := axisFor(a, attr, pl.Lx, opts)
 		if err != nil {
@@ -112,12 +106,11 @@ func BuildPlan(schema *domain.Schema, n int, opts Options) ([]GridSpec, error) {
 	}
 	for _, pq := range pairs {
 		a, b := schema.Attr(pq[0]), schema.Attr(pq[1])
-		ra, rb := opts.selectivityFor(pq[0]), opts.selectivityFor(pq[1])
 		var pl gridopt.Plan
 		if opts.ForceProtocol != nil {
-			pl = gridopt.ForcedPlan(params, *opts.ForceProtocol, &a, &b, ra, rb)
+			pl = gridopt.ForcedPlan(params, *opts.ForceProtocol, &a, &b, r, r)
 		} else {
-			pl = gridopt.Plan2D(params, a, b, ra, rb)
+			pl = gridopt.Plan2D(params, a, b, r, r)
 		}
 		axX, err := axisFor(a, pq[0], pl.Lx, opts)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"felip/internal/domain"
+	"felip/internal/estimate"
 	"felip/internal/fo"
 	"felip/internal/grid"
 )
@@ -28,7 +29,9 @@ type GridSnapshot struct {
 // everything needed to answer queries later without re-collecting. Perturbed
 // per-user reports are NOT retained — only the post-processed aggregate
 // grids, which are safe to persist under the same ε-LDP guarantee
-// (post-processing of a DP output).
+// (post-processing of a DP output). MatrixMaxIter and LambdaMaxIter record
+// the fixed sweep caps (estimate.MatrixMaxIter, estimate.LambdaMaxIter), so
+// every snapshot keeps its bytes; Restore does not read them.
 type Snapshot struct {
 	Version       int                `json:"version"`
 	Strategy      string             `json:"strategy"`
@@ -51,8 +54,8 @@ func (a *Aggregator) Snapshot() Snapshot {
 		Epsilon:       a.opts.Epsilon,
 		N:             a.n,
 		Attributes:    a.schema.Attrs(),
-		MatrixMaxIter: a.opts.MatrixMaxIter,
-		LambdaMaxIter: a.opts.LambdaMaxIter,
+		MatrixMaxIter: estimate.MatrixMaxIter,
+		LambdaMaxIter: estimate.LambdaMaxIter,
 	}
 	for _, sp := range a.specs {
 		gs := GridSnapshot{
@@ -99,12 +102,7 @@ func Restore(s Snapshot) (*Aggregator, error) {
 	if s.Epsilon <= 0 || s.N < 1 {
 		return nil, fmt.Errorf("core: snapshot has invalid epsilon %v / n %d", s.Epsilon, s.N)
 	}
-	opts, err := Options{
-		Strategy:      strategy,
-		Epsilon:       s.Epsilon,
-		MatrixMaxIter: s.MatrixMaxIter,
-		LambdaMaxIter: s.LambdaMaxIter,
-	}.withDefaults()
+	opts, err := Options{Strategy: strategy, Epsilon: s.Epsilon}.withDefaults()
 	if err != nil {
 		return nil, err
 	}

@@ -31,9 +31,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if hg != hw {
 		t.Errorf("restored grid hash %#x != original %#x", hg, hw)
 	}
-	if restored.Strategy() != agg.Strategy() || restored.IPFThreshold() != agg.IPFThreshold() ||
-		restored.MatrixMaxIter() != agg.MatrixMaxIter() || restored.LambdaMaxIter() != agg.LambdaMaxIter() {
+	if restored.Strategy() != agg.Strategy() || restored.IPFThreshold() != agg.IPFThreshold() {
 		t.Errorf("answer parameters changed across restore")
+	}
+	// The snapshot keeps recording the fixed sweep caps, so its bytes do not
+	// change.
+	if s := restored.Snapshot(); s.MatrixMaxIter != 50 || s.LambdaMaxIter != 100 {
+		t.Errorf("snapshot sweep caps %d, %d; want 50, 100", s.MatrixMaxIter, s.LambdaMaxIter)
 	}
 	// Expected-error metadata survives too.
 	q := query.Query{Preds: []query.Predicate{query.NewRange(0, 8, 23), query.NewIn(2, 0, 1)}}

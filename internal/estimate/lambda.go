@@ -32,6 +32,10 @@ func (p PairAnswer) normalized() PairAnswer {
 	return PairAnswer{I: p.I, J: p.J, PP: vals[0] / sum, PN: vals[1] / sum, NP: vals[2] / sum, NN: vals[3] / sum}
 }
 
+// LambdaMaxIter caps the IPF sweeps of every λ-D estimate (Algorithm 4) a
+// round's answers run.
+const LambdaMaxIter = 100
+
 // EstimateLambda implements Algorithm 4: it reconstructs the answer of a λ-D
 // query from its C(λ,2) associated 2-D answers. The vector z holds one entry
 // per sign pattern over the λ predicates (bit t set ⇔ predicate t holds);

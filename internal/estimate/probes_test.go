@@ -63,7 +63,7 @@ func TestFitLambdaMatchesEntrywiseOnBenchmarkProbes(t *testing.T) {
 		if agg.Strategy() == core.OHG && agg.NeedsMatrix(i, j) {
 			gx, _ := agg.Grid1D(i)
 			gy, _ := agg.Grid1D(j)
-			p = estimate.FitProduct(g2, gx, gy, agg.IPFThreshold(), agg.MatrixMaxIter())
+			p = estimate.FitProduct(g2, gx, gy, agg.IPFThreshold(), estimate.MatrixMaxIter)
 		}
 		surfaces[key] = p
 		return p
@@ -95,7 +95,7 @@ func TestFitLambdaMatchesEntrywiseOnBenchmarkProbes(t *testing.T) {
 				pairs = append(pairs, pa)
 			}
 		}
-		if err := estimate.CheckLambdaAgainstEntrywise(q.Lambda(), pairs, agg.IPFThreshold(), agg.LambdaMaxIter()); err != nil {
+		if err := estimate.CheckLambdaAgainstEntrywise(q.Lambda(), pairs, agg.IPFThreshold(), estimate.LambdaMaxIter); err != nil {
 			t.Fatalf("probe %d %v: %v", i, q, err)
 		}
 		checked++

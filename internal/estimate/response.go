@@ -103,6 +103,10 @@ func ExpandGrid(g2 *grid.Grid2D) *Product {
 	return p
 }
 
+// MatrixMaxIter caps the weighted-update sweeps of every response-matrix fit
+// (Algorithm 3) a round's answers run.
+const MatrixMaxIter = 50
+
 // FitProduct runs Algorithm 3's weighted update for one attribute pair. The
 // matrix starts uniform at 1/(dx·dy) (line 1). Each sweep rescales every cell
 // of the 2-D grid g2 (row-major), then every band of gx, the 1-D grid on g2's

@@ -43,6 +43,14 @@ func (l *Longitudinal) Validate() error {
 	return nil
 }
 
+// String renders the budgets, or "one-shot" for nil.
+func (l *Longitudinal) String() string {
+	if l == nil {
+		return "one-shot"
+	}
+	return fmt.Sprintf("eps_perm=%v eps1=%v", l.EpsPerm, l.Eps1)
+}
+
 // Equal reports whether two optional longitudinal configs agree, treating
 // nil as "one-shot" (equal only to nil).
 func (l *Longitudinal) Equal(other *Longitudinal) bool {

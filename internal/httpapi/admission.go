@@ -76,6 +76,30 @@ func (s *Server) checkChannel(mode fo.ReportMode, longitudinal bool) error {
 	return nil
 }
 
+// checkShardState is checkChannel's counterpart for a merge: it compares a
+// shard's state message with round r and its plan. Counts from another
+// round, or folded under another ε, mode or two-stage chain, were perturbed
+// through another randomizer, and summing them would corrupt every estimate.
+func (s *Server) checkShardState(r *round, msg wire.ShardStateMessage) error {
+	mode, err := fo.ParseReportMode(msg.Mode)
+	switch {
+	case err != nil:
+		return fmt.Errorf("shard %q: %w", msg.ShardID, err)
+	case msg.Round != r.num:
+		return fmt.Errorf("shard %q is in round %d, the merged round is %d", msg.ShardID, msg.Round, r.num)
+	case msg.Epsilon != r.col.Epsilon():
+		return fmt.Errorf("shard %q ran round %d at epsilon %v; the round's plan runs %v — refusing the merge",
+			msg.ShardID, msg.Round, msg.Epsilon, r.col.Epsilon())
+	case mode != s.mode:
+		return fmt.Errorf("shard %q ran round %d in mode %v; the round's plan runs %v — refusing the mixed-mode merge",
+			msg.ShardID, msg.Round, mode, s.mode)
+	case !msg.Longitudinal.Equal(s.longitudinal):
+		return fmt.Errorf("shard %q ran round %d with longitudinal parameters %v; the round's plan has %v — refusing the merge",
+			msg.ShardID, msg.Round, msg.Longitudinal, s.longitudinal)
+	}
+	return nil
+}
+
 // checkMessage validates a JSON-shaped report — a POST /v1/report body or a
 // WAL record — checks its channel and decodes it. claim is the mode the
 // message claimed, which a refusal is charged to.

@@ -20,6 +20,7 @@ import (
 	"felip/internal/dataset"
 	"felip/internal/fo"
 	"felip/internal/reportlog"
+	"felip/internal/wire"
 )
 
 // These tests pin the round lifecycle (DESIGN.md §10): what every event does
@@ -404,8 +405,9 @@ func (c *lifecycleCell) mustPost(path string) {
 	}
 }
 
-// mergeStates is one shard's partial states holding 10 reports.
-func (c *lifecycleCell) mergeStates() []fo.PartialState {
+// mergeMessage is one shard's state message for the server's current round,
+// holding 10 reports.
+func (c *lifecycleCell) mergeMessage() wire.ShardStateMessage {
 	col, err := core.NewCollector(dataset.MixedSchema(2, 32, 2, 4), lifecycleN, lifecycleOpts)
 	if err != nil {
 		c.t.Fatal(err)
@@ -419,7 +421,7 @@ func (c *lifecycleCell) mergeStates() []fo.PartialState {
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	return states
+	return wire.NewShardStateMessage("shard-0", c.srv.Round(), lifecycleOpts.Epsilon, fo.ModeFELIP, nil, 0, 0, states)
 }
 
 // observe reads the cell after an event that answered code.
@@ -527,7 +529,7 @@ var lifecycleEvents = []struct {
 	{"pull", true, func(c *lifecycleCell) int { return c.post("/v1/shard/state", nil) }},
 	{"finalize", true, func(c *lifecycleCell) int { return c.post("/v1/finalize", nil) }},
 	{"merge", true, func(c *lifecycleCell) int {
-		if _, err := c.srv.FinalizeMerged([][]fo.PartialState{c.mergeStates()}); err != nil {
+		if _, err := c.srv.FinalizeMerged([]wire.ShardStateMessage{c.mergeMessage()}); err != nil {
 			return http.StatusConflict
 		}
 		return http.StatusOK
@@ -698,7 +700,7 @@ finalized/restored/no-partials | restart+archive | 200 → finalized: round 1, s
 
 closed                         | report          | 503 → closed: round 1, served 0, reports 40, records 0 []
 closed                         | frame           | 503 → closed: round 1, served 0, reports 40, records 0 []
-closed                         | assign          | 200 → closed: round 1, served 0, reports 40, records 0 []
+closed                         | assign          | 503 → closed: round 1, served 0, reports 40, records 0 []
 closed                         | pull            | 503 → closed: round 1, served 0, reports 40, records 0 []
 closed                         | finalize        | 409 → closed: round 1, served 0, reports 40, records 0 []
 closed                         | merge           | 409 → closed: round 1, served 0, reports 40, records 0 []

@@ -134,12 +134,8 @@ func (s *Server) restoreArchivedLocked(num int) error {
 		return err
 	}
 	r := s.cur
-	states, err := snap.PartialStates(r.col.ReportEpsilon())
-	if err != nil {
-		return err
-	}
-	if states != nil {
-		if err := r.col.ImportPartials(states); err != nil {
+	if len(snap.Partials) > 0 {
+		if err := r.importStates(snap.Partials); err != nil {
 			return err
 		}
 		r.col.Seal()

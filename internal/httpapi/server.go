@@ -30,10 +30,12 @@
 // DESIGN.md §10).
 //
 // A cluster coordinator's merged round is a Server too, fed shard states
-// instead of reports: FinalizeMerged imports every shard's partial counts
-// and closes the round through the same finalize, archive and Recover as a
-// single node, and the coordinator mounts only the plan, query, rounds and
-// health routes.
+// instead of reports: FinalizeMerged takes the pulled state messages, checks
+// each one's round, ε, mode and longitudinal budgets against the open round
+// before importing any, decodes every shard's counts at the round's
+// per-report ε, and closes the round through the same finalize, archive and
+// Recover as a single node. The coordinator mounts only the plan, query,
+// rounds and health routes.
 //
 // Reports carry a device-chosen idempotency key (report_id). The first
 // submission under a key is counted and answered 204; an identical
@@ -233,6 +235,21 @@ func (r *round) rejected() int { return r.wireRejected + r.col.Rejected() }
 // restoreRejected sets the round's refused-submission count to the one a
 // seal record or snapshot carries; the collector's own count is part of it.
 func (r *round) restoreRejected(total int) { r.wireRejected = total - r.col.Rejected() }
+
+// importStates decodes partial-state sets at the round's per-report ε (ε/m
+// under SPL, ε′ under RS+FD), the budget its collector's aggregators run at,
+// and imports them all or none (Collector.ImportPartials checks every set
+// before it touches a count). Caller holds s.mu.
+func (r *round) importStates(sets ...[]wire.GridStateDTO) error {
+	states := make([][]fo.PartialState, len(sets))
+	for i, grids := range sets {
+		var err error
+		if states[i], err = wire.ParseGridStates(grids, r.col.ReportEpsilon()); err != nil {
+			return fmt.Errorf("partial state set %d: %w", i, err)
+		}
+	}
+	return r.col.ImportPartials(states...)
+}
 
 // moves[from] has a bit for each phase the current round may move to: open →
 // finalized is replay or archive restore, finalizing → open or sealed a
@@ -578,13 +595,17 @@ func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleAssign(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
-	col, closed := s.cur.col, s.cur.phase != phaseOpen
+	r := s.cur
+	col, open, closed := r.col, r.phase == phaseOpen, r.closed
 	s.mu.RUnlock()
-	if closed {
+	switch {
+	case closed:
+		s.writeError(w, http.StatusServiceUnavailable, errShuttingDown)
+	case !open:
 		s.writeError(w, http.StatusConflict, fmt.Errorf("collection round already finalized"))
-		return
+	default:
+		s.writeJSON(w, http.StatusOK, map[string]int{"group": col.AssignGroup()})
 	}
-	s.writeJSON(w, http.StatusOK, map[string]int{"group": col.AssignGroup()})
 }
 
 // countingReader counts the bytes read through it — the single-report
@@ -713,17 +734,27 @@ func (s *Server) finalizeRound(r *round) (int, error) {
 	return eng.Aggregator().N(), nil
 }
 
-// FinalizeMerged closes the open round from shard states instead of
-// reports: it imports every shard's partial states into the round's
-// collector, all or none (Collector.ImportPartials validates every set before
-// it touches a count), then closes that round like any other (finalizeRound).
-// A refused import leaves the round open for a retry.
-func (s *Server) FinalizeMerged(shards [][]fo.PartialState) (int, error) {
+// FinalizeMerged closes the open round from the shard states a coordinator
+// pulled instead of from reports. Every message must carry the round's
+// number, ε, mode and longitudinal budgets (checkShardState); then every
+// shard's counts are imported, all or none (round.importStates), and the
+// round closes like any other (finalizeRound). A refused merge imports
+// nothing and leaves the round open for a retry.
+func (s *Server) FinalizeMerged(msgs []wire.ShardStateMessage) (int, error) {
 	s.mu.Lock()
 	r := s.cur
 	err := core.ErrFinalized
 	if r.phase == phaseOpen && !r.closed {
-		err = r.col.ImportPartials(shards...)
+		sets := make([][]wire.GridStateDTO, len(msgs))
+		for i, msg := range msgs {
+			if err = s.checkShardState(r, msg); err != nil {
+				break
+			}
+			sets[i] = msg.Grids
+		}
+		if err == nil {
+			err = r.importStates(sets...)
+		}
 	}
 	s.mu.Unlock()
 	if err != nil {

@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"felip/internal/core"
 	"felip/internal/dataset"
+	"felip/internal/fo"
+	"felip/internal/wire"
 )
 
 // submitRows feeds rows [0, n) of ds as deterministic devices.
@@ -195,5 +198,73 @@ func TestShardStateSealsRound(t *testing.T) {
 	submitRows(t, cl, specs, opts.Epsilon, ds, 50, 401)
 	if st, _ := cl.Status(ctx); st.Reports != 50 {
 		t.Fatalf("reopened round ingested %d reports, want 50", st.Reports)
+	}
+}
+
+// TestFinalizeMergedRefusesForeignStates sends the merged round a right shard
+// state beside a wrong one, one wrong field at a time: another round, another
+// ε, another mode, and the plan's longitudinal flag with another ε_perm. Each
+// merge must be refused with nothing imported and the round left open, and
+// the retried right merge must then close the round.
+func TestFinalizeMergedRefusesForeignStates(t *testing.T) {
+	const eps = 2.0
+	schema := dataset.MixedSchema(2, 32, 2, 4)
+	for _, tc := range []struct {
+		name string
+		long *fo.Longitudinal // the plan's
+		edit func(m *wire.ShardStateMessage)
+		want string
+	}{
+		{"round", nil, func(m *wire.ShardStateMessage) { m.Round = 2 }, "is in round 2"},
+		{"epsilon", nil, func(m *wire.ShardStateMessage) { m.Epsilon = 1.5 }, "at epsilon 1.5"},
+		{"mode", nil, func(m *wire.ShardStateMessage) { m.Mode = wire.ModeName(fo.ModeSPL) }, "mixed-mode"},
+		{"eps_perm", &fo.Longitudinal{EpsPerm: 3}, func(m *wire.ShardStateMessage) {
+			m.Longitudinal = &fo.Longitudinal{EpsPerm: 4, Eps1: eps}
+		}, "longitudinal parameters eps_perm=4"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := core.Options{Strategy: core.OHG, Epsilon: eps, Seed: 83, Longitudinal: tc.long}
+			srv, err := NewServer(schema, 100, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.SetLogger(t.Logf)
+			shardState := func(id string) wire.ShardStateMessage {
+				col, err := core.NewCollector(schema, 100, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 10; i++ {
+					if err := col.Add(validProbe(col.Specs(), fo.ModeFELIP, "", i%len(col.Specs())).rep); err != nil {
+						t.Fatal(err)
+					}
+				}
+				states, err := col.ExportPartials()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return wire.NewShardStateMessage(id, 1, eps, fo.ModeFELIP, col.Longitudinal(), 0, 0, states)
+			}
+			right, wrong := shardState("shard-0"), shardState("shard-1")
+			tc.edit(&wrong)
+			wrong.Checksum = wrong.Sum()
+			if err := wrong.Verify(); err != nil {
+				t.Fatalf("the wrong message must be well formed: %v", err)
+			}
+
+			_, err = srv.FinalizeMerged([]wire.ShardStateMessage{right, wrong})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("merge with another %s: %v, want a refusal naming %q", tc.name, err, tc.want)
+			}
+			if st := srv.Status(); st.Reports != 0 || st.Finalized || st.Finalizing || st.Sealed || st.Round != 1 {
+				t.Fatalf("a refused merge left the round at %+v", st)
+			}
+			if n, err := srv.FinalizeMerged([]wire.ShardStateMessage{right, shardState("shard-1")}); err != nil || n != 20 {
+				t.Fatalf("retried merge: %d, %v; want 20 reports", n, err)
+			}
+			if st := srv.Status(); !st.Finalized || st.Reports != 20 || st.ServedRound != 1 {
+				t.Fatalf("the retried merge left the round at %+v", st)
+			}
+		})
 	}
 }

@@ -142,6 +142,10 @@ func HarmonizeAttribute(views []View) {
 	}
 }
 
+// Rounds is the number of consistency ↔ Norm-Sub alternations every FELIP
+// and TDG/HDG round runs (§5.4).
+const Rounds = 3
+
 // Pipeline runs the paper's full post-processing: `rounds` alternations of
 // per-attribute consistency and per-grid Norm-Sub, ending with a final
 // Norm-Sub so the output is non-negative (§5.4). attrViews groups the views

@@ -105,13 +105,11 @@ type matrixSlot struct {
 // All methods are safe for arbitrary concurrent use; none of them block on a
 // shared lock beyond the per-pair singleflight of the first matrix fit.
 type Engine struct {
-	agg           *core.Aggregator
-	schema        *domain.Schema
-	n             int
-	strategy      core.Strategy
-	threshold     float64
-	matrixMaxIter int
-	lambdaMaxIter int
+	agg       *core.Aggregator
+	schema    *domain.Schema
+	n         int
+	strategy  core.Strategy
+	threshold float64
 
 	// marginals holds each answerable attribute's prefix-summed per-value
 	// marginal: its own 1-D grid when one was collected, otherwise the
@@ -133,16 +131,14 @@ func NewEngine(agg *core.Aggregator) (*Engine, error) {
 		return nil, fmt.Errorf("serve: nil aggregator")
 	}
 	e := &Engine{
-		agg:           agg,
-		schema:        agg.Schema(),
-		n:             agg.N(),
-		strategy:      agg.Strategy(),
-		threshold:     agg.IPFThreshold(),
-		matrixMaxIter: agg.MatrixMaxIter(),
-		lambdaMaxIter: agg.LambdaMaxIter(),
-		marginals:     make(map[int]*marginal1D),
-		pairs:         make(map[[2]int]*pairPlan),
-		matrices:      make(map[[2]int]*matrixSlot),
+		agg:       agg,
+		schema:    agg.Schema(),
+		n:         agg.N(),
+		strategy:  agg.Strategy(),
+		threshold: agg.IPFThreshold(),
+		marginals: make(map[int]*marginal1D),
+		pairs:     make(map[[2]int]*pairPlan),
+		matrices:  make(map[[2]int]*matrixSlot),
 	}
 	for _, sp := range agg.Specs() {
 		if sp.Is1D() {
@@ -265,7 +261,7 @@ func (e *Engine) Answer(q query.Query) (float64, error) {
 			pairs = append(pairs, pa)
 		}
 	}
-	return estimate.EstimateLambda(lambda, pairs, e.threshold, e.lambdaMaxIter)
+	return estimate.EstimateLambda(lambda, pairs, e.threshold, estimate.LambdaMaxIter)
 }
 
 // Result carries one batch entry's outcome.
@@ -357,5 +353,5 @@ func (e *Engine) fitMatrix(i, j int) (*estimate.Product, error) {
 	}
 	gx, _ := e.agg.Grid1D(i)
 	gy, _ := e.agg.Grid1D(j)
-	return estimate.FitProduct(g2, gx, gy, e.threshold, e.matrixMaxIter), nil
+	return estimate.FitProduct(g2, gx, gy, e.threshold, estimate.MatrixMaxIter), nil
 }

@@ -440,7 +440,7 @@ func denseResponse(agg *core.Aggregator, i, j int) (*estimate.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	denseFit(m, estimate.GridConstraints(g2, gx, gy), agg.IPFThreshold(), agg.MatrixMaxIter())
+	denseFit(m, estimate.GridConstraints(g2, gx, gy), agg.IPFThreshold(), estimate.MatrixMaxIter)
 	return m, nil
 }
 

@@ -58,7 +58,7 @@ func (r *maskScan) Answer(q query.Query) (float64, error) {
 			pairs = append(pairs, pa)
 		}
 	}
-	return estimate.EstimateLambda(lambda, pairs, r.agg.IPFThreshold(), r.agg.LambdaMaxIter())
+	return estimate.EstimateLambda(lambda, pairs, r.agg.IPFThreshold(), estimate.LambdaMaxIter)
 }
 
 // answer1D reads the attribute's own 1-D grid, or else the marginal of its

@@ -176,9 +176,9 @@ func shardStateSeeds(tb testing.TB) []ShardStateMessage {
 // FuzzShardState feeds arbitrary JSON to the shard-state message a
 // coordinator pulls and merges, seeded with shardStateSeeds: each input as
 // given, and once more with its checksum recomputed, so mutations reach the
-// fields behind the checksum. Verify and States must never panic, and a
-// message that verifies and decodes must keep its checksum when rebuilt by
-// NewShardStateMessage from its own fields and states: the message is a
+// fields behind the checksum. Verify and ParseGridStates must never panic,
+// and a message that verifies and decodes must keep its checksum when rebuilt
+// by NewShardStateMessage from its own fields and states: the message is a
 // function of the sealed round, which is what lets a coordinator re-pull it.
 func FuzzShardState(f *testing.F) {
 	for _, msg := range shardStateSeeds(f) {
@@ -198,11 +198,11 @@ func FuzzShardState(f *testing.F) {
 				m.Checksum = m.Sum()
 			}
 			verr := m.Verify()
-			states, serr := m.States()
+			states, serr := ParseGridStates(m.Grids, m.Epsilon)
 			if verr != nil || serr != nil {
 				continue
 			}
-			mode, _ := m.ReportMode() // Verify proved the mode parses
+			mode, _ := fo.ParseReportMode(m.Mode) // Verify proved the mode parses
 			again := NewShardStateMessage(m.ShardID, m.Round, m.Epsilon, mode, m.Longitudinal, m.Rejected, m.WALReplayed, states)
 			if again.Checksum != m.Checksum {
 				t.Fatalf("verified message %+v rebuilds with checksum %08x, claims %08x", m, again.Checksum, m.Checksum)

@@ -42,13 +42,13 @@ type ShardStateMessage struct {
 	Round   int     `json:"round"`
 	Epsilon float64 `json:"epsilon"`
 	// Mode is the shard's reporting mode (ModeName form; "" = FELIP, keeping
-	// v1 messages and their checksums byte-identical). The coordinator refuses
-	// to merge shard states whose modes disagree with its own plan: partial
+	// v1 messages and their checksums byte-identical). The merged round
+	// refuses shard states whose modes disagree with its own plan: partial
 	// counts folded under different perturbation budgets are not mergeable.
 	Mode string `json:"mode,omitempty"`
 	// Longitudinal carries the shard's two-stage memoized-reporting budgets;
 	// nil on every one-shot shard (keeping v1 messages and checksums
-	// byte-identical). The coordinator refuses to merge shard states whose
+	// byte-identical). The merged round refuses shard states whose
 	// longitudinal parameters disagree with its own: counts drawn through
 	// different two-stage chains invert differently.
 	Longitudinal *fo.Longitudinal `json:"longitudinal,omitempty"`
@@ -88,7 +88,9 @@ func GridStates(states []fo.PartialState) []GridStateDTO {
 
 // ParseGridStates decodes per-grid partial aggregates, in group order. The
 // grids must be dense (group g at index g) — the shape GridStates produces
-// and the only shape a merge can consume positionally.
+// and the only shape a merge can consume positionally. eps is the budget each
+// report was perturbed at (core.Collector.ReportEpsilon: ε/m under SPL, ε′
+// under RS+FD), which neither a state message nor a snapshot records.
 func ParseGridStates(grids []GridStateDTO, eps float64) ([]fo.PartialState, error) {
 	out := make([]fo.PartialState, len(grids))
 	for i, g := range grids {
@@ -210,16 +212,4 @@ func (m ShardStateMessage) Verify() error {
 		return fmt.Errorf("wire: shard %q state: %w", m.ShardID, err)
 	}
 	return nil
-}
-
-// ReportMode decodes the message's mode field ("" reads as FELIP, the only
-// mode v1 shards could run).
-func (m ShardStateMessage) ReportMode() (fo.ReportMode, error) {
-	return fo.ParseReportMode(m.Mode)
-}
-
-// States decodes the per-grid partial aggregates, in group order (see
-// ParseGridStates), at the message's ε.
-func (m ShardStateMessage) States() ([]fo.PartialState, error) {
-	return ParseGridStates(m.Grids, m.Epsilon)
 }

@@ -149,7 +149,7 @@ func TestShardStateWireMergeEquivalence(t *testing.T) {
 				if err := back.Verify(); err != nil {
 					t.Fatalf("%v shard %d: %v", proto, i, err)
 				}
-				states, err := back.States()
+				states, err := ParseGridStates(back.Grids, back.Epsilon)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,7 +235,7 @@ func TestShardStateChecksumCatchesCorruption(t *testing.T) {
 	sparse := good
 	sparse.Grids = append([]GridStateDTO(nil), good.Grids...)
 	sparse.Grids[0].Group = 1
-	if _, err := sparse.States(); err == nil {
+	if _, err := ParseGridStates(sparse.Grids, sparse.Epsilon); err == nil {
 		t.Error("non-dense grid list accepted")
 	}
 }
